@@ -32,9 +32,6 @@ from .objective import (
     theta,
 )
 from .optimizers import (
-    BasinHoppingParams,
-    Crs2Params,
-    IsresParams,
     OptimizerConfig,
     OptOutcome,
     TerminationReason,
@@ -87,9 +84,6 @@ __all__ = [
     "TerminationReason",
     "OptOutcome",
     "OptimizerConfig",
-    "BasinHoppingParams",
-    "Crs2Params",
-    "IsresParams",
     "powell_minimize",
     "basin_hopping",
     "crs2_minimize",

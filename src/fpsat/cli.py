@@ -12,7 +12,7 @@ from .harness import (
     run_solve,
 )
 from .optimizers import OptimizerConfig
-from .portfolio import PortfolioConfig
+from .portfolio import ALGORITHMS, PortfolioConfig
 
 
 def _add_portfolio_args(p: argparse.ArgumentParser) -> None:
@@ -35,7 +35,7 @@ def _add_portfolio_args(p: argparse.ArgumentParser) -> None:
 
 def _portfolio_config(args, wall_timeout=None) -> PortfolioConfig:
     instances = []
-    for name in ("bh", "crs2", "isres"):
+    for name in ALGORITHMS:
         count = getattr(args, name)
         if count < 0:
             raise SystemExit(f"--{name} must be >= 0")

@@ -12,17 +12,18 @@ import json
 import math
 import queue
 import shlex
+import signal
 import subprocess
 import sys
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import load_problem
 from .errors import InputError, FpsatError
-from .portfolio import PortfolioConfig, SolveOutcome, solve
+from .portfolio import ALGORITHMS, PortfolioConfig, SolveOutcome, solve
 from .rng import derive_seed
 
 __all__ = [
@@ -168,7 +169,7 @@ class BenchReport:
         if not winners:
             return None
         share = {}
-        for alg in ("bh", "crs2", "isres"):
+        for alg in ALGORITHMS:
             share[alg] = 100.0 * sum(w == alg for w in winners) / len(winners)
         return share
 
@@ -222,13 +223,9 @@ def run_bench(directory, config: PortfolioConfig | None = None, *,
     records: list[BenchRecord] = []
     base_seed = config.seed
     for rep in range(repeat):
-        rep_config = PortfolioConfig(
-            instances=list(config.instances),
-            max_evals=config.max_evals,
+        rep_config = replace(
+            config, wall_timeout=timeout,
             seed=base_seed if rep == 0 else derive_seed(base_seed, 4096 + rep),
-            start_range=config.start_range,
-            wall_timeout=timeout,
-            optimizer=config.optimizer,
         )
         for path in files:
             records.append(_bench_one(path, rep_config))
@@ -308,16 +305,9 @@ def run_combined(path, external_cmd: str,
     portfolio_stop = threading.Event()
 
     def portfolio_worker():
-        cfg = PortfolioConfig(
-            instances=list(config.instances),
-            max_evals=config.max_evals,
-            seed=config.seed,
-            start_range=config.start_range,
-            wall_timeout=timeout,
-            optimizer=config.optimizer,
-        )
         try:
-            outcome = solve(problem.formula, problem.program, cfg,
+            outcome = solve(problem.formula, problem.program,
+                            replace(config, wall_timeout=timeout),
                             stop=portfolio_stop)
             events.put(("portfolio", outcome))
         except Exception as exc:
@@ -331,10 +321,19 @@ def run_combined(path, external_cmd: str,
         proc = None
         events.put(("external-crash", str(exc)))
 
+    kill_sent = threading.Event()
+
     def external_worker():
         stdout, _ = proc.communicate()
-        if proc.returncode is not None and proc.returncode < 0:
+        if proc.returncode < 0 and kill_sent.is_set():
             events.put(("external-killed", None))
+        elif proc.returncode < 0:
+            # a signal we did not send (say, the OOM killer) is a crash
+            try:
+                name = signal.Signals(-proc.returncode).name
+            except ValueError:
+                name = f"signal {-proc.returncode}"
+            events.put(("external-crash", f"killed by {name}"))
         elif proc.returncode not in (0, 10, 20):
             # 0 plus the SAT-competition codes 10/20 count as clean exits
             events.put(("external-crash", f"exit code {proc.returncode}"))
@@ -347,6 +346,7 @@ def run_combined(path, external_cmd: str,
 
     def kill_external():
         if proc is not None and proc.poll() is None:
+            kill_sent.set()
             proc.kill()
             proc.wait()
 

@@ -2,17 +2,19 @@
 
 Three methods: basin hopping with a direction-set (Powell) local minimizer,
 controlled random search with local mutation, and a (mu, lambda) evolution
-strategy with stochastic ranking. Each instance owns all of its mutable
-state and its own PRNG stream; the shared stop token is polled before
-every objective evaluation, so cancellation latency is at most one
-evaluation and budgets are never exceeded.
+strategy that ranks its offspring by objective value. Each instance owns
+all of its mutable state and its own PRNG stream; the shared stop token is
+polled before every objective evaluation, so cancellation latency is at
+most one evaluation and budgets are never exceeded.
+
+Every method runs with fixed parameters (the module constants below), as
+parSAT runs each optimizer with its defaults.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,14 +25,18 @@ __all__ = [
     "TerminationReason",
     "OptOutcome",
     "OptimizerConfig",
-    "BasinHoppingParams",
-    "Crs2Params",
-    "IsresParams",
     "powell_minimize",
     "basin_hopping",
     "crs2_minimize",
     "isres_minimize",
 ]
+
+_BH_STEP = 0.5  # perturbation drawn uniformly from [-step, step] per coordinate
+_BH_TEMPERATURE = 1.0  # Metropolis acceptance temperature
+_POWELL_TOL = 1e-8
+_POWELL_ITERS_PER_DIM = 100
+_CRS2_POP_PER_DIM = 10  # population = 10 (n + 1)
+_ISRES_LAMBDA_PER_DIM = 20  # lambda = 20 (n + 1), mu = round(lambda / 7)
 
 
 class TerminationReason(Enum):
@@ -41,33 +47,9 @@ class TerminationReason(Enum):
 
 
 @dataclass
-class BasinHoppingParams:
-    step_size: float = 0.5
-    temperature: float = 1.0
-    powell_tolerance: float = 1e-8
-    powell_max_iters: int | None = None  # defaults to 100 * dimension
-
-
-@dataclass
-class Crs2Params:
-    population_factor: float = 10.0  # population = factor * (n + 1)
-
-
-@dataclass
-class IsresParams:
-    population_factor: float = 20.0  # lambda = factor * (n + 1)
-    rank_probability_pf: float = 0.45
-    mu: int | None = None  # defaults to lambda / 7
-
-
-@dataclass
 class OptimizerConfig:
     max_evals: int = 1_000_000
-    bounds: object = (-1e9, 1e9)  # (lo, hi) or per-dimension list of pairs
-    start_range: tuple = (-0.5, 0.5)
-    bh: BasinHoppingParams = field(default_factory=BasinHoppingParams)
-    crs2: Crs2Params = field(default_factory=Crs2Params)
-    isres: IsresParams = field(default_factory=IsresParams)
+    bounds: tuple = (-1e9, 1e9)  # (lo, hi) for every coordinate
 
 
 @dataclass
@@ -78,16 +60,12 @@ class OptOutcome:
     terminated_by: TerminationReason
 
 
-class _ZeroFound(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a run from inside an evaluation; carries the reason."""
 
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Cancelled(Exception):
-    pass
+    def __init__(self, reason: TerminationReason):
+        super().__init__(reason.value)
+        self.reason = reason
 
 
 class _Run:
@@ -106,9 +84,9 @@ class _Run:
 
     def __call__(self, x) -> float:
         if self.stop is not None and self.stop.is_set():
-            raise _Cancelled
+            raise _Stop(TerminationReason.CANCELLED)
         if self.evals >= self.max_evals:
-            raise _BudgetExhausted
+            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
         v = self.fn(x)
         self.evals += 1
         if v < self.best_value or self.best_x is None:
@@ -117,7 +95,7 @@ class _Run:
         if v == 0.0:
             if self.on_zero is not None:
                 self.on_zero(np.array(x, dtype=float, copy=True))
-            raise _ZeroFound
+            raise _Stop(TerminationReason.ZERO_FOUND)
         return v
 
     def outcome(self, reason: TerminationReason) -> OptOutcome:
@@ -126,16 +104,11 @@ class _Run:
 
 def _bounds_arrays(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(bounds, dtype=float)
-    if arr.shape == (2,):
-        lo = np.full(n, arr[0])
-        hi = np.full(n, arr[1])
-    elif arr.shape == (n, 2):
-        lo, hi = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
-        raise ValueError(f"bounds must be (lo, hi) or {n} pairs")
-    if not np.all(lo < hi):
-        raise ValueError("each bound must satisfy lo < hi")
-    return lo, hi
+    if arr.shape != (2,):
+        raise ValueError("bounds must be (lo, hi)")
+    if not arr[0] < arr[1]:
+        raise ValueError("bounds must satisfy lo < hi")
+    return np.full(n, arr[0]), np.full(n, arr[1])
 
 
 def _gauss_vec(rng: Xoshiro256Plus, n: int) -> np.ndarray:
@@ -313,16 +286,11 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
     run = _Run(f, cfg.max_evals, stop)
-    max_iters = cfg.bh.powell_max_iters or 100 * len(x0)
     try:
-        _powell_core(run, x0, cfg.bh.powell_tolerance, max_iters)
+        _powell_core(run, x0, _POWELL_TOL, _POWELL_ITERS_PER_DIM * len(x0))
         return run.outcome(TerminationReason.CONVERGED)
-    except _ZeroFound:
-        return run.outcome(TerminationReason.ZERO_FOUND)
-    except _BudgetExhausted:
-        return run.outcome(TerminationReason.BUDGET_EXHAUSTED)
-    except _Cancelled:
-        return run.outcome(TerminationReason.CANCELLED)
+    except _Stop as end:
+        return run.outcome(end.reason)
 
 
 # --------------------------------------------------------------------------
@@ -337,28 +305,23 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
     n = len(x0)
-    p = cfg.bh
     run = _Run(f, cfg.max_evals, stop, on_zero)
-    max_iters = p.powell_max_iters or 100 * n
+    max_iters = _POWELL_ITERS_PER_DIM * n
     try:
-        x, fx, _ = _powell_core(run, x0, p.powell_tolerance, max_iters)
+        x, fx, _ = _powell_core(run, x0, _POWELL_TOL, max_iters)
         while True:
-            step = np.array([rng.uniform(-p.step_size, p.step_size) for _ in range(n)])
+            step = np.array([rng.uniform(-_BH_STEP, _BH_STEP) for _ in range(n)])
             trial = x + step
-            xt, ft, _ = _powell_core(run, trial, p.powell_tolerance, max_iters)
+            xt, ft, _ = _powell_core(run, trial, _POWELL_TOL, max_iters)
             if ft <= fx:
                 x, fx = xt, ft
-            elif p.temperature > 0.0:
+            else:
                 delta = ft - fx
-                w = math.exp(-delta / p.temperature) if delta == delta else 0.0
+                w = math.exp(-delta / _BH_TEMPERATURE) if delta == delta else 0.0
                 if rng.next_double() < w:
                     x, fx = xt, ft
-    except _ZeroFound:
-        return run.outcome(TerminationReason.ZERO_FOUND)
-    except _BudgetExhausted:
-        return run.outcome(TerminationReason.BUDGET_EXHAUSTED)
-    except _Cancelled:
-        return run.outcome(TerminationReason.CANCELLED)
+    except _Stop as end:
+        return run.outcome(end.reason)
 
 
 # --------------------------------------------------------------------------
@@ -374,13 +337,7 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     if n < 1:
         raise ValueError("dimension must be >= 1")
     lo, hi = _bounds_arrays(cfg.bounds, n)
-    pop_size = int(round(cfg.crs2.population_factor * (n + 1)))
-    if pop_size < n + 2:
-        warnings.warn(
-            f"CRS2 population {pop_size} below the minimum {n + 2}; clamped"
-        )
-        pop_size = n + 2
-
+    pop_size = _CRS2_POP_PER_DIM * (n + 1)
     run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
         pop = np.empty((pop_size, n))
@@ -419,12 +376,8 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                 if ft < fvals[worst]:
                     pop[worst] = mutated
                     fvals[worst] = ft
-    except _ZeroFound:
-        return run.outcome(TerminationReason.ZERO_FOUND)
-    except _BudgetExhausted:
-        return run.outcome(TerminationReason.BUDGET_EXHAUSTED)
-    except _Cancelled:
-        return run.outcome(TerminationReason.CANCELLED)
+    except _Stop as end:
+        return run.outcome(end.reason)
 
 
 # --------------------------------------------------------------------------
@@ -435,48 +388,23 @@ _ISRES_PHI = 1.0
 _ISRES_GAMMA = 0.85
 
 
-def _stochastic_rank(fvals, phis, pf: float, rng: Xoshiro256Plus) -> list[int]:
-    """Bubble-sort ranking; with zero constraint violations it reduces to a
-    plain objective sort and consumes no randomness."""
-    lam = len(fvals)
-    idx = list(range(lam))
-    for _ in range(lam):
-        swapped = False
-        for j in range(lam - 1):
-            a, b = idx[j], idx[j + 1]
-            if (phis[a] == 0.0 and phis[b] == 0.0) or rng.next_double() < pf:
-                do_swap = fvals[a] > fvals[b]
-            else:
-                do_swap = phis[a] > phis[b]
-            if do_swap:
-                idx[j], idx[j + 1] = b, a
-                swapped = True
-        if not swapped:
-            break
-    return idx
-
-
 def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                    stop=None, on_zero=None) -> OptOutcome:
-    """(mu, lambda) evolution strategy with stochastic ranking and log-normal
-    step-size self-adaptation; runs unconstrained (the objective already
-    folds every constraint into its distance)."""
+    """(mu, lambda) evolution strategy with log-normal step-size
+    self-adaptation; runs unconstrained (the objective already folds every
+    constraint into its distance).
+
+    Stochastic ranking (Runarsson & Yao, 2000) orders by constraint
+    violation only where one is nonzero; here every violation is zero, so
+    it is a stable sort by objective value and draws no randomness.
+    """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     lo, hi = _bounds_arrays(cfg.bounds, n)
-    p = cfg.isres
-
-    lam = int(round(p.population_factor * (n + 1)))
-    mu = p.mu if p.mu is not None else max(1, round(lam / 7))
-    lam_c = max(lam, 2)
-    mu_c = min(max(mu, 1), lam_c - 1)
-    if lam_c != lam or mu_c != mu:
-        warnings.warn(
-            f"ISRES population clamped: lambda {lam}->{lam_c}, mu {mu}->{mu_c}"
-        )
-    lam, mu = lam_c, mu_c
+    lam = _ISRES_LAMBDA_PER_DIM * (n + 1)
+    mu = round(lam / 7)
 
     tau = _ISRES_PHI / math.sqrt(2.0 * math.sqrt(n))
     taup = _ISRES_PHI / math.sqrt(2.0 * n)
@@ -490,12 +418,11 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
             pop[i] = [rng.uniform(lo[j], hi[j]) for j in range(n)]
         sigmas = np.tile(sigma0, (lam, 1))
         fvals = np.array([run(pop[i]) for i in range(lam)])
-        phis = np.zeros(lam)
 
         while True:
-            order = _stochastic_rank(fvals, phis, p.rank_probability_pf, rng)
-            parents = pop[order[:mu]].copy()
-            psig = sigmas[order[:mu]].copy()
+            elite = np.argsort(fvals, kind="stable")[:mu]
+            parents = pop[elite]
+            psig = sigmas[elite]
             new_pop = np.empty_like(pop)
             new_sig = np.empty_like(sigmas)
             new_f = np.empty(lam)
@@ -515,9 +442,5 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                 new_sig[k] = s
                 new_f[k] = run(x)
             pop, sigmas, fvals = new_pop, new_sig, new_f
-    except _ZeroFound:
-        return run.outcome(TerminationReason.ZERO_FOUND)
-    except _BudgetExhausted:
-        return run.outcome(TerminationReason.BUDGET_EXHAUSTED)
-    except _Cancelled:
-        return run.outcome(TerminationReason.CANCELLED)
+    except _Stop as end:
+        return run.outcome(end.reason)

@@ -39,7 +39,12 @@ __all__ = [
     "verify_model",
 ]
 
-ALGORITHMS = ("bh", "crs2", "isres")
+_MINIMIZERS = {
+    "bh": basin_hopping,
+    "crs2": crs2_minimize,
+    "isres": isres_minimize,
+}
+ALGORITHMS = tuple(_MINIMIZERS)
 
 
 @dataclass
@@ -132,13 +137,6 @@ def verify_model(formula: Term, model: Model) -> bool:
     return semantic_eval(formula, model.bindings())
 
 
-_MINIMIZERS = {
-    "bh": basin_hopping,
-    "crs2": crs2_minimize,
-    "isres": isres_minimize,
-}
-
-
 def solve(formula: Term, program: ObjectiveProgram,
           config: PortfolioConfig | None = None,
           stop: threading.Event | None = None) -> SolveOutcome:
@@ -174,11 +172,7 @@ def solve(formula: Term, program: ObjectiveProgram,
     claim_lock = threading.Lock()
     winner_slot: list = [None]  # (instance index, algorithm, x-vector)
 
-    opt_cfg = dataclasses.replace(
-        config.optimizer,
-        max_evals=config.max_evals,
-        start_range=tuple(config.start_range),
-    )
+    opt_cfg = dataclasses.replace(config.optimizer, max_evals=config.max_evals)
 
     stats: list[InstanceStats | None] = [None] * len(algs)
     errors: list = []
@@ -205,6 +199,7 @@ def solve(formula: Term, program: ObjectiveProgram,
             )
         except Exception as exc:  # surfaced after join
             errors.append(exc)
+            stop.set()  # a crashed instance ends the race
             stats[idx] = InstanceStats(alg, idx, 0, float("inf"),
                                        time.perf_counter() - t0, "error")
 

@@ -215,6 +215,21 @@ class TestCombined:
         assert outcome.source == "portfolio"
         assert outcome.note and "external solver failed" in outcome.note
 
+    def test_signal_kill_not_ours_is_a_crash(self, corpus_path, tmp_path):
+        # a solver killed by a signal run_combined did not send (say, the
+        # OOM killer) has crashed; the race must not wait out the timeout
+        stub = _make_stub(tmp_path, "killed.py", """\
+            import os, signal
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        outcome = run_combined(corpus_path / "infeasible_cycle.smt2",
+                               f"{sys.executable} {stub}",
+                               fast_config(max_evals=20_000), timeout=20.0)
+        assert outcome.verdict == "unknown"
+        assert outcome.source == "portfolio"
+        assert outcome.note and "SIGKILL" in outcome.note
+        assert outcome.wall_time < 10.0
+
     def test_crash_with_portfolio_sat(self, corpus_path, tmp_path):
         # portfolio may finish before or after the crash; either way the
         # verdict is the portfolio's own

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from fpsat import build_problem
+from fpsat import build_problem, portfolio
 from fpsat.errors import VerificationFailureError
 from fpsat.fp import FP32, FP64
 from fpsat.objective import semantic_eval
@@ -279,3 +279,31 @@ class TestModelBlock:
         block = out.model.smt2_block()
         assert "(define-fun x () (_ FloatingPoint 8 24)" in block
         assert "((_ to_fp 8 24) #x" in block
+
+
+class TestCrashedInstance:
+    def test_crash_stops_the_race(self, corpus_path, monkeypatch):
+        # one instance raises at its 50th evaluation; the others must stop
+        # at once instead of burning their whole budgets
+        class Crash(RuntimeError):
+            pass
+
+        def crashing(f, x0, cfg, rng, stop=None, on_zero=None):
+            calls = [0]
+
+            def g(x):
+                calls[0] += 1
+                if calls[0] == 50:
+                    raise Crash("instance crashed")
+                return f(x)
+
+            return portfolio.isres_minimize(g, x0, cfg, rng, stop, on_zero)
+
+        monkeypatch.setitem(portfolio._MINIMIZERS, "isres", crashing)
+        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
+        before = problem.program.eval_count
+        with pytest.raises(Crash):
+            solve(problem.formula, problem.program,
+                  small_config(max_evals=20_000, seed=3))
+        # far below the 40,000 evaluations the other two instances own
+        assert problem.program.eval_count - before < 20_000
