@@ -1,9 +1,9 @@
 """Floating-point satisfiability via a portfolio of global optimizers.
 
-Pipeline: parse an SMT-LIB2 script, inline definitions, normalize to
-negation-flagged CNF, compile a non-negative distance objective whose
-exact zeros are the satisfying assignments, then race stochastic
-minimizers on it. A zero found is a verified model; otherwise the
+Pipeline: parse an SMT-LIB2 script (inlining definitions as they are
+parsed), normalize to negation-flagged CNF, compile a non-negative
+distance objective whose exact zeros are the satisfying assignments,
+then race stochastic minimizers on it. A zero found is a verified model; otherwise the
 verdict is unknown.
 """
 
@@ -15,7 +15,6 @@ from . import errors
 from .errors import FpsatError
 from .fp import FP32, FP64, FPValue, Sort
 from .normalizer import (
-    Atom,
     ClauseSet,
     clause_set_as_formula,
     clause_set_to_sexpr,
@@ -68,7 +67,6 @@ __all__ = [
     "parse_script",
     "decode_fp_literal",
     "expand_definitions",
-    "Atom",
     "ClauseSet",
     "push_negations",
     "to_cnf",

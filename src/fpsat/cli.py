@@ -11,7 +11,6 @@ from .harness import (
     run_combined,
     run_solve,
 )
-from .optimizers import OptimizerConfig
 from .portfolio import ALGORITHMS, PortfolioConfig
 
 
@@ -33,24 +32,30 @@ def _add_portfolio_args(p: argparse.ArgumentParser) -> None:
                    help="search box for the population methods")
 
 
-def _portfolio_config(args, wall_timeout=None) -> PortfolioConfig:
+def _portfolio_config(parser: argparse.ArgumentParser, args,
+                      wall_timeout=None) -> PortfolioConfig:
+    """Build the race configuration; usage errors exit 2 via `parser.error`."""
     instances = []
     for name in ALGORITHMS:
         count = getattr(args, name)
         if count < 0:
-            raise SystemExit(f"--{name} must be >= 0")
+            parser.error(f"--{name} must be >= 0")
         if count:
             instances.append((name, count))
     if not instances:
-        raise SystemExit("at least one optimizer instance is required")
-    optimizer = OptimizerConfig(bounds=tuple(args.bounds))
+        parser.error("at least one optimizer instance is required")
+    if args.max_evals < 1:
+        parser.error("--max-evals must be >= 1")
+    lo, hi = args.bounds
+    if not lo < hi:
+        parser.error("--bounds LO HI needs LO < HI")
     return PortfolioConfig(
         instances=instances,
         max_evals=args.max_evals,
         seed=args.seed,
         start_range=tuple(args.start_range),
         wall_timeout=wall_timeout,
-        optimizer=optimizer,
+        bounds=(lo, hi),
     )
 
 
@@ -96,19 +101,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "solve":
-        config = _portfolio_config(args, wall_timeout=args.timeout)
+        config = _portfolio_config(p_solve, args, wall_timeout=args.timeout)
         report = run_solve(args.file, config, show_model=args.model,
                            stats_json=args.stats_json, dump_cnf=args.dump_cnf)
         return report.exit_code
 
     if args.command == "bench":
-        config = _portfolio_config(args)
+        config = _portfolio_config(p_bench, args)
         run_bench(args.dir, config, timeout=args.timeout,
                   repeat=args.repeat, csv_path=args.csv)
         return 0
 
     # combined
-    config = _portfolio_config(args)
+    config = _portfolio_config(p_comb, args)
     try:
         outcome = run_combined(args.file, args.external, config,
                                timeout=args.timeout)

@@ -1,8 +1,9 @@
-"""Negation-free CNF over comparison atoms.
+"""Negation-free CNF over comparison literals.
 
 Negation is never eliminated by flipping comparison operators (that would
-be wrong for NaN); it is recorded as a per-atom flag instead. The CNF is
-plain distributive, capped against pathological blowup.
+be wrong for NaN); it is recorded as the `negated` flag of the `Compare`
+instead. The CNF is plain distributive, capped against pathological
+blowup.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CnfBlowupError
-from .fp import BOOL, FPValue, narrow32
+from .fp import FPValue, narrow32
 from .terms import (
     ArithOp,
     BoolAnd,
@@ -31,7 +32,6 @@ from .terms import (
 )
 
 __all__ = [
-    "Atom",
     "ClauseSet",
     "push_negations",
     "to_cnf",
@@ -44,29 +44,15 @@ DEFAULT_CLAUSE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class Atom(Term):
-    """A comparison literal; `negated` records a surviving logical negation."""
-
-    op: CmpOp
-    negated: bool
-    lhs: Term
-    rhs: Term
-
-    @property
-    def sort(self):
-        return BOOL
-
-
-@dataclass(frozen=True)
 class ClauseSet:
-    """Conjunction of disjunctions of atoms.
+    """Conjunction of disjunctions of comparison literals.
 
     Constant formulas degenerate: no clauses means trivially true, an empty
     clause means trivially false (its empty product contributes 1 to the
     objective).
     """
 
-    clauses: tuple[tuple[Atom, ...], ...]
+    clauses: tuple[tuple[Compare, ...], ...]
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -90,7 +76,7 @@ def _normalize_fp(term: Term) -> Term:
 
 
 def push_negations(formula: Term, negate: bool = False) -> Term:
-    """Convert to NNF; negations land in Atom flags, never in operators."""
+    """Convert to NNF; negations land in Compare flags, never in operators."""
     if isinstance(formula, BoolConst):
         return BoolConst(formula.value != negate)
     if isinstance(formula, BoolNot):
@@ -102,10 +88,8 @@ def push_negations(formula: Term, negate: bool = False) -> Term:
         children = tuple(push_negations(c, negate) for c in formula.children)
         return BoolAnd(children) if negate else BoolOr(children)
     if isinstance(formula, Compare):
-        return Atom(formula.op, negate, _normalize_fp(formula.lhs),
-                    _normalize_fp(formula.rhs))
-    if isinstance(formula, Atom):
-        return Atom(formula.op, formula.negated != negate, formula.lhs, formula.rhs)
+        return Compare(formula.op, _normalize_fp(formula.lhs),
+                       _normalize_fp(formula.rhs), formula.negated != negate)
     raise TypeError(f"cannot normalize {formula!r}")
 
 
@@ -127,8 +111,8 @@ def to_cnf(nnf: Term, clause_cap: int = DEFAULT_CLAUSE_CAP) -> ClauseSet:
     return ClauseSet(tuple(out))
 
 
-def _cnf(term: Term, cap: int) -> list[list[Atom]]:
-    if isinstance(term, Atom):
+def _cnf(term: Term, cap: int) -> list[list[Compare]]:
+    if isinstance(term, Compare):
         return [[term]]
     if isinstance(term, BoolConst):
         return [] if term.value else [[]]
@@ -141,7 +125,7 @@ def _cnf(term: Term, cap: int) -> list[list[Atom]]:
         return out
     if isinstance(term, BoolOr):
         # cross product of the children's clause lists
-        acc: list[list[Atom]] = [[]]
+        acc: list[list[Compare]] = [[]]
         for child in term.children:
             child_clauses = _cnf(child, cap)
             if not child_clauses:  # child is trivially true: whole clause true
@@ -177,7 +161,7 @@ def clause_set_as_formula(clauses: ClauseSet) -> Term:
 
 
 def clause_set_to_sexpr(clauses: ClauseSet) -> str:
-    """Debug rendering: one (clause ...) per line, atoms with negation flags."""
+    """Debug rendering: one (clause ...) per line, literals with negation flags."""
     lines = []
     for clause in clauses.clauses:
         atoms = []
@@ -270,16 +254,9 @@ def simplify(formula: Term) -> Term:
     if isinstance(formula, Compare):
         lhs, rhs = simplify(formula.lhs), simplify(formula.rhs)
         if isinstance(lhs, FPConst) and isinstance(rhs, FPConst):
-            return BoolConst(
-                bool(_CMP_FOLD[formula.op](lhs.value.to_float(), rhs.value.to_float()))
-            )
-        return Compare(formula.op, lhs, rhs)
-    if isinstance(formula, Atom):
-        lhs, rhs = simplify(formula.lhs), simplify(formula.rhs)
-        if isinstance(lhs, FPConst) and isinstance(rhs, FPConst):
             truth = bool(_CMP_FOLD[formula.op](lhs.value.to_float(), rhs.value.to_float()))
             return BoolConst(truth != formula.negated)
-        return Atom(formula.op, formula.negated, lhs, rhs)
+        return Compare(formula.op, lhs, rhs, formula.negated)
     if isinstance(formula, FPArith):
         args = tuple(simplify(a) for a in formula.args)
         if all(isinstance(a, FPConst) for a in args):

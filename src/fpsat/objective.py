@@ -21,7 +21,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .fp import FPValue, Sort, float_to_bits, narrow32, ordered_bits
-from .normalizer import Atom, ClauseSet
+from .normalizer import ClauseSet
 from .terms import (
     ArithOp,
     BoolAnd,
@@ -30,7 +30,6 @@ from .terms import (
     BoolOr,
     CmpOp,
     Compare,
-    DefApp,
     FPArith,
     FPConst,
     FPVar,
@@ -207,18 +206,12 @@ class _Compiler:
             return reg
         if isinstance(term, BoolConst):
             reg = self.new_reg(0, term.value)
-        elif isinstance(term, Atom):
+        elif isinstance(term, Compare):
             l = self.compile_fp(term.lhs)
             r = self.compile_fp(term.rhs)
             reg = self.new_reg(0)
             extra = (_CMP_PY[term.op], 1 if term.negated else 0)
             self.tape.append((_CMP, reg, l, r, extra))
-        elif isinstance(term, Compare):
-            # conditions not run through the normalizer still compile
-            l = self.compile_fp(term.lhs)
-            r = self.compile_fp(term.rhs)
-            reg = self.new_reg(0)
-            self.tape.append((_CMP, reg, l, r, (_CMP_PY[term.op], 0)))
         elif isinstance(term, BoolNot):
             inner = self.compile_bool(term.child)
             false_reg = self.new_reg(0, False)
@@ -401,7 +394,7 @@ def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> Obj
 # --------------------------------------------------------------------------
 
 
-def semantic_eval(term: Term, binding, definitions=None) -> bool:
+def semantic_eval(term: Term, binding) -> bool:
     """Ground-truth IEEE evaluation of a Boolean term.
 
     `binding` maps variable names to floats or FPValues; binary32 variables
@@ -412,11 +405,11 @@ def semantic_eval(term: Term, binding, definitions=None) -> bool:
     for name, v in dict(binding).items():
         env[name] = v.to_float() if isinstance(v, FPValue) else float(v)
     with np.errstate(all="ignore"):
-        result = _sem_bool(term, env, definitions or {})
+        result = _sem_bool(term, env)
     return bool(result)
 
 
-def _sem_fp(term: Term, env, defs):
+def _sem_fp(term: Term, env):
     if isinstance(term, FPConst):
         v = term.value.to_float()
         return np.float32(v) if term.value.width == 32 else np.float64(v)
@@ -428,11 +421,11 @@ def _sem_fp(term: Term, env, defs):
         return np.float32(v) if term.var_sort.width == 32 else np.float64(v)
     if isinstance(term, FPArith):
         if term.op == ArithOp.NEG:
-            return -_sem_fp(term.args[0], env, defs)
+            return -_sem_fp(term.args[0], env)
         if term.op == ArithOp.ABS:
-            return np.abs(_sem_fp(term.args[0], env, defs))
-        a = _sem_fp(term.args[0], env, defs)
-        b = _sem_fp(term.args[1], env, defs)
+            return np.abs(_sem_fp(term.args[0], env))
+        a = _sem_fp(term.args[0], env)
+        b = _sem_fp(term.args[1], env)
         if term.op == ArithOp.ADD:
             return a + b
         if term.op == ArithOp.SUB:
@@ -441,19 +434,9 @@ def _sem_fp(term: Term, env, defs):
             return a * b
         return a / b
     if isinstance(term, Ite):
-        if _sem_bool(term.cond, env, defs):
-            return _sem_fp(term.then, env, defs)
-        return _sem_fp(term.orelse, env, defs)
-    if isinstance(term, DefApp):
-        defn = defs.get(term.name)
-        if defn is None:
-            raise UnboundVariableError(f"no definition for {term.name}")
-        local = dict(env)
-        for (pname, psort), arg in zip(defn.params, term.args):
-            local[pname] = float(_sem_fp(arg, env, defs))
-        if defn.result_sort.is_fp:
-            return _sem_fp(defn.body, local, defs)
-        raise SortError(f"{term.name} is not an FP definition")
+        if _sem_bool(term.cond, env):
+            return _sem_fp(term.then, env)
+        return _sem_fp(term.orelse, env)
     raise TypeError(f"not an FP term: {term!r}")
 
 
@@ -467,32 +450,19 @@ _SEM_CMP = {
 }
 
 
-def _sem_bool(term: Term, env, defs) -> bool:
+def _sem_bool(term: Term, env) -> bool:
     if isinstance(term, BoolConst):
         return term.value
     if isinstance(term, BoolNot):
-        return not _sem_bool(term.child, env, defs)
+        return not _sem_bool(term.child, env)
     if isinstance(term, BoolAnd):
-        return all(_sem_bool(c, env, defs) for c in term.children)
+        return all(_sem_bool(c, env) for c in term.children)
     if isinstance(term, BoolOr):
-        return any(_sem_bool(c, env, defs) for c in term.children)
+        return any(_sem_bool(c, env) for c in term.children)
     if isinstance(term, Compare):
-        a = _sem_fp(term.lhs, env, defs)
-        b = _sem_fp(term.rhs, env, defs)
-        return bool(_SEM_CMP[term.op](a, b))
-    if isinstance(term, Atom):
-        a = _sem_fp(term.lhs, env, defs)
-        b = _sem_fp(term.rhs, env, defs)
-        truth = bool(_SEM_CMP[term.op](a, b))
-        return truth != term.negated
-    if isinstance(term, DefApp):
-        defn = defs.get(term.name)
-        if defn is None:
-            raise UnboundVariableError(f"no definition for {term.name}")
-        local = dict(env)
-        for (pname, psort), arg in zip(defn.params, term.args):
-            local[pname] = float(_sem_fp(arg, env, defs))
-        return _sem_bool(defn.body, local, defs)
+        a = _sem_fp(term.lhs, env)
+        b = _sem_fp(term.rhs, env)
+        return bool(_SEM_CMP[term.op](a, b)) != term.negated
     raise TypeError(f"not a Boolean term: {term!r}")
 
 

@@ -32,7 +32,6 @@ from .terms import (
     BoolOr,
     CmpOp,
     Compare,
-    DefApp,
     Definition,
     FPArith,
     FPConst,
@@ -273,28 +272,35 @@ def _special_fp_bits(name: str, eb: int, sb: int) -> int:
     return exp_all | (1 << (sb - 2))
 
 
-def decode_fp_literal(form, target: Sort) -> FPValue:
-    """Decode an FP literal s-expression to exact bits at the target sort.
+def decode_fp_literal(form, target: Sort | None = None) -> FPValue:
+    """Decode an FP literal s-expression to exact bits at its own sort.
 
     Accepts ``(fp sign exp mant)`` triples, ``((_ to_fp eb sb) #x...)``
     bit reinterpretations, ``((_ to_fp eb sb) RNE <decimal>)`` with exact
     RNE rounding, and the ``(_ +oo/-oo/+zero/-zero/NaN eb sb)`` constants.
+    With a `target` sort, a literal of another width is rejected.
     """
+    value = _decode_literal(form)
+    if target is not None and value.sort != target:
+        raise WidthMismatchError(
+            f"literal width {value.width} does not match target {target.width}",
+            form.pos,
+        )
+    return value
+
+
+def _decode_literal(form) -> FPValue:
     if isinstance(form, SList) and form.items and isinstance(form.items[0], SList) \
             and _head(form.items[0]) == "_":
         head = form.items[0]
         tag = head.items[1] if len(head.items) == 4 else None
         if isinstance(tag, SAtom) and tag.text == "to_fp":
-            value = _decode_to_fp(head, form.items[1:], form.pos)
-            if value.sort != target:
-                raise WidthMismatchError(
-                    f"literal width {value.width} does not match target {target.width}",
-                    form.pos,
-                )
-            return value
+            return _decode_to_fp(head, form.items[1:], form.pos)
 
-    if isinstance(form, SList) and _head(form) == "fp" and len(form.items) == 4:
-        sign = _require_bv(form.items[1], 1)
+    if _head(form) == "fp":
+        # the width is intrinsic to the literal triple
+        if len(form.items) != 4:
+            raise SmtSyntaxError("malformed fp literal", form.pos)
         eb_bv = _bv_literal(form.items[2])
         mant_bv = _bv_literal(form.items[3])
         if eb_bv is None or mant_bv is None:
@@ -305,26 +311,17 @@ def decode_fp_literal(form, target: Sort) -> FPValue:
             raise UnsupportedSortError(
                 f"fp literal has layout ({eb},{sb})", form.pos
             )
-        if sort != target:
-            raise WidthMismatchError(
-                f"fp literal width {sort.width} does not match target {target.width}",
-                form.pos,
-            )
+        sign = _require_bv(form.items[1], 1)
         bits = (sign << (eb + sb - 1)) | (eb_bv[0] << (sb - 1)) | mant_bv[0]
         return FPValue(sort.width, bits)
 
-    if isinstance(form, SList) and _head(form) == "_" and len(form.items) == 4:
+    if _head(form) == "_" and len(form.items) == 4:
         tag = form.items[1]
         if isinstance(tag, SAtom) and tag.text in _SPECIAL_FP:
             eb, sb = _int_atom(form.items[2]), _int_atom(form.items[3])
             sort = fp_sort(eb, sb)
             if sort is None:
                 raise UnsupportedSortError(f"layout ({eb},{sb})", form.pos)
-            if sort != target:
-                raise WidthMismatchError(
-                    f"literal width {sort.width} does not match target {target.width}",
-                    form.pos,
-                )
             return FPValue(sort.width, _special_fp_bits(tag.text, eb, sb))
 
     raise SmtSyntaxError(f"unrecognized FP literal {_render(form)}", form.pos)
@@ -495,39 +492,23 @@ def _build_term(form, env: _Env) -> Term:
         raise SmtSyntaxError("empty application", form.pos)
     head = form.items[0]
 
-    # Indexed heads: ((_ to_fp ...) ...), (_ +oo ...), (fp ...)
+    # FP literals: ((_ to_fp ...) ...), (_ +oo ...), (fp ...)
     if isinstance(head, SList) and _head(head) == "_":
         tag = head.items[1] if len(head.items) > 1 else None
         if isinstance(tag, SAtom) and tag.text == "to_fp" and len(head.items) == 4:
-            return FPConst(_decode_to_fp(head, form.items[1:], form.pos))
+            return FPConst(decode_fp_literal(form))
         raise UnsupportedOperationError(
             f"unsupported indexed operator {_render(head)}", form.pos
         )
     if _head(form) == "_":
         tag = form.items[1] if len(form.items) > 1 else None
         if isinstance(tag, SAtom) and tag.text in _SPECIAL_FP and len(form.items) == 4:
-            eb, sb = _int_atom(form.items[2]), _int_atom(form.items[3])
-            sort = fp_sort(eb, sb)
-            if sort is None:
-                raise UnsupportedSortError(f"layout ({eb},{sb})", form.pos)
-            return FPConst(decode_fp_literal(form, sort))
+            return FPConst(decode_fp_literal(form))
         raise UnsupportedOperationError(
             f"unsupported indexed form {_render(form)}", form.pos
         )
     if _head(form) == "fp":
-        # width is intrinsic to the literal triple
-        if len(form.items) != 4:
-            raise SmtSyntaxError("malformed fp literal", form.pos)
-        eb_bv = _bv_literal(form.items[2])
-        mant_bv = _bv_literal(form.items[3])
-        if eb_bv is None or mant_bv is None:
-            raise SmtSyntaxError("malformed fp literal", form.pos)
-        sort = fp_sort(eb_bv[1], mant_bv[1] + 1)
-        if sort is None:
-            raise UnsupportedSortError(
-                f"fp literal layout ({eb_bv[1]},{mant_bv[1] + 1})", form.pos
-            )
-        return FPConst(decode_fp_literal(form, sort))
+        return FPConst(decode_fp_literal(form))
 
     if not isinstance(head, SAtom):
         raise SmtSyntaxError(f"expected an operator, got {_render(head)}", form.pos)
@@ -658,22 +639,26 @@ def _build_term(form, env: _Env) -> Term:
             child.locals[binding.items[0].text] = _build_term(binding.items[1], env)
         return _build_term(rest[1], child)
 
-    # application of a user-defined function
+    # application of a user-defined function: inline its body, rebuilt in
+    # the definition's own scope with the parameters bound to the arguments
     defn = env.script.definitions.get(op)
     if defn is not None:
         if len(rest) != len(defn.params):
             raise SmtSyntaxError(
                 f"{op} expects {len(defn.params)} arguments, got {len(rest)}", form.pos
             )
-        args = []
+        if not rest:
+            return defn.body
+        scope = _Env(env.script, op)
+        scope.rm_values = env.rm_values
         for (pname, psort), arg_form in zip(defn.params, rest):
             arg = _build_term(arg_form, env)
             if arg.sort != psort:
                 raise SortError(
                     f"argument {pname} of {op} must have sort {psort}", form.pos
                 )
-            args.append(arg)
-        return DefApp(op, tuple(args), defn.result_sort)
+            scope.locals[pname] = arg
+        return _build_term(defn.body_form, scope)
 
     if op == env.current_def:
         raise RecursiveDefinitionError(f"definition of {op} refers to itself", head.pos)
@@ -698,7 +683,7 @@ def _build_atom(form: SAtom, env: _Env) -> Term:
             raise SmtSyntaxError(
                 f"{name} is a function of arity {len(defn.params)}", form.pos
             )
-        return DefApp(name, (), defn.result_sort)
+        return defn.body
     if name in env.rm_values or name in RNE_NAMES or name in OTHER_RM_NAMES:
         raise SortError(f"rounding mode {name} used as a term", form.pos)
     if name == env.current_def:
@@ -845,80 +830,25 @@ def _define(form: SList, script: Script, env: _Env) -> None:
         raise SortError(
             f"body of {sym.text} has sort {body.sort}, declared {result_sort}", form.pos
         )
-    script.definitions[sym.text] = Definition(sym.text, tuple(params), body, result_sort)
+    script.definitions[sym.text] = Definition(sym.text, tuple(params), body,
+                                              result_sort, body_form)
 
 
 # --------------------------------------------------------------------------
-# Definition expansion
+# Assertion conjunction
 # --------------------------------------------------------------------------
 
 
 def expand_definitions(script: Script) -> tuple[Term, list[tuple[str, Sort]]]:
-    """Inline every definition and conjoin the assertions.
+    """Conjoin the assertions, whose definitions were inlined as parsed.
 
     Returns the closed formula plus the variable map: each declared variable
     exactly once, in declaration order.
     """
-    defs = script.definitions
+    assertions = script.assertions
+    formula = assertions[0] if len(assertions) == 1 else BoolAnd(tuple(assertions))
 
-    def subst(term: Term, mapping: dict[str, Term]) -> Term:
-        if isinstance(term, FPVar):
-            return mapping.get(term.name, term)
-        if isinstance(term, (BoolConst, FPConst)):
-            return term
-        if isinstance(term, BoolNot):
-            return BoolNot(subst(term.child, mapping))
-        if isinstance(term, BoolAnd):
-            return BoolAnd(tuple(subst(c, mapping) for c in term.children))
-        if isinstance(term, BoolOr):
-            return BoolOr(tuple(subst(c, mapping) for c in term.children))
-        if isinstance(term, Compare):
-            return Compare(term.op, subst(term.lhs, mapping), subst(term.rhs, mapping))
-        if isinstance(term, FPArith):
-            return FPArith(term.op, tuple(subst(a, mapping) for a in term.args))
-        if isinstance(term, Ite):
-            return Ite(subst(term.cond, mapping), subst(term.then, mapping),
-                       subst(term.orelse, mapping))
-        if isinstance(term, DefApp):
-            return DefApp(term.name, tuple(subst(a, mapping) for a in term.args),
-                          term.app_sort)
-        raise TypeError(f"cannot substitute in {term!r}")
-
-    memo: dict[Term, Term] = {}
-
-    def expand(term: Term) -> Term:
-        cached = memo.get(term)
-        if cached is not None:
-            return cached
-        if isinstance(term, DefApp):
-            defn = defs.get(term.name)
-            if defn is None:
-                raise UnknownSymbolError(f"unknown symbol {term.name}")
-            args = [expand(a) for a in term.args]
-            mapping = {p[0]: a for p, a in zip(defn.params, args)}
-            out = expand(subst(defn.body, mapping))
-        elif isinstance(term, BoolNot):
-            out = BoolNot(expand(term.child))
-        elif isinstance(term, BoolAnd):
-            out = BoolAnd(tuple(expand(c) for c in term.children))
-        elif isinstance(term, BoolOr):
-            out = BoolOr(tuple(expand(c) for c in term.children))
-        elif isinstance(term, Compare):
-            out = Compare(term.op, expand(term.lhs), expand(term.rhs))
-        elif isinstance(term, FPArith):
-            out = FPArith(term.op, tuple(expand(a) for a in term.args))
-        elif isinstance(term, Ite):
-            out = Ite(expand(term.cond), expand(term.then), expand(term.orelse))
-        else:
-            out = term
-        memo[term] = out
-        return out
-
-    expanded = [expand(a) for a in script.assertions]
-    formula = expanded[0] if len(expanded) == 1 else BoolAnd(tuple(expanded))
-
-    occurring = free_vars(formula)
-    for name in occurring:
+    for name in free_vars(formula):
         if name not in script.declared_vars:
             raise UnknownSymbolError(f"assertion uses undeclared symbol {name}")
     varmap = list(script.declared_vars.items())

@@ -9,7 +9,6 @@ Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ class PortfolioConfig:
     seed: int = 1
     start_range: tuple = (-0.5, 0.5)
     wall_timeout: float | None = None
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    bounds: tuple = (-1e9, 1e9)  # search box (lo, hi) of the population methods
 
     def expanded(self) -> list[str]:
         out = []
@@ -172,7 +171,7 @@ def solve(formula: Term, program: ObjectiveProgram,
     claim_lock = threading.Lock()
     winner_slot: list = [None]  # (instance index, algorithm, x-vector)
 
-    opt_cfg = dataclasses.replace(config.optimizer, max_evals=config.max_evals)
+    opt_cfg = OptimizerConfig(max_evals=config.max_evals, bounds=config.bounds)
 
     stats: list[InstanceStats | None] = [None] * len(algs)
     errors: list = []

@@ -25,7 +25,6 @@ __all__ = [
     "FPVar",
     "FPArith",
     "Ite",
-    "DefApp",
     "Script",
     "Definition",
     "free_vars",
@@ -102,9 +101,16 @@ class BoolOr(Term):
 
 @dataclass(frozen=True)
 class Compare(Term):
+    """An IEEE comparison; `negated` records a logical negation around it.
+
+    The flag is never folded into the operator: under NaN, `not (a < b)`
+    differs from `a >= b`.
+    """
+
     op: CmpOp
     lhs: Term
     rhs: Term
+    negated: bool = False
 
     @property
     def sort(self) -> Sort:
@@ -152,24 +158,20 @@ class Ite(Term):
 
 
 @dataclass(frozen=True)
-class DefApp(Term):
-    """Application of a user-defined function; eliminated by expansion."""
-
-    name: str
-    args: tuple[Term, ...]
-    app_sort: Sort
-
-    @property
-    def sort(self) -> Sort:
-        return self.app_sort
-
-
-@dataclass(frozen=True)
 class Definition:
+    """A `define-fun`, inlined wherever it is referenced.
+
+    A nullary definition's `body` is the term each reference reuses. A
+    definition with parameters is rebuilt from `body_form`, its source
+    s-expression, at each application; its `body` has the parameters as
+    free variables.
+    """
+
     name: str
     params: tuple[tuple[str, Sort], ...]
     body: Term
     result_sort: Sort
+    body_form: object
 
 
 @dataclass
@@ -200,7 +202,7 @@ def free_vars(term: Term, acc: dict[str, Sort] | None = None) -> dict[str, Sort]
     elif isinstance(term, Compare):
         free_vars(term.lhs, acc)
         free_vars(term.rhs, acc)
-    elif isinstance(term, (FPArith, DefApp)):
+    elif isinstance(term, FPArith):
         for c in term.args:
             free_vars(c, acc)
     elif isinstance(term, Ite):
@@ -248,7 +250,8 @@ def term_to_smt2(term: Term) -> str:
         return "(or " + " ".join(term_to_smt2(c) for c in term.children) + ")"
     if isinstance(term, Compare):
         sym = _CMP_SYMBOL[term.op]
-        return f"({sym} {term_to_smt2(term.lhs)} {term_to_smt2(term.rhs)})"
+        text = f"({sym} {term_to_smt2(term.lhs)} {term_to_smt2(term.rhs)})"
+        return f"(not {text})" if term.negated else text
     if isinstance(term, FPConst):
         return fp_const_to_smt2(term.value)
     if isinstance(term, FPVar):
@@ -264,8 +267,4 @@ def term_to_smt2(term: Term) -> str:
             f"(ite {term_to_smt2(term.cond)} "
             f"{term_to_smt2(term.then)} {term_to_smt2(term.orelse)})"
         )
-    if isinstance(term, DefApp):
-        if not term.args:
-            return term.name
-        return f"({term.name} " + " ".join(term_to_smt2(a) for a in term.args) + ")"
     raise TypeError(f"unprintable term {term!r}")

@@ -51,14 +51,36 @@ class TestSolveCommand:
         assert [s["algorithm"] for s in payload["instances"]] == ["crs2", "crs2"]
 
     def test_no_instances_rejected(self, corpus_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", str(corpus_path / "listing1.smt2"),
                   "--bh", "0", "--crs2", "0", "--isres", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--bounds", "1", "1"],
+        ["--max-evals", "0"],
+        ["--bh", "-1"],
+    ], ids=["empty-bounds", "zero-budget", "negative-count"])
+    def test_usage_errors_exit_two(self, corpus_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(corpus_path / "infeasible_cycle.smt2"), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err
 
     def test_dump_cnf_flag(self, corpus_path, capsys):
         main(["solve", str(corpus_path / "listing1.smt2"), "--dump-cnf",
               "--max-evals", "50000"])
         assert "(clause (geq" in capsys.readouterr().out
+
+    def test_dump_cnf_prints_ite_condition(self, corpus_path, capsys):
+        code = main(["solve", str(corpus_path / "branching.smt2"), "--dump-cnf",
+                     "--max-evals", "50000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "sat" in lines
+        assert lines[0].startswith("(clause (gt (ite (fp.lt x ")
 
 
 class TestBenchCommand:

@@ -11,7 +11,6 @@ from fpsat import build_problem
 from fpsat.errors import CnfBlowupError
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.normalizer import (
-    Atom,
     clause_set_as_formula,
     clause_set_to_sexpr,
     push_negations,
@@ -51,18 +50,18 @@ def eq(a, b):
 class TestPushNegations:
     def test_negated_comparison_keeps_operator(self):
         out = push_negations(BoolNot(lt(A32, B32)))
-        assert out == Atom(CmpOp.LT, True, A32, B32)
+        assert out == Compare(CmpOp.LT, A32, B32, True)
 
     def test_de_morgan(self):
         p, q = lt(A32, B32), eq(A32, B32)
         out = push_negations(BoolNot(BoolAnd((p, q))))
         assert isinstance(out, BoolOr)
-        assert out.children[0] == Atom(CmpOp.LT, True, A32, B32)
-        assert out.children[1] == Atom(CmpOp.EQ, True, A32, B32)
+        assert out.children[0] == Compare(CmpOp.LT, A32, B32, True)
+        assert out.children[1] == Compare(CmpOp.EQ, A32, B32, True)
 
     def test_double_negation_cancels(self):
         out = push_negations(BoolNot(BoolNot(eq(A32, B32))))
-        assert out == Atom(CmpOp.EQ, False, A32, B32)
+        assert out == Compare(CmpOp.EQ, A32, B32)
 
     def test_no_boolnot_survives(self):
         rng = random.Random(3)
@@ -74,7 +73,7 @@ class TestPushNegations:
                 assert not isinstance(t, BoolNot)
                 for c in getattr(t, "children", ()):
                     scan(c)
-                if isinstance(t, Atom):
+                if isinstance(t, Compare):
                     scan_fp(t.lhs), scan_fp(t.rhs)
 
             def scan_fp(t):
@@ -89,8 +88,8 @@ class TestPushNegations:
         inner = Ite(BoolNot(lt(A32, B32)), A32, B32)
         formula = Compare(CmpOp.GT, inner, C1)
         out = push_negations(formula)
-        assert isinstance(out, Atom) and not out.negated
-        assert out.lhs.cond == Atom(CmpOp.LT, True, A32, B32)
+        assert isinstance(out, Compare) and not out.negated
+        assert out.lhs.cond == Compare(CmpOp.LT, A32, B32, True)
 
     def test_negation_of_constant(self):
         assert push_negations(BoolNot(TRUE)) == FALSE
@@ -98,14 +97,14 @@ class TestPushNegations:
 
 class TestToCnf:
     def test_distribution(self):
-        a = Atom(CmpOp.LT, False, A32, B32)
-        b = Atom(CmpOp.EQ, False, A32, C1)
-        c = Atom(CmpOp.GT, False, B32, C2)
+        a = Compare(CmpOp.LT, A32, B32)
+        b = Compare(CmpOp.EQ, A32, C1)
+        c = Compare(CmpOp.GT, B32, C2)
         cs = to_cnf(BoolOr((a, BoolAnd((b, c)))))
         assert cs.clauses == ((a, b), (a, c))
 
     def test_single_atom_unit_clause(self):
-        a = Atom(CmpOp.LEQ, True, A32, B32)
+        a = Compare(CmpOp.LEQ, A32, B32, True)
         cs = to_cnf(a)
         assert cs.clauses == ((a,),)
 
@@ -119,13 +118,13 @@ class TestToCnf:
         assert atom.rhs == FPConst(FPValue(32, 0xC0000000))
 
     def test_duplicate_literals_dedup(self):
-        a = Atom(CmpOp.LT, False, A32, B32)
+        a = Compare(CmpOp.LT, A32, B32)
         cs = to_cnf(BoolOr((a, a)))
         assert cs.clauses == ((a,),)
 
     def test_order_follows_source(self):
-        a = Atom(CmpOp.LT, False, A32, B32)
-        b = Atom(CmpOp.GT, False, A32, B32)
+        a = Compare(CmpOp.LT, A32, B32)
+        b = Compare(CmpOp.GT, A32, B32)
         cs = to_cnf(BoolAnd((b, a)))
         assert cs.clauses == ((b,), (a,))
 
@@ -139,8 +138,8 @@ class TestToCnf:
         # (a1 & b1) | (a2 & b2) | ... distributes exponentially
         atoms = [
             BoolAnd((
-                Atom(CmpOp.LT, False, FPVar(f"x{i}", FP64), FPVar(f"y{i}", FP64)),
-                Atom(CmpOp.GT, False, FPVar(f"x{i}", FP64), FPVar(f"y{i}", FP64)),
+                Compare(CmpOp.LT, FPVar(f"x{i}", FP64), FPVar(f"y{i}", FP64)),
+                Compare(CmpOp.GT, FPVar(f"x{i}", FP64), FPVar(f"y{i}", FP64)),
             ))
             for i in range(24)
         ]
@@ -156,7 +155,7 @@ class TestToCnf:
             assert again == cs
 
     def test_sexpr_dump(self):
-        a = Atom(CmpOp.LT, True, A32, B32)
+        a = Compare(CmpOp.LT, A32, B32, True)
         text = clause_set_to_sexpr(to_cnf(a))
         assert text == "(clause (not (lt a b)))\n"
 
@@ -215,12 +214,12 @@ class TestCnfEquivalence:
                 assert semantic_eval(formula, a) == semantic_eval(as_formula, a)
 
     def test_negated_atom_is_logical_negation_with_nan(self):
-        # truth of Atom(op, negated=1) equals NOT(ieee op), never the
+        # truth of Compare(..., negated=True) equals NOT(ieee op), never the
         # flipped-operator reading
         nan = float("nan")
         for op in CmpOp:
             base = Compare(op, A32, B32)
-            flag = Atom(op, True, A32, B32)
+            flag = Compare(op, A32, B32, True)
             for a in (nan, 1.0, -0.0):
                 for b in (nan, 2.0, 0.0):
                     env = {"a": a, "b": b}

@@ -23,7 +23,7 @@ from conftest import (
 from fpsat import build_problem
 from fpsat.errors import DimensionMismatchError, SortError
 from fpsat.fp import FP32, FP64, FPValue, float_to_bits, ordered_bits
-from fpsat.normalizer import Atom, push_negations, simplify, to_cnf
+from fpsat.normalizer import push_negations, simplify, to_cnf
 from fpsat.objective import (
     atom_distance,
     compile_objective,
@@ -194,8 +194,8 @@ class TestCompileAndEvaluate:
         x, y = FPVar("x", FP64), FPVar("y", FP64)
         one = FPConst(f64(1.0))
         formula = simplify(Compare(CmpOp.GT, x, one))
-        a1 = Atom(CmpOp.GT, False, x, one)
-        a2 = Atom(CmpOp.GT, False, y, one)
+        a1 = Compare(CmpOp.GT, x, one)
+        a2 = Compare(CmpOp.GT, y, one)
         from fpsat.terms import BoolAnd
 
         cs = to_cnf(BoolAnd((a1, a2)))
@@ -207,7 +207,7 @@ class TestCompileAndEvaluate:
     def test_binary32_slot_narrowing(self):
         x = FPVar("x", FP32)
         two = FPConst(f32(2.0))
-        cs = to_cnf(Atom(CmpOp.EQ, False, x, two))
+        cs = to_cnf(Compare(CmpOp.EQ, x, two))
         program = compile_objective(cs, [("x", FP32)])
         # any double narrowing to 2.0f is a zero of the objective
         assert program.evaluate([2.0 + 1e-9]) == 0.0
@@ -266,9 +266,9 @@ class TestCompileAndEvaluate:
         one = FPConst(f64(1.0))
         names = [f"x{i}" for i in range(n)]
         unsat_atoms = tuple(
-            Atom(CmpOp.EQ, False, FPVar(nm, FP64), one) for nm in names
+            Compare(CmpOp.EQ, FPVar(nm, FP64), one) for nm in names
         )
-        sat_atom = Atom(CmpOp.LT, False, FPVar("x0", FP64), one)
+        sat_atom = Compare(CmpOp.LT, FPVar("x0", FP64), one)
         cs = ClauseSet((unsat_atoms + (sat_atom,),))
         program = compile_objective(cs, [(nm, FP64) for nm in names])
         x = [-1.7e308] * n  # each theta is ~1.3e19; their product is inf

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_assignment, random_formula
+from conftest import random_formula
 
 from fpsat.errors import (
     RecursiveDefinitionError,
@@ -18,7 +18,7 @@ from fpsat.errors import (
     WidthMismatchError,
 )
 from fpsat.fp import FP32, FP64, FPValue
-from fpsat.objective import semantic_eval
+from fpsat.normalizer import push_negations, simplify
 from fpsat.parser import decode_fp_literal, expand_definitions, parse_script
 from fpsat.parser import _read_all  # noqa: internal, used for literal forms
 from fpsat.terms import (
@@ -26,7 +26,6 @@ from fpsat.terms import (
     BoolNot,
     CmpOp,
     Compare,
-    DefApp,
     FPArith,
     FPConst,
     FPVar,
@@ -184,11 +183,22 @@ class TestDecodeLiteral:
         v = _decode("(fp #b1 #b01111111111 #x0000000000000)", FP64)
         assert v.to_float() == -1.0
 
+    def test_own_sort_without_target(self):
+        for text, width in (("((_ to_fp 11 53) RNE 0.5)", 64),
+                            ("(fp #b0 #x7f #b00000000000000000000000)", 32),
+                            ("(_ -oo 11 53)", 64)):
+            (form,) = _read_all(text)
+            assert decode_fp_literal(form).width == width
+
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
             _decode("((_ to_fp 8 24) #x0000000000000000)", FP32)
         with pytest.raises(WidthMismatchError):
             _decode("((_ to_fp 8 24) #x40000000)", FP64)
+        with pytest.raises(WidthMismatchError):
+            _decode("(fp #b0 #x7f #b00000000000000000000000)", FP64)
+        with pytest.raises(WidthMismatchError):
+            _decode("(_ NaN 11 53)", FP32)
 
     def test_from_real_rne(self):
         v = _decode("((_ to_fp 11 53) RNE 0.1)", FP64)
@@ -227,17 +237,10 @@ class TestExpandDefinitions:
         assert isinstance(formula, Compare) and formula.op == CmpOp.GEQ
         # the right-hand side is the inlined constant -2.0
         assert formula.rhs == FPConst(FPValue(32, 0xC0000000))
-        # no definition applications survive
-        def check(t):
-            assert not isinstance(t, DefApp)
-            for attr in ("children", "args"):
-                for c in getattr(t, attr, ()):
-                    check(c)
-            if isinstance(t, Compare):
-                check(t.lhs), check(t.rhs)
-            if isinstance(t, Ite):
-                check(t.cond), check(t.then), check(t.orelse)
-        check(formula)
+        # no definition name survives in the printed formula
+        text = term_to_smt2(formula)
+        assert not set(text.replace("(", " ").replace(")", " ").split()) \
+            & set(script.definitions)
 
     def test_constant_formula_empty_varmap(self):
         script = parse_script(
@@ -277,15 +280,47 @@ class TestExpandDefinitions:
         assert formula.children[0].op == CmpOp.LT
         assert formula.children[1].op == CmpOp.GT
 
-    def test_inlining_soundness_on_random_assignments(self, listing1_text):
-        script = parse_script(listing1_text)
-        formula, varmap = expand_definitions(script)
-        pre = script.assertions[0]  # still contains DefApp nodes
-        rng = random.Random(77)
-        for _ in range(1000):
-            a = random_assignment(rng, varmap)
-            assert semantic_eval(pre, a, script.definitions) == \
-                semantic_eval(formula, a)
+    @staticmethod
+    def _formula(text):
+        return expand_definitions(parse_script(f"(set-logic QF_FP){text}(check-sat)"))[0]
+
+    def test_inlining_matches_hand_inlined_text(self, listing1_text):
+        formula, _ = expand_definitions(parse_script(listing1_text))
+        s = "(fp.add RNE x ((_ to_fp 8 24) #x40000000))"
+        by_hand = self._formula(
+            "(declare-fun x () (_ FloatingPoint 8 24))"
+            f"(assert (fp.geq (fp.add RNE (fp.mul RNE ((_ to_fp 8 24) #xbf800000)"
+            f" (fp.mul RNE {s} {s})) ((_ to_fp 8 24) #xc0000000))"
+            " ((_ to_fp 8 24) #xc0000000)))"
+        )
+        assert formula == by_hand
+
+    @pytest.mark.parametrize("defs, assertion, by_hand", [
+        # g's free v is the declared variable, not f's parameter v
+        ("(define-fun g ((a Float32)) Float32 (fp.mul RNE a v))"
+         "(define-fun f ((v Float32)) Float32 (fp.add RNE (g v) v))",
+         "(fp.lt (f x) x)", "(fp.lt (fp.add RNE (fp.mul RNE x v) x) x)"),
+        # h names the declared v even where a parameter v is in scope
+        ("(define-fun h () Float32 (fp.neg v))"
+         "(define-fun f ((v Float32)) Float32 (fp.sub RNE h v))",
+         "(fp.eq (f (fp.abs x)) x)", "(fp.eq (fp.sub RNE (fp.neg v) (fp.abs x)) x)"),
+    ], ids=["function-body", "nullary-body"])
+    def test_parameter_does_not_capture_a_declared_variable(self, defs, assertion,
+                                                             by_hand):
+        decls = "(declare-fun x () Float32)(declare-fun v () Float32)"
+        inlined = self._formula(f"{decls}{defs}(assert {assertion})")
+        assert inlined == self._formula(f"{decls}(assert {by_hand})")
+
+    def test_nullary_definition_is_built_once(self):
+        # references share the one built term, as let-bound names do
+        script = parse_script(
+            "(set-logic QF_FP)(declare-fun x () Float32)"
+            "(define-fun d () Float32 (fp.add RNE x x))"
+            "(assert (fp.lt d (fp.mul RNE d d)))(check-sat)"
+        )
+        cmp = script.assertions[0]
+        body = script.definitions["d"].body
+        assert cmp.lhs is body and cmp.rhs.args[0] is body and cmp.rhs.args[1] is body
 
 
 WILD_SCRIPT = """
@@ -355,6 +390,28 @@ class TestPrinterRoundTrip:
         t = Compare(CmpOp.NEQ, FPVar("a", FP32), FPVar("b", FP32))
         assert term_to_smt2(t) == "(distinct a b)"
 
+    def test_negated_compare_prints_with_not(self):
+        t = Compare(CmpOp.LT, FPVar("a", FP32), FPVar("b", FP32), True)
+        assert term_to_smt2(t) == "(not (fp.lt a b))"
+
+    def test_roundtrip_normalized_terms(self):
+        rng = random.Random(12)
+        hits = 0
+        for _ in range(300):
+            formula, varmap = random_formula(rng, max_depth=4)
+            nnf = push_negations(simplify(formula))
+            decls = "".join(
+                f"(declare-fun {n} () (_ FloatingPoint {s.eb} {s.sb}))"
+                for n, s in varmap
+            )
+            text = term_to_smt2(nnf)
+            script = parse_script(f"(set-logic QF_FP){decls}(assert {text})(check-sat)")
+            reparsed, _ = expand_definitions(script)
+            assert push_negations(reparsed) == nnf
+            hits += "(not " in text  # in NNF, only a negated Compare prints a not
+        assert hits > 30
+
     def test_not_survives(self):
         t = BoolNot(Compare(CmpOp.LT, FPVar("a", FP64), FPVar("a", FP64)))
         assert term_to_smt2(t) == "(not (fp.lt a a))"
+

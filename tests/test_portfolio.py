@@ -253,6 +253,25 @@ class TestSolve:
                 per_thread_after[ident] = per_thread_after.get(ident, 0) + 1
         assert all(n <= 1 for n in per_thread_after.values())
 
+    @pytest.mark.parametrize("alg", ["crs2", "isres"])
+    def test_bounds_box_the_population_methods(self, corpus_path, alg):
+        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
+        points = []
+
+        def recording(x):
+            points.append(np.array(x, dtype=float))
+            return problem.program.evaluate(x)
+
+        class Proxy:
+            varmap = problem.program.varmap
+            dimension = problem.program.dimension
+            evaluate = staticmethod(recording)
+
+        cfg = PortfolioConfig(instances=[(alg, 1)], max_evals=500, bounds=(2.0, 3.0))
+        out = solve(problem.formula, Proxy(), cfg)
+        assert out.total_evals == len(points) == 500
+        assert all(np.all((2.0 <= x) & (x <= 3.0)) for x in points)
+
 
 class TestManyInstances:
     def test_twelve_instance_race(self, listing1_text):
