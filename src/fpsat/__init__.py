@@ -113,16 +113,13 @@ class Problem:
     program: ObjectiveProgram
 
 
-def build_problem(text: str, clause_cap: int | None = None) -> Problem:
+def build_problem(text: str) -> Problem:
     """Run the full frontend pipeline on SMT-LIB2 text."""
     script = parse_script(text)
     formula, varmap = expand_definitions(script)
     simplified = simplify(formula)
     nnf = push_negations(simplified)
-    if clause_cap is None:
-        clauses = to_cnf(nnf)
-    else:
-        clauses = to_cnf(nnf, clause_cap)
+    clauses = to_cnf(nnf)
     program = compile_objective(clauses, varmap)
     return Problem(script, formula, varmap, clauses, program)
 

@@ -85,5 +85,10 @@ class DimensionMismatchError(FpsatError):
     """An input vector whose length differs from the program dimension."""
 
 
+class InstanceCrashError(FpsatError):
+    """An optimizer instance of the portfolio raised; the original exception
+    is the `__cause__`."""
+
+
 class VerificationFailureError(FpsatError):
     """A zero-valued point failed semantic verification (encoding bug)."""

@@ -22,6 +22,7 @@ __all__ = [
     "FPValue",
     "fp_sort",
     "narrow32",
+    "ieee_div",
     "bits_to_float",
     "float_to_bits",
     "ordered_bits",
@@ -36,7 +37,6 @@ _F64 = struct.Struct("<d")
 
 # Smallest binary64 magnitude that rounds to binary32 infinity under RNE.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
-F32_MAX = float.fromhex("0x1.fffffep+127")
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,17 @@ def narrow32(v: float) -> float:
     if -_F32_OVERFLOW < v < _F32_OVERFLOW:
         return _F32.unpack(_F32.pack(v))[0]
     return math.inf if v > 0 else -math.inf
+
+
+def ieee_div(a: float, b: float) -> float:
+    """IEEE binary64 division; a zero divisor gives ±inf, or NaN for 0/0
+    and NaN/0, where Python would raise ZeroDivisionError."""
+    if b == 0.0:
+        if a != a or a == 0.0:
+            return math.nan
+        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+        return math.inf if sign > 0 else -math.inf
+    return a / b
 
 
 def bits_to_float(bits: int, width: int) -> float:

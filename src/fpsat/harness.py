@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import load_problem
-from .errors import InputError, FpsatError
+from .errors import FpsatError
+from .normalizer import clause_set_to_sexpr
 from .portfolio import ALGORITHMS, PortfolioConfig, SolveOutcome, solve
 from .rng import derive_seed
 
@@ -92,25 +93,23 @@ def run_solve(path, config: PortfolioConfig | None = None, *,
     """Solve one file; prints the verdict on the first stdout line.
 
     Exit codes in the report: 0 sat, 1 unknown, 2 error (parse/sort
-    problems carry a positioned diagnostic).
+    problems carry a positioned diagnostic; a crashed race instance is
+    named).
     """
     out = stream if stream is not None else sys.stdout
     try:
         problem = load_problem(path)
-    except (InputError, FpsatError, OSError) as exc:
+        outcome = solve(problem.formula, problem.program, config)
+    except (FpsatError, OSError) as exc:
         print("error", file=out)
         print(str(exc), file=sys.stderr if stream is None else out)
         return SolveReport("error", 2, None, str(exc))
 
-    if dump_cnf:
-        from .normalizer import clause_set_to_sexpr
-
-        print(clause_set_to_sexpr(problem.clauses), file=out, end="")
-
-    outcome = solve(problem.formula, problem.program, config)
     print(outcome.verdict, file=out)
     if outcome.verdict == "sat" and show_model:
         print(outcome.model.smt2_block(), file=out)
+    if dump_cnf:
+        print(clause_set_to_sexpr(problem.clauses), file=out, end="")
     report = SolveReport(outcome.verdict, 0 if outcome.verdict == "sat" else 1,
                          outcome)
     if stats_json:
@@ -250,7 +249,7 @@ def _bench_one(path: Path, config: PortfolioConfig) -> BenchRecord:
     try:
         problem = load_problem(path)
         outcome = solve(problem.formula, problem.program, config)
-    except (InputError, FpsatError, OSError) as exc:
+    except (FpsatError, OSError) as exc:
         return BenchRecord(path.name, "ERROR", time.perf_counter() - t0,
                            None, 0, str(exc))
     wall = time.perf_counter() - t0

@@ -8,18 +8,17 @@ blowup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CnfBlowupError
-from .fp import FPValue, narrow32
+from .fp import FPValue, ieee_div, narrow32
 from .terms import (
     ArithOp,
     BoolAnd,
     BoolConst,
     BoolNot,
     BoolOr,
-    CmpOp,
+    COMPARE,
     Compare,
     FALSE,
     FPArith,
@@ -190,23 +189,8 @@ def _fold_arith(op: ArithOp, width: int, vals: list[float]) -> float:
     elif op == ArithOp.MUL:
         r = a * b
     else:
-        if b == 0.0:
-            if a != a or a == 0.0:
-                return math.nan
-            sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-            return math.inf if sign > 0 else -math.inf
-        r = a / b
+        r = ieee_div(a, b)
     return narrow32(r) if width == 32 else r
-
-
-_CMP_FOLD = {
-    CmpOp.LT: lambda a, b: a < b,
-    CmpOp.LEQ: lambda a, b: a <= b,
-    CmpOp.GT: lambda a, b: a > b,
-    CmpOp.GEQ: lambda a, b: a >= b,
-    CmpOp.EQ: lambda a, b: a == b,
-    CmpOp.NEQ: lambda a, b: a != b,
-}
 
 
 def simplify(formula: Term) -> Term:
@@ -254,7 +238,7 @@ def simplify(formula: Term) -> Term:
     if isinstance(formula, Compare):
         lhs, rhs = simplify(formula.lhs), simplify(formula.rhs)
         if isinstance(lhs, FPConst) and isinstance(rhs, FPConst):
-            truth = bool(_CMP_FOLD[formula.op](lhs.value.to_float(), rhs.value.to_float()))
+            truth = COMPARE[formula.op](lhs.value.to_float(), rhs.value.to_float())
             return BoolConst(truth != formula.negated)
         return Compare(formula.op, lhs, rhs, formula.negated)
     if isinstance(formula, FPArith):

@@ -1,17 +1,20 @@
 """Distance-based objective compilation and evaluation.
 
-A clause set compiles to a flat arithmetic tape plus per-clause distance
-descriptors. Evaluating the program at a point yields a non-negative value
-that is exactly zero precisely on satisfying assignments; the independent
-Boolean evaluator (`semantic_eval`) is the correctness oracle for that
-claim and never touches the tape.
+A clause set compiles to a flat arithmetic tape plus, per clause, its
+compiled literals. The objective is the sum over clauses of the product
+of their literals' distances, and one rule gives a literal's distance: 0
+if its comparison holds, else θ(a, b), the operands' bit distance, plus 1
+when the relation it requires excludes equality. The value is therefore
+non-negative and exactly zero precisely on satisfying assignments; the
+independent Boolean evaluator (`semantic_eval`) is the correctness oracle
+for that claim and never touches the tape. `render_objective_source`
+writes the same program as C.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .errors import (
     SortError,
     UnboundVariableError,
 )
-from .fp import FPValue, Sort, float_to_bits, narrow32, ordered_bits
+from .fp import FPValue, Sort, float_to_bits, ieee_div, narrow32, ordered_bits
 from .normalizer import ClauseSet
 from .terms import (
     ArithOp,
@@ -28,6 +31,7 @@ from .terms import (
     BoolConst,
     BoolNot,
     BoolOr,
+    COMPARE,
     CmpOp,
     Compare,
     FPArith,
@@ -69,62 +73,16 @@ def theta(a: FPValue, b: FPValue) -> float:
     return _theta_val(a.to_float(), b.to_float(), a.width)
 
 
-def _d_eq(a, b, w):
-    return _theta_val(a, b, w)
-
-
-def _d_neq(a, b, w):
-    # IEEE !=: true whenever either side is NaN
-    return 0.0 if a != b else 1.0
-
-
-def _d_lt(a, b, w):
-    return 0.0 if a < b else _theta_val(a, b, w) + 1.0
-
-
-def _d_leq(a, b, w):
-    return 0.0 if a <= b else _theta_val(a, b, w)
-
-
-def _d_gt(a, b, w):
-    return 0.0 if a > b else _theta_val(a, b, w) + 1.0
-
-
-def _d_geq(a, b, w):
-    return 0.0 if a >= b else _theta_val(a, b, w)
-
-
-def _negated(positive):
-    def d(a, b, w):
-        if a != a or b != b:
-            return 0.0
-        return positive(a, b, w)
-
-    return d
-
-
-# The full case table: (op, negated) -> distance function.
-_DIST = {
-    (CmpOp.EQ, False): _d_eq,
-    (CmpOp.NEQ, False): _d_neq,
-    (CmpOp.EQ, True): _d_neq,
-    (CmpOp.NEQ, True): _d_eq,
-    (CmpOp.LT, False): _d_lt,
-    (CmpOp.LT, True): _negated(_d_geq),
-    (CmpOp.LEQ, False): _d_leq,
-    (CmpOp.LEQ, True): _negated(_d_gt),
-    (CmpOp.GT, False): _d_gt,
-    (CmpOp.GT, True): _negated(_d_leq),
-    (CmpOp.GEQ, False): _d_geq,
-    (CmpOp.GEQ, True): _negated(_d_lt),
-}
-
-
 def atom_distance(op: CmpOp, negated: bool, a: FPValue, b: FPValue) -> float:
-    """Distance of one (possibly negated) comparison; 0 iff it holds."""
+    """Distance of one (possibly negated) comparison; 0 iff it holds.
+
+    This is the objective of the one-literal formula, so it follows the
+    distance rule of `ObjectiveProgram.evaluate` by construction.
+    """
     if a.width != b.width:
         raise SortError("atom operands must share a width")
-    return _DIST[(op, bool(negated))](a.to_float(), b.to_float(), a.width)
+    literal = Compare(op, FPConst(a), FPConst(b), bool(negated))
+    return compile_objective(ClauseSet(((literal,),)), []).evaluate(())
 
 
 # --------------------------------------------------------------------------
@@ -135,18 +93,29 @@ def atom_distance(op: CmpOp, negated: bool, a: FPValue, b: FPValue) -> float:
 _ADD32, _SUB32, _MUL32, _DIV32 = 0, 1, 2, 3
 _ADD64, _SUB64, _MUL64, _DIV64 = 4, 5, 6, 7
 _NEG, _ABS = 8, 9
-_CMP = 10  # c = (cmp-op index, negated flag)
+_CMP = 10  # c = the _Literal
 _AND, _OR = 11, 12
 _SELECT = 13
 
-_CMP_PY = {
-    CmpOp.LT: 0,
-    CmpOp.LEQ: 1,
-    CmpOp.GT: 2,
-    CmpOp.GEQ: 3,
-    CmpOp.EQ: 4,
-    CmpOp.NEQ: 5,
-}
+
+# A failed literal is charged θ, plus 1 when the relation it requires
+# excludes equality: strict comparisons do, and negation swaps strict and
+# non-strict (`not (a < b)` requires `a >= b` or a NaN). A failed literal
+# that admits equality has unequal or NaN operands, so θ >= 1 there, and
+# every nonzero distance is at least 1.
+_STRICT = frozenset({CmpOp.LT, CmpOp.GT, CmpOp.NEQ})
+
+
+class _Literal(NamedTuple):
+    """A compiled comparison: an ite condition or a clause literal."""
+
+    holds: Callable[[float, float], bool]  # COMPARE[op]
+    lhs_reg: int
+    rhs_reg: int
+    negated: bool
+    penalty: float  # 1.0 if the required relation excludes equality
+    width: int
+    op: CmpOp
 
 
 class _Compiler:
@@ -200,6 +169,13 @@ class _Compiler:
         self.memo[term] = reg
         return reg
 
+    def compile_literal(self, term: Compare) -> _Literal:
+        lhs = self.compile_fp(term.lhs)
+        rhs = self.compile_fp(term.rhs)
+        strict = (term.op in _STRICT) != term.negated
+        return _Literal(COMPARE[term.op], lhs, rhs, term.negated,
+                        1.0 if strict else 0.0, term.lhs.sort.width, term.op)
+
     def compile_bool(self, term: Term) -> int:
         reg = self.memo.get(term)
         if reg is not None:
@@ -207,11 +183,9 @@ class _Compiler:
         if isinstance(term, BoolConst):
             reg = self.new_reg(0, term.value)
         elif isinstance(term, Compare):
-            l = self.compile_fp(term.lhs)
-            r = self.compile_fp(term.rhs)
+            lit = self.compile_literal(term)
             reg = self.new_reg(0)
-            extra = (_CMP_PY[term.op], 1 if term.negated else 0)
-            self.tape.append((_CMP, reg, l, r, extra))
+            self.tape.append((_CMP, reg, lit.lhs_reg, lit.rhs_reg, lit))
         elif isinstance(term, BoolNot):
             inner = self.compile_bool(term.child)
             false_reg = self.new_reg(0, False)
@@ -233,16 +207,6 @@ class _Compiler:
         return reg
 
 
-@dataclass(frozen=True)
-class _CompiledAtom:
-    fn: object
-    lhs_reg: int
-    rhs_reg: int
-    width: int
-    op: CmpOp
-    negated: bool
-
-
 class ObjectiveProgram:
     """Compiled objective: a register template, a tape, and clause structure.
 
@@ -254,7 +218,7 @@ class ObjectiveProgram:
     def __init__(self, template, tape, clauses, var_regs, varmap, widths):
         self._template = template
         self._tape = tape
-        self._clauses = clauses  # list[list[_CompiledAtom]]
+        self._clauses = clauses  # list[list[_Literal]]
         self._var_regs = var_regs
         self.varmap = varmap  # list[(name, Sort)]
         self._widths = widths
@@ -297,11 +261,7 @@ class ObjectiveProgram:
             elif code == _MUL32:
                 regs[dst] = narrow32(regs[a] * regs[b])
             elif code == _DIV32:
-                va, vb = regs[a], regs[b]
-                if vb == 0.0:
-                    regs[dst] = _div_by_zero(va, vb)
-                else:
-                    regs[dst] = narrow32(va / vb)
+                regs[dst] = narrow32(ieee_div(regs[a], regs[b]))
             elif code == _ADD64:
                 regs[dst] = regs[a] + regs[b]
             elif code == _SUB64:
@@ -309,17 +269,13 @@ class ObjectiveProgram:
             elif code == _MUL64:
                 regs[dst] = regs[a] * regs[b]
             elif code == _DIV64:
-                va, vb = regs[a], regs[b]
-                if vb == 0.0:
-                    regs[dst] = _div_by_zero(va, vb)
-                else:
-                    regs[dst] = va / vb
+                regs[dst] = ieee_div(regs[a], regs[b])
             elif code == _NEG:
                 regs[dst] = -regs[a]
             elif code == _ABS:
                 regs[dst] = abs(regs[a])
             elif code == _CMP:
-                regs[dst] = _cmp_bool(c[0], regs[a], regs[b]) != bool(c[1])
+                regs[dst] = c.holds(regs[a], regs[b]) != c.negated
             elif code == _AND:
                 regs[dst] = regs[a] and regs[b]
             elif code == _OR:
@@ -327,43 +283,23 @@ class ObjectiveProgram:
             else:  # _SELECT
                 regs[dst] = regs[b] if regs[a] else regs[c]
 
+        # each literal costs 0 if it holds, else θ(a, b) + its penalty
         total = 0.0
         for clause in self._clauses:
             prod = 1.0
-            for atom in clause:
-                d = atom.fn(regs[atom.lhs_reg], regs[atom.rhs_reg], atom.width)
-                if d == 0.0:
+            for holds, lhs, rhs, negated, penalty, width, _ in clause:
+                va, vb = regs[lhs], regs[rhs]
+                if holds(va, vb) != negated:
                     # a satisfied literal zeroes the whole product; breaking
                     # here also forbids 0 * inf once products overflow
                     prod = 0.0
                     break
-                prod *= d
+                prod *= _theta_val(va, vb, width) + penalty
             total += prod
 
         with self._count_lock:
             self._eval_count += 1
         return total
-
-
-def _div_by_zero(a: float, b: float) -> float:
-    if a != a or a == 0.0:
-        return math.nan
-    sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-    return math.inf if sign > 0 else -math.inf
-
-
-def _cmp_bool(op_idx: int, a: float, b: float) -> bool:
-    if op_idx == 0:
-        return a < b
-    if op_idx == 1:
-        return a <= b
-    if op_idx == 2:
-        return a > b
-    if op_idx == 3:
-        return a >= b
-    if op_idx == 4:
-        return a == b
-    return a != b
 
 
 def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
@@ -376,15 +312,7 @@ def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> Obj
     comp = _Compiler(var_index)
     compiled_clauses = []
     for clause in clauses.clauses:
-        catoms = []
-        for atom in clause:
-            l = comp.compile_fp(atom.lhs)
-            r = comp.compile_fp(atom.rhs)
-            fn = _DIST[(atom.op, atom.negated)]
-            catoms.append(
-                _CompiledAtom(fn, l, r, atom.lhs.sort.width, atom.op, atom.negated)
-            )
-        compiled_clauses.append(catoms)
+        compiled_clauses.append([comp.compile_literal(atom) for atom in clause])
     return ObjectiveProgram(comp.template, comp.tape, compiled_clauses,
                             comp.var_regs, list(varmap), comp.widths)
 
@@ -504,42 +432,6 @@ static double theta64(double a, double b) {
     return (double)d;
 }
 
-#define DEF_DIST(W, T) \\
-static double d_eq##W(int n, T a, T b) { \\
-    if (n) return (a != b) ? 0.0 : 1.0; \\
-    return theta##W(a, b); \\
-} \\
-static double d_neq##W(int n, T a, T b) { return d_eq##W(!n, a, b); } \\
-static double d_lt##W(int n, T a, T b) { \\
-    if (n) return (isnan(a) || isnan(b)) ? 0.0 : d_geq##W(0, a, b); \\
-    return (a < b) ? 0.0 : theta##W(a, b) + 1.0; \\
-} \\
-static double d_gt##W(int n, T a, T b) { \\
-    if (n) return (isnan(a) || isnan(b)) ? 0.0 : d_leq##W(0, a, b); \\
-    return (a > b) ? 0.0 : theta##W(a, b) + 1.0; \\
-}
-
-#define DEF_DIST_WEAK(W, T) \\
-static double d_leq##W(int n, T a, T b); \\
-static double d_geq##W(int n, T a, T b); \\
-static double d_leq##W(int n, T a, T b) { \\
-    if (n) return (isnan(a) || isnan(b)) ? 0.0 : d_gt##W(0, a, b); \\
-    return (a <= b) ? 0.0 : theta##W(a, b); \\
-} \\
-static double d_geq##W(int n, T a, T b) { \\
-    if (n) return (isnan(a) || isnan(b)) ? 0.0 : d_lt##W(0, a, b); \\
-    return (a >= b) ? 0.0 : theta##W(a, b); \\
-}
-
-static double d_lt32(int n, float a, float b);
-static double d_gt32(int n, float a, float b);
-static double d_lt64(int n, double a, double b);
-static double d_gt64(int n, double a, double b);
-DEF_DIST_WEAK(32, float)
-DEF_DIST_WEAK(64, double)
-DEF_DIST(32, float)
-DEF_DIST(64, double)
-
 /* zero-propagating product: a satisfied literal zeroes its clause even if
  * other distances have overflowed to infinity */
 static double mulz(double acc, double d) {
@@ -547,14 +439,19 @@ static double mulz(double acc, double d) {
 }
 """
 
-_C_DIST_NAME = {
-    CmpOp.EQ: "d_eq",
-    CmpOp.NEQ: "d_neq",
-    CmpOp.LT: "d_lt",
-    CmpOp.LEQ: "d_leq",
-    CmpOp.GT: "d_gt",
-    CmpOp.GEQ: "d_geq",
+_C_CMP = {
+    CmpOp.LT: "<",
+    CmpOp.LEQ: "<=",
+    CmpOp.GT: ">",
+    CmpOp.GEQ: ">=",
+    CmpOp.EQ: "==",
+    CmpOp.NEQ: "!=",
 }
+
+
+def _c_holds(lit: _Literal) -> str:
+    expr = f"(v{lit.lhs_reg} {_C_CMP[lit.op]} v{lit.rhs_reg})"
+    return f"!{expr}" if lit.negated else expr
 
 
 def _c_float(v: float, is32: bool) -> str:
@@ -602,12 +499,7 @@ def render_objective_source(program: ObjectiveProgram) -> str:
             f = "fabsf" if widths[dst] == 32 else "fabs"
             lines.append(f"{decl(dst)} = {f}(v{a});")
         elif code == _CMP:
-            op_idx, neg = c
-            sym = ["<", "<=", ">", ">=", "==", "!="][op_idx]
-            expr = f"(v{a} {sym} v{b})"
-            if neg:
-                expr = f"!{expr}"
-            lines.append(f"{decl(dst)} = {expr};")
+            lines.append(f"{decl(dst)} = {_c_holds(c)};")
         elif code == _AND:
             lines.append(f"{decl(dst)} = v{a} && v{b};")
         elif code == _OR:
@@ -618,10 +510,10 @@ def render_objective_source(program: ObjectiveProgram) -> str:
     clause_names = []
     for i, clause in enumerate(program._clauses):
         expr = None
-        for atom in clause:
-            fn = f"{_C_DIST_NAME[atom.op]}{atom.width}"
-            call = f"{fn}({int(atom.negated)}, v{atom.lhs_reg}, v{atom.rhs_reg})"
-            expr = call if expr is None else f"mulz({expr}, {call})"
+        for lit in clause:
+            theta_call = f"theta{lit.width}(v{lit.lhs_reg}, v{lit.rhs_reg})"
+            d = f"({_c_holds(lit)} ? 0.0 : {theta_call} + {lit.penalty!r})"
+            expr = d if expr is None else f"mulz({expr}, {d})"
         name = f"c{i}"
         clause_names.append(name)
         lines.append(f"    const double {name} = {expr};")

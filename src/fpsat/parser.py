@@ -42,7 +42,7 @@ from .terms import (
     free_vars,
 )
 
-__all__ = ["parse_script", "parse_term", "decode_fp_literal", "expand_definitions"]
+__all__ = ["parse_script", "decode_fp_literal", "expand_definitions"]
 
 SUPPORTED_LOGICS = {"QF_FP", "QF_FPLRA"}
 
@@ -689,11 +689,6 @@ def _build_atom(form: SAtom, env: _Env) -> Term:
     if name == env.current_def:
         raise RecursiveDefinitionError(f"definition of {name} refers to itself", form.pos)
     raise UnknownSymbolError(f"unknown symbol {name}", form.pos)
-
-
-def parse_term(form, script: Script) -> Term:
-    """Build a term from an s-expression against a script's symbol tables."""
-    return _build_term(form, _Env(script))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VerificationFailureError
+from .errors import InstanceCrashError, VerificationFailureError
 from .fp import FPValue, Sort
 from .objective import ObjectiveProgram, semantic_eval
 from .optimizers import (
@@ -144,7 +144,8 @@ def solve(formula: Term, program: ObjectiveProgram,
     An externally supplied `stop` event cancels the whole race (combined
     mode uses this). Raises VerificationFailureError if a zero-valued
     point fails the semantic check (that would be an encoding bug, never
-    hidden).
+    hidden), and InstanceCrashError, naming the instance, if an instance
+    raised.
     """
     if config is None:
         config = PortfolioConfig()
@@ -174,7 +175,7 @@ def solve(formula: Term, program: ObjectiveProgram,
     opt_cfg = OptimizerConfig(max_evals=config.max_evals, bounds=config.bounds)
 
     stats: list[InstanceStats | None] = [None] * len(algs)
-    errors: list = []
+    crashes: list = []  # (instance index, algorithm, exception)
 
     def claim(idx: int, alg: str, x: np.ndarray) -> None:
         with claim_lock:
@@ -197,7 +198,7 @@ def solve(formula: Term, program: ObjectiveProgram,
                 time.perf_counter() - t0, outcome.terminated_by.value,
             )
         except Exception as exc:  # surfaced after join
-            errors.append(exc)
+            crashes.append((idx, alg, exc))
             stop.set()  # a crashed instance ends the race
             stats[idx] = InstanceStats(alg, idx, 0, float("inf"),
                                        time.perf_counter() - t0, "error")
@@ -220,8 +221,11 @@ def solve(formula: Term, program: ObjectiveProgram,
     for t in threads:
         t.join()
 
-    if errors:
-        raise errors[0]
+    if crashes:
+        idx, alg, exc = crashes[0]
+        raise InstanceCrashError(
+            f"instance {idx} ({alg}) crashed: {type(exc).__name__}: {exc}"
+        ) from exc
 
     elapsed = time.perf_counter() - t_start
     final_stats = [s for s in stats if s is not None]

@@ -6,6 +6,7 @@ sharing, but evaluation semantics are always tree semantics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -14,6 +15,7 @@ from .fp import BOOL, FPValue, Sort
 
 __all__ = [
     "CmpOp",
+    "COMPARE",
     "ArithOp",
     "Term",
     "BoolConst",
@@ -39,6 +41,19 @@ class CmpOp(Enum):
     GEQ = "geq"
     EQ = "eq"
     NEQ = "neq"
+
+
+# IEEE comparison of two floats (false whenever an operand is NaN, except
+# NEQ). The constant folder and the objective use this table; the oracle
+# `semantic_eval` keeps its own.
+COMPARE = {
+    CmpOp.LT: operator.lt,
+    CmpOp.LEQ: operator.le,
+    CmpOp.GT: operator.gt,
+    CmpOp.GEQ: operator.ge,
+    CmpOp.EQ: operator.eq,
+    CmpOp.NEQ: operator.ne,
+}
 
 
 class ArithOp(Enum):

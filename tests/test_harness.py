@@ -17,6 +17,7 @@ from fpsat.harness import (
     run_combined,
     run_solve,
 )
+from fpsat import portfolio
 from fpsat.parser import parse_script
 from fpsat.portfolio import PortfolioConfig
 
@@ -25,6 +26,15 @@ def fast_config(**kw):
     defaults = dict(max_evals=20_000, seed=3)
     defaults.update(kw)
     return PortfolioConfig(**defaults)
+
+
+@pytest.fixture
+def crashing_isres(monkeypatch):
+    """Make every ISRES instance raise at once."""
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(portfolio._MINIMIZERS, "isres", crash)
 
 
 class TestRunSolve:
@@ -67,6 +77,15 @@ class TestRunSolve:
         assert "error" in out.getvalue().splitlines()[0]
         assert report.message and "1:" in report.message  # position included
 
+    def test_crashed_instance_is_an_error(self, corpus_path, crashing_isres):
+        out = io.StringIO()
+        report = run_solve(corpus_path / "infeasible_cycle.smt2",
+                           fast_config(max_evals=2000), stream=out)
+        assert report.exit_code == 2
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "error"
+        assert "instance 2 (isres) crashed: RuntimeError: boom" in lines[1]
+
     def test_stats_json(self, corpus_path):
         out = io.StringIO()
         report = run_solve(corpus_path / "listing1.smt2", fast_config(),
@@ -78,10 +97,14 @@ class TestRunSolve:
             <= {"bh", "crs2", "isres"}
 
     def test_dump_cnf(self, corpus_path):
+        # verdict first, then the model, the clauses and the stats
         out = io.StringIO()
-        run_solve(corpus_path / "listing1.smt2", fast_config(),
-                  dump_cnf=True, stream=out)
-        assert "(clause (geq" in out.getvalue()
+        run_solve(corpus_path / "listing1.smt2", fast_config(), show_model=True,
+                  stats_json=True, dump_cnf=True, stream=out)
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "sat"
+        assert lines[-2].startswith("(clause (geq")
+        assert json.loads(lines[-1])["verdict"] == "sat"
 
 
 class TestBench:
@@ -119,6 +142,16 @@ class TestBench:
         assert rec.verdict == "ERROR"
         assert rec.message and "x" in rec.message
         assert report.error_count == 1
+
+    def test_crashed_instance_is_an_error_row(self, corpus_path, tmp_path,
+                                              crashing_isres):
+        (tmp_path / "cycle.smt2").write_text(
+            (corpus_path / "infeasible_cycle.smt2").read_text())
+        report = run_bench(tmp_path, fast_config(max_evals=2000),
+                           stream=io.StringIO())
+        rec = report.records[0]
+        assert rec.verdict == "ERROR"
+        assert "instance 2 (isres)" in rec.message
 
     def test_timeout_recorded(self, tmp_path):
         slow = tmp_path / "slow.smt2"

@@ -20,9 +20,10 @@ from conftest import (
     structured_values,
 )
 
-from fpsat import build_problem
+from fpsat import build_problem, load_problem
 from fpsat.errors import DimensionMismatchError, SortError
 from fpsat.fp import FP32, FP64, FPValue, float_to_bits, ordered_bits
+from fpsat.harness import corpus_dir
 from fpsat.normalizer import push_negations, simplify, to_cnf
 from fpsat.objective import (
     atom_distance,
@@ -31,7 +32,17 @@ from fpsat.objective import (
     semantic_eval,
     theta,
 )
-from fpsat.terms import CmpOp, Compare, FPArith, ArithOp, FPConst, FPVar, Ite
+from fpsat.terms import (
+    COMPARE,
+    ArithOp,
+    BoolAnd,
+    CmpOp,
+    Compare,
+    FPArith,
+    FPConst,
+    FPVar,
+    Ite,
+)
 
 
 def f32(v: float) -> FPValue:
@@ -45,6 +56,8 @@ def f64(v: float) -> FPValue:
 NAN32 = FPValue(32, 0x7FC00000)
 NAN32_B = FPValue(32, 0x7F800001)
 NAN64 = FPValue(64, 0x7FF8000000000000)
+
+CORPUS_NAMES = [p.name for p in sorted(corpus_dir().glob("*.smt2"))]
 
 
 class TestTheta:
@@ -128,6 +141,32 @@ class TestAtomDistance:
                 assert atom_distance(CmpOp.NEQ, True, a, b) == \
                     atom_distance(CmpOp.EQ, False, a, b)
 
+    # Exact distances at binary64 (a, b) = (1, 1), (1, 2), (2, 1), (NaN, 1).
+    # T = θ(1, 2) = 2**52, one binade; T + 1 is a failed strict relation.
+    T = 2.0**52
+    EXACT = {
+        (CmpOp.LT, False): (1.0, 0.0, T + 1, 2.0),
+        (CmpOp.LT, True): (0.0, T, 0.0, 0.0),
+        (CmpOp.LEQ, False): (0.0, 0.0, T, 1.0),
+        (CmpOp.LEQ, True): (1.0, T + 1, 0.0, 0.0),
+        (CmpOp.GT, False): (1.0, T + 1, 0.0, 2.0),
+        (CmpOp.GT, True): (0.0, 0.0, T, 0.0),
+        (CmpOp.GEQ, False): (0.0, T, 0.0, 1.0),
+        (CmpOp.GEQ, True): (1.0, 0.0, T + 1, 0.0),
+        (CmpOp.EQ, False): (0.0, T, T, 1.0),
+        (CmpOp.EQ, True): (1.0, 0.0, 0.0, 0.0),
+        (CmpOp.NEQ, False): (1.0, 0.0, 0.0, 0.0),
+        (CmpOp.NEQ, True): (0.0, T, T, 1.0),
+    }
+
+    @pytest.mark.parametrize("op,neg", list(EXACT),
+                             ids=[f"{op.name}-{'not' if n else 'pos'}"
+                                  for op, n in EXACT])
+    def test_exact_distance_table(self, op, neg):
+        pairs = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (math.nan, 1.0)]
+        got = tuple(atom_distance(op, neg, f64(a), f64(b)) for a, b in pairs)
+        assert got == self.EXACT[(op, neg)]
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(0, 2**32 - 1),
@@ -196,8 +235,6 @@ class TestCompileAndEvaluate:
         formula = simplify(Compare(CmpOp.GT, x, one))
         a1 = Compare(CmpOp.GT, x, one)
         a2 = Compare(CmpOp.GT, y, one)
-        from fpsat.terms import BoolAnd
-
         cs = to_cnf(BoolAnd((a1, a2)))
         program = compile_objective(cs, [("x", FP64), ("y", FP64)])
         d1 = atom_distance(CmpOp.GT, False, f64(0.0), f64(1.0))
@@ -255,7 +292,7 @@ class TestCompileAndEvaluate:
     def test_nonnegative_with_nan_inputs(self, listing1_text):
         program = build_problem(listing1_text).program
         v = program.evaluate([float("nan")])
-        assert v >= 0.0  # NaN input handled by the distance table
+        assert v >= 0.0  # NaN input handled by the distance rule
 
     def test_overflowing_clause_product_short_circuits(self):
         # a satisfied literal zeroes the clause even when the unsatisfied
@@ -309,7 +346,8 @@ class TestRenderSource:
         program = build_problem(listing1_text).program
         src = render_objective_source(program)
         assert "double objective(const double *x)" in src
-        assert "d_geq32(0," in src
+        assert "? 0.0 : theta32(" in src
+        assert "d_geq" not in src
         assert "const double c0" in src
         assert "return c0;" in src
 
@@ -328,25 +366,67 @@ class TestRenderSource:
         assert "return 0.0;" in src
 
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
-    def test_compiled_source_agrees_with_tape(self, tmp_path, listing1_text):
-        problem = build_problem(listing1_text)
-        src = render_objective_source(problem.program)
-        c_file = tmp_path / "obj.c"
-        so_file = tmp_path / "obj.so"
-        c_file.write_text(src)
-        subprocess.run(
-            ["gcc", "-O2", "-shared", "-fPIC", "-o", str(so_file), str(c_file)],
-            check=True,
-        )
-        lib = ctypes.CDLL(str(so_file))
-        lib.objective.restype = ctypes.c_double
-        lib.objective.argtypes = [ctypes.POINTER(ctypes.c_double)]
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ["twelve-cases"])
+    def test_compiled_source_agrees_with_tape(self, tmp_path, name):
+        if name == "twelve-cases":
+            program, satisfied = _twelve_case_program()
+        else:
+            program = load_problem(corpus_dir() / name).program
+            satisfied = None
+        c_objective = _compile_c(program, tmp_path)
+        sorts = [sort for _, sort in program.varmap]
         rng = random.Random(41)
         for _ in range(3000):
-            x = random_fp_double(rng, 64)
-            c_val = lib.objective((ctypes.c_double * 1)(x))
-            py_val = problem.program.evaluate([x])
-            assert c_val == py_val or (c_val != c_val and py_val != py_val)
+            # binary32 slots also get binary64 values, to exercise narrowing
+            x = [random_fp_double(rng, rng.choice((sort.width, 64)))
+                 for sort in sorts]
+            if satisfied is not None:
+                # one random literal; every other one holds, so the sum is
+                # that literal's distance alone
+                k = rng.randrange(len(satisfied))
+                if rng.random() < 0.3:
+                    x[2 * k + 1] = x[2 * k]  # equal operands
+                for j, pair in enumerate(satisfied):
+                    if j != k:
+                        x[2 * j:2 * j + 2] = pair
+            c_val = c_objective(x)
+            py_val = program.evaluate(x)
+            assert struct.pack("<d", c_val) == struct.pack("<d", py_val), (name, x)
+
+
+def _twelve_case_program():
+    """One unit clause per (op, negated) case at each width, over its own two
+    variables; also returns, per literal, an operand pair at which it holds."""
+    atoms, varmap, satisfied = [], [], []
+    for sort in (FP32, FP64):
+        for op in CmpOp:
+            for neg in (False, True):
+                a = FPVar(f"a{len(atoms)}", sort)
+                b = FPVar(f"b{len(atoms)}", sort)
+                atoms.append(Compare(op, a, b, neg))
+                varmap += [(a.name, sort), (b.name, sort)]
+                satisfied.append(next(
+                    pair for pair in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
+                    if COMPARE[op](*pair) != neg
+                ))
+    clauses = to_cnf(BoolAnd(tuple(atoms)))
+    return compile_objective(clauses, varmap), satisfied
+
+
+def _compile_c(program, tmp_path):
+    """Compile the rendered source; returns the objective as a function."""
+    c_file = tmp_path / "obj.c"
+    so_file = tmp_path / "obj.so"
+    c_file.write_text(render_objective_source(program))
+    subprocess.run(
+        ["gcc", "-O2", "-shared", "-fPIC", "-o", str(so_file), str(c_file)],
+        check=True,
+    )
+    lib = ctypes.CDLL(str(so_file))
+    lib.objective.restype = ctypes.c_double
+    lib.objective.argtypes = [ctypes.POINTER(ctypes.c_double)]
+    n = program.dimension
+    return lambda x: lib.objective((ctypes.c_double * n)(*x))
 
 
 class TestRequirementsSmoke:

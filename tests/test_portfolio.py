@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fpsat import build_problem, portfolio
-from fpsat.errors import VerificationFailureError
+from fpsat.errors import InstanceCrashError, VerificationFailureError
 from fpsat.fp import FP32, FP64
 from fpsat.objective import semantic_eval
 from fpsat.portfolio import (
@@ -321,8 +321,10 @@ class TestCrashedInstance:
         monkeypatch.setitem(portfolio._MINIMIZERS, "isres", crashing)
         problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
         before = problem.program.eval_count
-        with pytest.raises(Crash):
+        with pytest.raises(InstanceCrashError) as exc:
             solve(problem.formula, problem.program,
                   small_config(max_evals=20_000, seed=3))
+        assert isinstance(exc.value.__cause__, Crash)
+        assert "instance 2 (isres)" in str(exc.value)
         # far below the 40,000 evaluations the other two instances own
         assert problem.program.eval_count - before < 20_000
