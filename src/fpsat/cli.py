@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 
 from .harness import (
@@ -15,6 +17,9 @@ from .portfolio import ALGORITHMS, PortfolioConfig
 
 
 def _add_portfolio_args(p: argparse.ArgumentParser) -> None:
+    # Python < 3.13 reads "-1e6" as an option name, so `--bounds -1e6 1e6`
+    # would fail; this is the negative-number rule Python 3.13 adopted
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--bh", type=int, default=1, metavar="N",
                    help="basin-hopping instances (default 1)")
     p.add_argument("--crs2", type=int, default=1, metavar="N",
@@ -46,9 +51,13 @@ def _portfolio_config(parser: argparse.ArgumentParser, args,
         parser.error("at least one optimizer instance is required")
     if args.max_evals < 1:
         parser.error("--max-evals must be >= 1")
+    if not all(map(math.isfinite, args.bounds)):
+        parser.error("--bounds LO HI must be finite")
     lo, hi = args.bounds
     if not lo < hi:
         parser.error("--bounds LO HI needs LO < HI")
+    if not all(map(math.isfinite, args.start_range)):
+        parser.error("--start-range LO HI must be finite")
     return PortfolioConfig(
         instances=instances,
         max_evals=args.max_evals,

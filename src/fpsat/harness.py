@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import queue
 import shlex
 import signal
 import subprocess
@@ -291,26 +290,39 @@ def run_combined(path, external_cmd: str,
                  timeout: float = DEFAULT_FILE_TIMEOUT) -> CombinedOutcome:
     """Race the portfolio against an external solver process on one file.
 
-    First definitive verdict wins and the loser is stopped; a portfolio
-    unknown lets the external solver run on to its own timeout; an
-    external crash degrades to the portfolio-only result.
+    The portfolio runs in this thread under `solve`'s stop event and
+    deadline, and one watcher thread waits on the external process. First
+    definitive verdict wins; a portfolio unknown waits for the external
+    solver up to the timeout; an external crash degrades to the
+    portfolio-only result. A crashed instance raises `InstanceCrashError`.
     """
     t0 = time.perf_counter()
     problem = load_problem(path)
     if config is None:
         config = PortfolioConfig()
+    deadline = t0 + timeout
+    stop = threading.Event()
+    external = (None, None)  # (verdict, failure), set once
 
-    events: queue.Queue = queue.Queue()
-    portfolio_stop = threading.Event()
-
-    def portfolio_worker():
-        try:
-            outcome = solve(problem.formula, problem.program,
-                            replace(config, wall_timeout=timeout),
-                            stop=portfolio_stop)
-            events.put(("portfolio", outcome))
-        except Exception as exc:
-            events.put(("portfolio-error", exc))
+    def watch():
+        nonlocal external
+        stdout, _ = proc.communicate()
+        code = proc.returncode
+        if code < 0:
+            # killed by a signal: we only kill after the race is decided
+            try:
+                name = signal.Signals(-code).name
+            except ValueError:
+                name = f"signal {-code}"
+            external = (None, f"killed by {name}")
+        elif code not in (0, 10, 20):
+            # 0 plus the SAT-competition codes 10/20 count as clean exits
+            external = (None, f"exit code {code}")
+        else:
+            verdict = parse_external_verdict(stdout or "")
+            external = (verdict, None)
+            if verdict in ("sat", "unsat"):
+                stop.set()
 
     argv = shlex.split(external_cmd) + [str(path)]
     try:
@@ -318,87 +330,35 @@ def run_combined(path, external_cmd: str,
                                 stderr=subprocess.DEVNULL, text=True)
     except OSError as exc:
         proc = None
-        events.put(("external-crash", str(exc)))
+        external = (None, str(exc))
+    else:
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
 
-    kill_sent = threading.Event()
-
-    def external_worker():
-        stdout, _ = proc.communicate()
-        if proc.returncode < 0 and kill_sent.is_set():
-            events.put(("external-killed", None))
-        elif proc.returncode < 0:
-            # a signal we did not send (say, the OOM killer) is a crash
-            try:
-                name = signal.Signals(-proc.returncode).name
-            except ValueError:
-                name = f"signal {-proc.returncode}"
-            events.put(("external-crash", f"killed by {name}"))
-        elif proc.returncode not in (0, 10, 20):
-            # 0 plus the SAT-competition codes 10/20 count as clean exits
-            events.put(("external-crash", f"exit code {proc.returncode}"))
-        else:
-            events.put(("external", parse_external_verdict(stdout or "")))
-
-    threading.Thread(target=portfolio_worker, daemon=True).start()
-    if proc is not None:
-        threading.Thread(target=external_worker, daemon=True).start()
-
-    def kill_external():
+    try:
+        outcome = solve(
+            problem.formula, problem.program,
+            replace(config,
+                    wall_timeout=max(0.0, deadline - time.perf_counter())),
+            stop=stop,
+        )
+        if outcome.verdict != "sat" and proc is not None:
+            watcher.join(max(0.0, deadline - time.perf_counter()))
+        verdict, failure = external
+        note = (f"external solver failed ({failure}); portfolio-only result"
+                if failure else None)
+        elapsed = time.perf_counter() - t0
+        if outcome.verdict == "sat":
+            return CombinedOutcome("sat", "portfolio", elapsed,
+                                   model_block=outcome.model.smt2_block(),
+                                   note=note)
+        if verdict in ("sat", "unsat"):
+            return CombinedOutcome(verdict, "external", elapsed)
+        if outcome.unknown_reason == "wall-timeout" or not (verdict or failure):
+            return CombinedOutcome("timeout", None, elapsed, note=note)
+        return CombinedOutcome("unknown", "external" if verdict else "portfolio",
+                               elapsed, note=note)
+    finally:
         if proc is not None and proc.poll() is None:
-            kill_sent.set()
             proc.kill()
             proc.wait()
-
-    deadline = t0 + timeout
-    portfolio_result: SolveOutcome | None = None
-    external_done = False
-    external_crashed = False
-    note = None
-
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            kill_external()
-            portfolio_stop.set()
-            return CombinedOutcome("timeout", None, time.perf_counter() - t0,
-                                   note=note)
-        try:
-            kind, payload = events.get(timeout=remaining)
-        except queue.Empty:
-            continue
-
-        if kind == "portfolio":
-            portfolio_result = payload
-            if payload.verdict == "sat":
-                kill_external()
-                return CombinedOutcome(
-                    "sat", "portfolio", time.perf_counter() - t0,
-                    model_block=payload.model.smt2_block(), note=note,
-                )
-            # unknown: let the external solver continue
-            if external_done or external_crashed or proc is None:
-                return CombinedOutcome("unknown",
-                                       "external" if external_done else "portfolio",
-                                       time.perf_counter() - t0, note=note)
-        elif kind == "portfolio-error":
-            kill_external()
-            raise payload
-        elif kind == "external":
-            external_done = True
-            if payload in ("sat", "unsat"):
-                portfolio_stop.set()
-                return CombinedOutcome(payload, "external",
-                                       time.perf_counter() - t0, note=note)
-            # external unknown: wait for the portfolio
-            if portfolio_result is not None:
-                return CombinedOutcome("unknown", "external",
-                                       time.perf_counter() - t0, note=note)
-        elif kind == "external-killed":
-            pass  # we killed it ourselves; nothing to record
-        elif kind == "external-crash":
-            external_crashed = True
-            note = f"external solver failed ({payload}); portfolio-only result"
-            if portfolio_result is not None:
-                verdict = portfolio_result.verdict
-                return CombinedOutcome(verdict, "portfolio",
-                                       time.perf_counter() - t0, note=note)

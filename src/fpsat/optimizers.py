@@ -106,6 +106,8 @@ def _bounds_arrays(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(bounds, dtype=float)
     if arr.shape != (2,):
         raise ValueError("bounds must be (lo, hi)")
+    if not np.isfinite(arr).all():
+        raise ValueError("bounds must be finite")
     if not arr[0] < arr[1]:
         raise ValueError("bounds must satisfy lo < hi")
     return np.full(n, arr[0]), np.full(n, arr[1])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import SortError
 from .fp import BOOL, FPValue, Sort
@@ -156,7 +157,7 @@ class FPArith(Term):
     op: ArithOp
     args: tuple[Term, ...]
 
-    @property
+    @cached_property  # uncached, each read walks down the whole args[0] chain
     def sort(self) -> Sort:
         return self.args[0].sort
 
@@ -167,7 +168,7 @@ class Ite(Term):
     then: Term
     orelse: Term
 
-    @property
+    @cached_property
     def sort(self) -> Sort:
         return self.then.sort
 

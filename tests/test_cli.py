@@ -1,6 +1,8 @@
 """Command-line surface: argument wiring, output contract, exit codes."""
 
 import json
+import shutil
+import sys
 
 import pytest
 
@@ -60,7 +62,10 @@ class TestSolveCommand:
         ["--bounds", "1", "1"],
         ["--max-evals", "0"],
         ["--bh", "-1"],
-    ], ids=["empty-bounds", "zero-budget", "negative-count"])
+        ["--bounds", "0", "inf"],
+        ["--start-range", "nan", "0"],
+    ], ids=["empty-bounds", "zero-budget", "negative-count", "infinite-bounds",
+            "nan-start-range"])
     def test_usage_errors_exit_two(self, corpus_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(corpus_path / "infeasible_cycle.smt2"), *flags])
@@ -94,3 +99,20 @@ class TestBenchCommand:
         assert header == "file,verdict,wall_time_s,winner,evals"
         out = capsys.readouterr().out
         assert "SAT" in out and "UNKNOWN" in out
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    ("solve", 1), ("bench", 0), ("combined", 0),
+])
+def test_negative_values_in_exponent_form(corpus_path, tmp_path, command,
+                                          exit_code):
+    target = corpus_path / "infeasible_cycle.smt2"
+    extra = []
+    if command == "bench":
+        shutil.copy(target, tmp_path)
+        target = tmp_path
+    elif command == "combined":
+        extra = ["--external", f"{sys.executable} -c \"print('unsat')\""]
+    code = main([command, str(target), *extra, "--max-evals", "1000",
+                 "--bounds", "-1e6", "1e6", "--start-range", "-1e-3", "1e-3"])
+    assert code == exit_code

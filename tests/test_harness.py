@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import stat
+import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from fpsat.harness import (
     run_solve,
 )
 from fpsat import portfolio
+from fpsat.errors import InstanceCrashError
 from fpsat.parser import parse_script
 from fpsat.portfolio import PortfolioConfig
 
@@ -231,6 +234,38 @@ class TestCombined:
                                fast_config(max_evals=10**9), timeout=60.0)
         assert outcome.verdict == "unsat"
         assert outcome.source == "external"
+        assert outcome.wall_time < 10  # the external verdict stopped the race
+
+    def test_portfolio_crash_raises_and_kills_external(
+            self, corpus_path, tmp_path, monkeypatch, crashing_isres):
+        stub = _make_stub(tmp_path, "sleepy.py", """\
+            import time
+            time.sleep(30)
+            print("sat")
+        """)
+        started = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        t0 = time.perf_counter()
+        with pytest.raises(InstanceCrashError, match="isres"):
+            run_combined(corpus_path / "infeasible_cycle.smt2",
+                         f"{sys.executable} {stub}",
+                         fast_config(max_evals=10**9), timeout=60.0)
+        assert time.perf_counter() - t0 < 10
+        assert started[0].poll() is not None  # the stub has been reaped
+
+    def test_external_that_cannot_start(self, corpus_path, tmp_path):
+        outcome = run_combined(corpus_path / "infeasible_cycle.smt2",
+                               str(tmp_path / "no-such-solver"),
+                               fast_config(max_evals=2000), timeout=60.0)
+        assert outcome.verdict == "unknown"
+        assert outcome.source == "portfolio"
+        assert outcome.note and "external solver failed" in outcome.note
 
     def test_crash_degrades_to_portfolio_only(self, tmp_path):
         f = tmp_path / "u.smt2"

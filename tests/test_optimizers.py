@@ -241,7 +241,8 @@ class TestIsres:
 
 
 class TestCommonContracts:
-    @pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -2.0), [(-1.0, 1.0)] * 2])
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -2.0), [(-1.0, 1.0)] * 2,
+                                        (0.0, math.inf), (-math.inf, 0.0)])
     @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
     def test_bad_bounds_rejected(self, minimize, bounds):
         cfg = OptimizerConfig(max_evals=100, bounds=bounds)

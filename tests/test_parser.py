@@ -22,6 +22,7 @@ from fpsat.normalizer import push_negations, simplify
 from fpsat.parser import decode_fp_literal, expand_definitions, parse_script
 from fpsat.parser import _read_all  # noqa: internal, used for literal forms
 from fpsat.terms import (
+    ArithOp,
     BoolAnd,
     BoolNot,
     CmpOp,
@@ -145,6 +146,16 @@ class TestParseScript:
         a = script.assertions[0]
         assert isinstance(a, Compare)
         assert isinstance(a.lhs, FPArith)
+
+    def test_sort_of_a_deep_chain(self):
+        # the parser reads the sort of each node it builds; a read must not
+        # walk down the chain below it
+        x = FPVar("x", FP64)
+        cond = Compare(CmpOp.LT, x, x)
+        t = x
+        for i in range(5000):
+            t = FPArith(ArithOp.ADD, (t, t)) if i % 2 else Ite(cond, t, t)
+            assert t.sort == FP64
 
     def test_bool_ite_desugars(self):
         script = parse_script(
