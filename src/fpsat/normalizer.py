@@ -62,34 +62,58 @@ class ClauseSet:
 # --------------------------------------------------------------------------
 
 
-def _normalize_fp(term: Term) -> Term:
-    """Normalize Boolean content buried inside FP expressions (Ite conditions)."""
+def push_negations(formula: Term, negate: bool = False) -> Term:
+    """Convert to NNF; negations land in Compare flags, never in operators.
+
+    Memoized per (node, negate), so shared subterms stay shared.
+    """
+    return _nnf(formula, negate, {})
+
+
+def _nnf(formula: Term, negate: bool, memo: dict) -> Term:
+    key = (formula, negate)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if isinstance(formula, BoolConst):
+        out = BoolConst(formula.value != negate)
+    elif isinstance(formula, BoolNot):
+        out = _nnf(formula.child, not negate, memo)
+    elif isinstance(formula, BoolAnd):
+        children = tuple(_nnf(c, negate, memo) for c in formula.children)
+        out = BoolOr(children) if negate else BoolAnd(children)
+    elif isinstance(formula, BoolOr):
+        children = tuple(_nnf(c, negate, memo) for c in formula.children)
+        out = BoolAnd(children) if negate else BoolOr(children)
+    elif isinstance(formula, Compare):
+        out = Compare(formula.op, _normalize_fp(formula.lhs, memo),
+                      _normalize_fp(formula.rhs, memo), formula.negated != negate)
+    else:
+        raise TypeError(f"cannot normalize {formula!r}")
+    memo[key] = out
+    return out
+
+
+def _normalize_fp(term: Term, memo: dict) -> Term:
+    """Normalize Boolean content buried inside FP expressions (Ite conditions).
+
+    Shares `_nnf`'s memo, keyed by the node alone: FP nodes and Boolean
+    nodes are disjoint.
+    """
     if isinstance(term, (FPConst, FPVar)):
         return term
+    out = memo.get(term)
+    if out is not None:
+        return out
     if isinstance(term, FPArith):
-        return FPArith(term.op, tuple(_normalize_fp(a) for a in term.args))
-    if isinstance(term, Ite):
-        return Ite(push_negations(term.cond), _normalize_fp(term.then),
-                   _normalize_fp(term.orelse))
-    raise TypeError(f"not an FP expression: {term!r}")
-
-
-def push_negations(formula: Term, negate: bool = False) -> Term:
-    """Convert to NNF; negations land in Compare flags, never in operators."""
-    if isinstance(formula, BoolConst):
-        return BoolConst(formula.value != negate)
-    if isinstance(formula, BoolNot):
-        return push_negations(formula.child, not negate)
-    if isinstance(formula, BoolAnd):
-        children = tuple(push_negations(c, negate) for c in formula.children)
-        return BoolOr(children) if negate else BoolAnd(children)
-    if isinstance(formula, BoolOr):
-        children = tuple(push_negations(c, negate) for c in formula.children)
-        return BoolAnd(children) if negate else BoolOr(children)
-    if isinstance(formula, Compare):
-        return Compare(formula.op, _normalize_fp(formula.lhs),
-                       _normalize_fp(formula.rhs), formula.negated != negate)
-    raise TypeError(f"cannot normalize {formula!r}")
+        out = FPArith(term.op, tuple(_normalize_fp(a, memo) for a in term.args))
+    elif isinstance(term, Ite):
+        out = Ite(_nnf(term.cond, False, memo), _normalize_fp(term.then, memo),
+                  _normalize_fp(term.orelse, memo))
+    else:
+        raise TypeError(f"not an FP expression: {term!r}")
+    memo[term] = out
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -198,19 +222,31 @@ def simplify(formula: Term) -> Term:
 
     All-constant FP subterms fold under RNE at their declared width;
     comparisons of constants fold to Boolean constants; and/or/not/ite
-    collapse around constants. Nothing else is rewritten.
+    collapse around constants. Nothing else is rewritten. Memoized per
+    node, so shared subterms stay shared.
     """
+    return _simplify(formula, {})
+
+
+def _simplify(formula: Term, memo: dict) -> Term:
+    out = memo.get(formula)
+    if out is None:
+        out = memo[formula] = _simplify_node(formula, memo)
+    return out
+
+
+def _simplify_node(formula: Term, memo: dict) -> Term:
     if isinstance(formula, (BoolConst, FPConst, FPVar)):
         return formula
     if isinstance(formula, BoolNot):
-        child = simplify(formula.child)
+        child = _simplify(formula.child, memo)
         if isinstance(child, BoolConst):
             return BoolConst(not child.value)
         return BoolNot(child)
     if isinstance(formula, BoolAnd):
         kept = []
         for c in formula.children:
-            s = simplify(c)
+            s = _simplify(c, memo)
             if isinstance(s, BoolConst):
                 if not s.value:
                     return FALSE
@@ -224,7 +260,7 @@ def simplify(formula: Term) -> Term:
     if isinstance(formula, BoolOr):
         kept = []
         for c in formula.children:
-            s = simplify(c)
+            s = _simplify(c, memo)
             if isinstance(s, BoolConst):
                 if s.value:
                     return TRUE
@@ -236,21 +272,21 @@ def simplify(formula: Term) -> Term:
             return kept[0]
         return BoolOr(tuple(kept))
     if isinstance(formula, Compare):
-        lhs, rhs = simplify(formula.lhs), simplify(formula.rhs)
+        lhs, rhs = _simplify(formula.lhs, memo), _simplify(formula.rhs, memo)
         if isinstance(lhs, FPConst) and isinstance(rhs, FPConst):
             truth = COMPARE[formula.op](lhs.value.to_float(), rhs.value.to_float())
             return BoolConst(truth != formula.negated)
         return Compare(formula.op, lhs, rhs, formula.negated)
     if isinstance(formula, FPArith):
-        args = tuple(simplify(a) for a in formula.args)
+        args = tuple(_simplify(a, memo) for a in formula.args)
         if all(isinstance(a, FPConst) for a in args):
             width = formula.sort.width
             folded = _fold_arith(formula.op, width, [a.value.to_float() for a in args])
             return FPConst(FPValue.from_float(folded, width))
         return FPArith(formula.op, args)
     if isinstance(formula, Ite):
-        cond = simplify(formula.cond)
-        then, orelse = simplify(formula.then), simplify(formula.orelse)
+        cond = _simplify(formula.cond, memo)
+        then, orelse = _simplify(formula.then, memo), _simplify(formula.orelse, memo)
         if isinstance(cond, BoolConst):
             return then if cond.value else orelse
         return Ite(cond, then, orelse)

@@ -326,46 +326,56 @@ def semantic_eval(term: Term, binding) -> bool:
     """Ground-truth IEEE evaluation of a Boolean term.
 
     `binding` maps variable names to floats or FPValues; binary32 variables
-    are narrowed on substitution. This walks the original term tree with
-    numpy scalar arithmetic and shares nothing with the compiled tape.
+    are narrowed on substitution. This walks the original term with numpy
+    scalar arithmetic, memoized per node within the call, and shares
+    nothing with the compiled tape.
     """
     env = {}
     for name, v in dict(binding).items():
         env[name] = v.to_float() if isinstance(v, FPValue) else float(v)
     with np.errstate(all="ignore"):
-        result = _sem_bool(term, env)
+        result = _sem_bool(term, env, {})
     return bool(result)
 
 
-def _sem_fp(term: Term, env):
+def _sem_fp(term: Term, env, memo):
+    value = memo.get(term)
+    if value is not None:
+        return value
     if isinstance(term, FPConst):
         v = term.value.to_float()
-        return np.float32(v) if term.value.width == 32 else np.float64(v)
-    if isinstance(term, FPVar):
+        value = np.float32(v) if term.value.width == 32 else np.float64(v)
+    elif isinstance(term, FPVar):
         try:
             v = env[term.name]
         except KeyError:
             raise UnboundVariableError(f"no value bound for {term.name}") from None
-        return np.float32(v) if term.var_sort.width == 32 else np.float64(v)
-    if isinstance(term, FPArith):
+        value = np.float32(v) if term.var_sort.width == 32 else np.float64(v)
+    elif isinstance(term, FPArith):
+        a = _sem_fp(term.args[0], env, memo)
         if term.op == ArithOp.NEG:
-            return -_sem_fp(term.args[0], env)
-        if term.op == ArithOp.ABS:
-            return np.abs(_sem_fp(term.args[0], env))
-        a = _sem_fp(term.args[0], env)
-        b = _sem_fp(term.args[1], env)
-        if term.op == ArithOp.ADD:
-            return a + b
-        if term.op == ArithOp.SUB:
-            return a - b
-        if term.op == ArithOp.MUL:
-            return a * b
-        return a / b
-    if isinstance(term, Ite):
-        if _sem_bool(term.cond, env):
-            return _sem_fp(term.then, env)
-        return _sem_fp(term.orelse, env)
-    raise TypeError(f"not an FP term: {term!r}")
+            value = -a
+        elif term.op == ArithOp.ABS:
+            value = np.abs(a)
+        else:
+            b = _sem_fp(term.args[1], env, memo)
+            if term.op == ArithOp.ADD:
+                value = a + b
+            elif term.op == ArithOp.SUB:
+                value = a - b
+            elif term.op == ArithOp.MUL:
+                value = a * b
+            else:
+                value = a / b
+    elif isinstance(term, Ite):
+        if _sem_bool(term.cond, env, memo):
+            value = _sem_fp(term.then, env, memo)
+        else:
+            value = _sem_fp(term.orelse, env, memo)
+    else:
+        raise TypeError(f"not an FP term: {term!r}")
+    memo[term] = value
+    return value
 
 
 _SEM_CMP = {
@@ -378,20 +388,26 @@ _SEM_CMP = {
 }
 
 
-def _sem_bool(term: Term, env) -> bool:
+def _sem_bool(term: Term, env, memo) -> bool:
+    value = memo.get(term)
+    if value is not None:
+        return value
     if isinstance(term, BoolConst):
-        return term.value
-    if isinstance(term, BoolNot):
-        return not _sem_bool(term.child, env)
-    if isinstance(term, BoolAnd):
-        return all(_sem_bool(c, env) for c in term.children)
-    if isinstance(term, BoolOr):
-        return any(_sem_bool(c, env) for c in term.children)
-    if isinstance(term, Compare):
-        a = _sem_fp(term.lhs, env)
-        b = _sem_fp(term.rhs, env)
-        return bool(_SEM_CMP[term.op](a, b)) != term.negated
-    raise TypeError(f"not a Boolean term: {term!r}")
+        value = term.value
+    elif isinstance(term, BoolNot):
+        value = not _sem_bool(term.child, env, memo)
+    elif isinstance(term, BoolAnd):
+        value = all(_sem_bool(c, env, memo) for c in term.children)
+    elif isinstance(term, BoolOr):
+        value = any(_sem_bool(c, env, memo) for c in term.children)
+    elif isinstance(term, Compare):
+        a = _sem_fp(term.lhs, env, memo)
+        b = _sem_fp(term.rhs, env, memo)
+        value = bool(_SEM_CMP[term.op](a, b)) != term.negated
+    else:
+        raise TypeError(f"not a Boolean term: {term!r}")
+    memo[term] = value
+    return value
 
 
 # --------------------------------------------------------------------------

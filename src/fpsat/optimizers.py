@@ -4,8 +4,9 @@ Three methods: basin hopping with a direction-set (Powell) local minimizer,
 controlled random search with local mutation, and a (mu, lambda) evolution
 strategy that ranks its offspring by objective value. Each instance owns
 all of its mutable state and its own PRNG stream; the shared stop token is
-polled before every objective evaluation, so cancellation latency is at
-most one evaluation and budgets are never exceeded.
+polled before every objective evaluation and before each row of an
+initial population is drawn, so cancellation latency is at most one
+evaluation or one row and budgets are never exceeded.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -97,6 +98,12 @@ class _Run:
                 self.on_zero(np.array(x, dtype=float, copy=True))
             raise _Stop(TerminationReason.ZERO_FOUND)
         return v
+
+    def poll(self) -> None:
+        """Stop the run if the race was cancelled; for work between
+        evaluations, such as drawing a population."""
+        if self.stop is not None and self.stop.is_set():
+            raise _Stop(TerminationReason.CANCELLED)
 
     def outcome(self, reason: TerminationReason) -> OptOutcome:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
@@ -345,6 +352,7 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
         pop = np.empty((pop_size, n))
         pop[0] = np.clip(x0, lo, hi)
         for i in range(1, pop_size):
+            run.poll()
             pop[i] = [rng.uniform(lo[j], hi[j]) for j in range(n)]
         fvals = np.array([run(pop[i]) for i in range(pop_size)])
 
@@ -417,6 +425,7 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
         pop = np.empty((lam, n))
         pop[0] = np.clip(x0, lo, hi)
         for i in range(1, lam):
+            run.poll()
             pop[i] = [rng.uniform(lo[j], hi[j]) for j in range(n)]
         sigmas = np.tile(sigma0, (lam, 1))
         fvals = np.array([run(pop[i]) for i in range(lam)])

@@ -436,11 +436,20 @@ class _Env:
         self.locals: dict[str, Term] = {}
         self.rm_values: dict[str, str] = {}  # defined RoundingMode constants
         self.current_def = current_def
+        # (definition name, argument terms) -> inlined body, for one parse
+        self.applications: dict[tuple, Term] = {}
 
     def child(self) -> "_Env":
-        env = _Env(self.script, self.current_def)
+        """A nested scope that sees this scope's locals."""
+        env = self.body_scope(self.current_def)
         env.locals = dict(self.locals)
+        return env
+
+    def body_scope(self, current_def: str | None) -> "_Env":
+        """A scope without this scope's locals, for the body of `current_def`."""
+        env = _Env(self.script, current_def)
         env.rm_values = self.rm_values
+        env.applications = self.applications
         return env
 
 
@@ -640,7 +649,9 @@ def _build_term(form, env: _Env) -> Term:
         return _build_term(rest[1], child)
 
     # application of a user-defined function: inline its body, rebuilt in
-    # the definition's own scope with the parameters bound to the arguments
+    # the definition's own scope with the parameters bound to the arguments.
+    # The body depends only on the argument terms, and interned terms are
+    # equal only if identical, so it is built once per distinct argument list.
     defn = env.script.definitions.get(op)
     if defn is not None:
         if len(rest) != len(defn.params):
@@ -649,16 +660,21 @@ def _build_term(form, env: _Env) -> Term:
             )
         if not rest:
             return defn.body
-        scope = _Env(env.script, op)
-        scope.rm_values = env.rm_values
+        args = []
         for (pname, psort), arg_form in zip(defn.params, rest):
             arg = _build_term(arg_form, env)
             if arg.sort != psort:
                 raise SortError(
                     f"argument {pname} of {op} must have sort {psort}", form.pos
                 )
-            scope.locals[pname] = arg
-        return _build_term(defn.body_form, scope)
+            args.append(arg)
+        args = tuple(args)
+        body = env.applications.get((op, args))
+        if body is None:
+            scope = env.body_scope(op)
+            scope.locals = {pname: arg for (pname, _), arg in zip(defn.params, args)}
+            body = env.applications[(op, args)] = _build_term(defn.body_form, scope)
+        return body
 
     if op == env.current_def:
         raise RecursiveDefinitionError(f"definition of {op} refers to itself", head.pos)
@@ -816,8 +832,7 @@ def _define(form: SList, script: Script, env: _Env) -> None:
             )
         params.append((p.items[0].text, psort))
 
-    body_env = env.child()
-    body_env.current_def = sym.text
+    body_env = env.body_scope(sym.text)
     for pname, psort in params:
         body_env.locals[pname] = FPVar(pname, psort)
     body = _build_term(body_form, body_env)

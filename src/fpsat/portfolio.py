@@ -142,7 +142,8 @@ def solve(formula: Term, program: ObjectiveProgram,
     """Race the configured instances; SAT on the first verified zero.
 
     An externally supplied `stop` event cancels the whole race (combined
-    mode uses this). Raises VerificationFailureError if a zero-valued
+    mode uses this). Raises ValueError on a non-finite start range, before
+    any instance starts; VerificationFailureError if a zero-valued
     point fails the semantic check (that would be an encoding bug, never
     hidden), and InstanceCrashError, naming the instance, if an instance
     raised.
@@ -150,6 +151,8 @@ def solve(formula: Term, program: ObjectiveProgram,
     if config is None:
         config = PortfolioConfig()
     algs = config.expanded()
+    if not np.isfinite(np.asarray(config.start_range, dtype=float)).all():
+        raise ValueError("start_range must be finite")
     dim = program.dimension
     t_start = time.perf_counter()
 

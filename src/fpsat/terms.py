@@ -1,15 +1,21 @@
 """Typed AST for the supported quantifier-free floating-point fragment.
 
-Nodes are immutable; structural equality and hashing enable subterm
-sharing, but evaluation semantics are always tree semantics.
+Terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): structurally equal nodes are one object, so
+equality and hashing are identity and cost O(1), and each node stores
+its sort once, at construction. A pass that memoizes per node keeps the
+input's sharing in its output and runs in time linear in the number of
+distinct nodes. Evaluation semantics are always tree semantics.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import partial
 
 from .errors import SortError
 from .fp import BOOL, FPValue, Sort
@@ -43,6 +49,11 @@ class CmpOp(Enum):
     EQ = "eq"
     NEQ = "neq"
 
+    # Members are singletons, so the identity hash agrees with equality; it
+    # runs in C, where Enum's hashes the name in Python. Every node with an
+    # operator is hashed by it when interned.
+    __hash__ = object.__hash__
+
 
 # IEEE comparison of two floats (false whenever an operand is NaN, except
 # NEQ). The constant folder and the objective use this table; the oracle
@@ -65,57 +76,115 @@ class ArithOp(Enum):
     NEG = "neg"
     ABS = "abs"
 
+    __hash__ = object.__hash__  # as CmpOp's
 
-@dataclass(frozen=True)
+
 class Term:
-    """Base class; every node carries its sort."""
+    """Base class of the interned nodes; every node carries its sort.
 
-    @property
-    def sort(self) -> Sort:
-        raise NotImplementedError
+    Construct nodes only through their classes, which intern them: a node
+    whose class and fields match a live node is that node. Nodes are
+    immutable, and equality and hashing are identity.
+    """
+
+    __slots__ = ("sort", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    sort: Sort
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # unpickling and copying go through the constructor, so they re-intern
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-@dataclass(frozen=True)
+# The intern table maps a node's class and fields to a weak reference to
+# the node, so a node lives only as long as something outside the table
+# refers to it, and its entry goes when it dies. The key holds the node's
+# children, so they live as long as the node. (A WeakValueDictionary does
+# the same, but its Python-level lookups and entries cost about a tenth
+# of the time to build a small query.)
+_TABLE: dict[tuple, weakref.ref] = {}
+# Reentrant: a node can die, and its entry be dropped, while this thread
+# holds the lock in `_intern`.
+_TABLE_LOCK = threading.RLock()
+_set_field = object.__setattr__
+
+
+def _live(key: tuple):
+    ref = _TABLE.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(sort: Sort, *key):
+    """The live node for `key`, the node's class followed by its fields;
+    one is made, with `sort`, if there is none."""
+    node = _live(key)  # a live entry is never replaced, so no lock is needed
+    if node is not None:
+        return node
+    with _TABLE_LOCK:  # two threads must not both make the node
+        node = _live(key)
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                _set_field(node, name, value)
+            _set_field(node, "sort", sort)
+            _TABLE[key] = weakref.ref(node, partial(_forget, key))
+    return node
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    with _TABLE_LOCK:
+        if _TABLE.get(key) is ref:  # not a newer node made under this key
+            del _TABLE[key]
+
+
 class BoolConst(Term):
+    _fields = ("value",)
+    __slots__ = _fields
     value: bool
 
-    @property
-    def sort(self) -> Sort:
-        return BOOL
+    def __new__(cls, value: bool):
+        return _intern(BOOL, cls, value)
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
 class BoolNot(Term):
+    _fields = ("child",)
+    __slots__ = _fields
     child: Term
 
-    @property
-    def sort(self) -> Sort:
-        return BOOL
+    def __new__(cls, child: Term):
+        return _intern(BOOL, cls, child)
 
 
-@dataclass(frozen=True)
 class BoolAnd(Term):
+    _fields = ("children",)
+    __slots__ = _fields
     children: tuple[Term, ...]
 
-    @property
-    def sort(self) -> Sort:
-        return BOOL
+    def __new__(cls, children: tuple[Term, ...]):
+        return _intern(BOOL, cls, children)
 
 
-@dataclass(frozen=True)
 class BoolOr(Term):
+    _fields = ("children",)
+    __slots__ = _fields
     children: tuple[Term, ...]
 
-    @property
-    def sort(self) -> Sort:
-        return BOOL
+    def __new__(cls, children: tuple[Term, ...]):
+        return _intern(BOOL, cls, children)
 
 
-@dataclass(frozen=True)
 class Compare(Term):
     """An IEEE comparison; `negated` records a logical negation around it.
 
@@ -123,54 +192,55 @@ class Compare(Term):
     differs from `a >= b`.
     """
 
+    _fields = ("op", "lhs", "rhs", "negated")
+    __slots__ = _fields
     op: CmpOp
     lhs: Term
     rhs: Term
-    negated: bool = False
+    negated: bool
 
-    @property
-    def sort(self) -> Sort:
-        return BOOL
+    def __new__(cls, op: CmpOp, lhs: Term, rhs: Term, negated: bool = False):
+        return _intern(BOOL, cls, op, lhs, rhs, negated)
 
 
-@dataclass(frozen=True)
 class FPConst(Term):
+    _fields = ("value",)
+    __slots__ = _fields
     value: FPValue
 
-    @property
-    def sort(self) -> Sort:
-        return self.value.sort
+    def __new__(cls, value: FPValue):
+        return _intern(value.sort, cls, value)
 
 
-@dataclass(frozen=True)
 class FPVar(Term):
+    _fields = ("name", "var_sort")
+    __slots__ = _fields
     name: str
     var_sort: Sort
 
-    @property
-    def sort(self) -> Sort:
-        return self.var_sort
+    def __new__(cls, name: str, var_sort: Sort):
+        return _intern(var_sort, cls, name, var_sort)
 
 
-@dataclass(frozen=True)
 class FPArith(Term):
+    _fields = ("op", "args")
+    __slots__ = _fields
     op: ArithOp
     args: tuple[Term, ...]
 
-    @cached_property  # uncached, each read walks down the whole args[0] chain
-    def sort(self) -> Sort:
-        return self.args[0].sort
+    def __new__(cls, op: ArithOp, args: tuple[Term, ...]):
+        return _intern(args[0].sort, cls, op, args)
 
 
-@dataclass(frozen=True)
 class Ite(Term):
+    _fields = ("cond", "then", "orelse")
+    __slots__ = _fields
     cond: Term
     then: Term
     orelse: Term
 
-    @cached_property
-    def sort(self) -> Sort:
-        return self.then.sort
+    def __new__(cls, cond: Term, then: Term, orelse: Term):
+        return _intern(then.sort, cls, cond, then, orelse)
 
 
 @dataclass(frozen=True)
@@ -201,31 +271,38 @@ class Script:
     has_check_sat: bool = False
 
 
-def free_vars(term: Term, acc: dict[str, Sort] | None = None) -> dict[str, Sort]:
+def free_vars(term: Term) -> dict[str, Sort]:
     """Ordered map of the free variables of a term (first occurrence order)."""
-    if acc is None:
-        acc = {}
+    acc: dict[str, Sort] = {}
+    _collect_vars(term, acc, set())
+    return acc
+
+
+def _collect_vars(term: Term, acc: dict[str, Sort], seen: set) -> None:
+    # a node seen before adds no variable that its first visit did not
+    if term in seen:
+        return
+    seen.add(term)
     if isinstance(term, FPVar):
         prev = acc.get(term.name)
         if prev is not None and prev != term.var_sort:
             raise SortError(f"variable {term.name} used at two sorts")
         acc.setdefault(term.name, term.var_sort)
     elif isinstance(term, BoolNot):
-        free_vars(term.child, acc)
+        _collect_vars(term.child, acc, seen)
     elif isinstance(term, (BoolAnd, BoolOr)):
         for c in term.children:
-            free_vars(c, acc)
+            _collect_vars(c, acc, seen)
     elif isinstance(term, Compare):
-        free_vars(term.lhs, acc)
-        free_vars(term.rhs, acc)
+        _collect_vars(term.lhs, acc, seen)
+        _collect_vars(term.rhs, acc, seen)
     elif isinstance(term, FPArith):
         for c in term.args:
-            free_vars(c, acc)
+            _collect_vars(c, acc, seen)
     elif isinstance(term, Ite):
-        free_vars(term.cond, acc)
-        free_vars(term.then, acc)
-        free_vars(term.orelse, acc)
-    return acc
+        _collect_vars(term.cond, acc, seen)
+        _collect_vars(term.then, acc, seen)
+        _collect_vars(term.orelse, acc, seen)
 
 
 _CMP_SYMBOL = {

@@ -249,6 +249,28 @@ class TestCommonContracts:
         with pytest.raises(ValueError, match="bounds"):
             minimize(sphere, np.array([0.0, 0.0]), cfg, Xoshiro256Plus(1))
 
+    @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
+    def test_preset_stop_draws_no_population(self, minimize):
+        # a cancelled population method stops before drawing its initial
+        # population, not after (at n = 11, 1,309 and 2,629 draws)
+        class CountingRng(Xoshiro256Plus):
+            __slots__ = ("draws",)
+
+            def next_double(self):
+                self.draws += 1
+                return super().next_double()
+
+        n = 11
+        rng = CountingRng(7)
+        rng.draws = 0
+        stop = threading.Event()
+        stop.set()
+        out = minimize(sphere, np.zeros(n), OptimizerConfig(max_evals=10_000), rng,
+                       stop=stop)
+        assert out.terminated_by == TerminationReason.CANCELLED
+        assert out.evals_used == 0
+        assert rng.draws <= n
+
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):
         program = build_problem(listing1_text).program

@@ -273,6 +273,17 @@ class TestSolve:
         assert all(np.all((2.0 <= x) & (x <= 3.0)) for x in points)
 
 
+class TestStartRange:
+    @pytest.mark.parametrize("start_range", [(math.nan, math.nan), (0.0, math.inf)])
+    def test_non_finite_start_range_rejected(self, listing1_text, start_range):
+        problem = build_problem(listing1_text)
+        before = problem.program.eval_count
+        with pytest.raises(ValueError, match="start_range"):
+            solve(problem.formula, problem.program,
+                  small_config(max_evals=2_000, start_range=start_range))
+        assert problem.program.eval_count == before
+
+
 class TestManyInstances:
     def test_twelve_instance_race(self, listing1_text):
         problem = build_problem(listing1_text)
