@@ -9,6 +9,7 @@ verdict is unknown.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import errors
@@ -114,13 +115,22 @@ class Problem:
 
 
 def build_problem(text: str) -> Problem:
-    """Run the full frontend pipeline on SMT-LIB2 text."""
-    script = parse_script(text)
-    formula, varmap = expand_definitions(script)
-    simplified = simplify(formula)
-    nnf = push_negations(simplified)
-    clauses = to_cnf(nnf)
-    program = compile_objective(clauses, varmap)
+    """Run the full frontend pipeline on SMT-LIB2 text.
+
+    The passes recurse over the input's nesting, so input nested deeper
+    than the interpreter's recursion limit allows is an `InputError`.
+    """
+    try:
+        script = parse_script(text)
+        formula, varmap = expand_definitions(script)
+        simplified = simplify(formula)
+        nnf = push_negations(simplified)
+        clauses = to_cnf(nnf)
+        program = compile_objective(clauses, varmap)
+    except RecursionError:
+        raise errors.InputError(
+            f"input nests too deeply (Python recursion limit {sys.getrecursionlimit()})"
+        ) from None
     return Problem(script, formula, varmap, clauses, program)
 
 

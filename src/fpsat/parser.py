@@ -1,15 +1,18 @@
 """SMT-LIB2 frontend for the quantifier-free floating-point fragment.
 
-A self-contained recursive-descent s-expression reader plus a command
-interpreter. Only binary32/binary64 sorts and round-nearest-ties-to-even
-are accepted; everything else is rejected with a positioned diagnostic.
+A one-pass s-expression reader over one token regex, plus a command
+interpreter that builds interned terms. Only binary32/binary64 sorts and
+round-nearest-ties-to-even are accepted; everything else is rejected with a
+positioned diagnostic.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     RecursiveDefinitionError,
@@ -81,105 +84,56 @@ OTHER_RM_NAMES = {
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     text: str
     pos: SourcePosition
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     pos: SourcePosition
 
 
-def _tokenize(text: str):
-    """Yield (token, pos) pairs; token is '(' / ')' or an atom string."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, SourcePosition(line, col)
-            col += 1
-            i += 1
-        elif c == "|":
-            start = SourcePosition(line, col)
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtSyntaxError("unterminated |symbol|", start)
-            chunk = text[i : j + 1]
-            yield chunk, start
-            for ch in chunk:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = j + 1
-        elif c == '"':
-            start = SourcePosition(line, col)
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            else:
-                raise SmtSyntaxError("unterminated string literal", start)
-            chunk = text[i : j + 1]
-            yield chunk, start
-            for ch in chunk:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = j + 1
-        else:
-            start = SourcePosition(line, col)
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"|':
-                j += 1
-            yield text[i:j], start
-            col += j - i
-            i = j
+# Whitespace and `;` comments, then one token: a parenthesis, a plain atom,
+# a |quoted symbol|, a string ("" escapes a quote), a lone `|` or `"` that
+# opens an unterminated one, or the end of the input. Every character that
+# can follow the skipped prefix starts one of these, so matches are contiguous.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|;[^\n]*)*'
+                    r'([()]|[^ \t\r\n();"|]+|\|[^|]*\||"(?:[^"]|"")*"(?!")|["|]|\Z)')
+_UNTERMINATED = {"|": "unterminated |symbol|", '"': "unterminated string literal"}
 
 
 def _read_all(text: str) -> list:
-    """Read every top-level s-expression in the input."""
-    forms = []
-    stack: list[tuple[list, SourcePosition]] = []
-    for tok, pos in _tokenize(text):
+    """Read every top-level s-expression in the input.
+
+    A token's line is 1 + the newlines before it, and its column is its
+    offset from the start of its line, + 1.
+    """
+    forms: list = []
+    items, stack = forms, []
+    line, line_start, last = 1, 0, 0
+    for match in _TOKEN.finditer(text):
+        tok = match[1]
+        start = match.start(1)
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        pos = SourcePosition(line, start - line_start + 1)
         if tok == "(":
-            stack.append(([], pos))
+            stack.append((items, pos))
+            items = []
         elif tok == ")":
             if not stack:
                 raise SmtSyntaxError("unbalanced ')'", pos)
-            items, open_pos = stack.pop()
-            node = SList(tuple(items), open_pos)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
-        else:
-            node = SAtom(tok, pos)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
+            outer, open_pos = stack.pop()
+            outer.append(SList(tuple(items), open_pos))
+            items = outer
+        elif tok in _UNTERMINATED:
+            raise SmtSyntaxError(_UNTERMINATED[tok], pos)
+        elif tok:
+            items.append(SAtom(tok, pos))
     if stack:
         raise SmtSyntaxError("unbalanced '(' at end of input", stack[-1][1])
     return forms
@@ -196,31 +150,29 @@ def _head(form) -> str:
 # --------------------------------------------------------------------------
 
 
+_NAMED_SORTS = {"Bool": BOOL, "RoundingMode": ROUNDING_MODE, "Float32": FP32,
+                "Float64": FP64}
+
+
 def _parse_sort(form) -> Sort:
-    if isinstance(form, SAtom):
-        name = form.text
-        if name == "Bool":
-            return BOOL
-        if name == "RoundingMode":
-            return ROUNDING_MODE
-        if name == "Float32":
-            return FP32
-        if name == "Float64":
-            return FP64
-        raise UnsupportedSortError(f"unsupported sort {name}", form.pos)
+    if isinstance(form, SAtom) and form.text in _NAMED_SORTS:
+        return _NAMED_SORTS[form.text]
     if _head(form) == "_" and len(form.items) == 4:
         kind = form.items[1]
         if isinstance(kind, SAtom) and kind.text == "FloatingPoint":
-            eb, sb = _int_atom(form.items[2]), _int_atom(form.items[3])
-            sort = fp_sort(eb, sb)
-            if sort is None:
-                raise UnsupportedSortError(
-                    f"only (_ FloatingPoint 8 24) and (_ FloatingPoint 11 53) "
-                    f"are supported, got (_ FloatingPoint {eb} {sb})",
-                    form.pos,
-                )
-            return sort
+            return _fp_sort(_int_atom(form.items[2]), _int_atom(form.items[3]), form.pos)
     raise UnsupportedSortError(f"unsupported sort {_render(form)}", form.pos)
+
+
+def _fp_sort(eb: int, sb: int, pos: SourcePosition) -> Sort:
+    """The sort of an exponent and significand width; binary32 and binary64 only."""
+    sort = fp_sort(eb, sb)
+    if sort is None:
+        raise UnsupportedSortError(
+            f"floating-point layout ({eb},{sb}) is not supported "
+            f"(only (_ FloatingPoint 8 24) and (_ FloatingPoint 11 53))", pos
+        )
+    return sort
 
 
 def _int_atom(form) -> int:
@@ -238,20 +190,32 @@ def _render(form) -> str:
     return "(" + " ".join(_render(x) for x in form.items) + ")"
 
 
+_BV_ATOM = re.compile(r"#x[0-9a-fA-F]+|#b[01]+")
+_BV_INDEX = re.compile(r"bv[0-9]+")
+
+
 def _bv_literal(form) -> tuple[int, int] | None:
-    """Decode a bitvector literal to (value, width), or None."""
+    """Decode a bitvector literal to (value, width), or None if `form` is not
+    shaped like one: `#x...`, `#b...` or `(_ bvN w)`. A malformed one is an
+    error at its position."""
     if isinstance(form, SAtom):
         t = form.text
-        if t.startswith("#x"):
-            return int(t[2:], 16), 4 * (len(t) - 2)
-        if t.startswith("#b"):
+        if not t.startswith(("#x", "#b")):
+            return None
+        if _BV_ATOM.fullmatch(t):
+            if t[1] == "x":
+                return int(t[2:], 16), 4 * (len(t) - 2)
             return int(t[2:], 2), len(t) - 2
-        return None
-    if _head(form) == "_" and len(form.items) == 3:
-        val = form.items[1]
-        if isinstance(val, SAtom) and val.text.startswith("bv"):
-            return int(val.text[2:]), _int_atom(form.items[2])
-    return None
+    else:
+        index = form.items[1] if _head(form) == "_" and len(form.items) == 3 else None
+        if not (isinstance(index, SAtom) and index.text.startswith("bv")):
+            return None
+        width = _int_atom(form.items[2])
+        if _BV_INDEX.fullmatch(index.text) and width > 0:
+            value = int(index.text[2:])
+            if value.bit_length() <= width:
+                return value, width
+    raise SmtSyntaxError(f"malformed bitvector literal {_render(form)}", form.pos)
 
 
 _SPECIAL_FP = {"+oo", "-oo", "+zero", "-zero", "NaN"}
@@ -290,14 +254,8 @@ def decode_fp_literal(form, target: Sort | None = None) -> FPValue:
 
 
 def _decode_literal(form) -> FPValue:
-    if isinstance(form, SList) and form.items and isinstance(form.items[0], SList) \
-            and _head(form.items[0]) == "_":
-        head = form.items[0]
-        tag = head.items[1] if len(head.items) == 4 else None
-        if isinstance(tag, SAtom) and tag.text == "to_fp":
-            return _decode_to_fp(head, form.items[1:], form.pos)
-
-    if _head(form) == "fp":
+    op = _head(form)
+    if op == "fp":
         # the width is intrinsic to the literal triple
         if len(form.items) != 4:
             raise SmtSyntaxError("malformed fp literal", form.pos)
@@ -305,24 +263,28 @@ def _decode_literal(form) -> FPValue:
         mant_bv = _bv_literal(form.items[3])
         if eb_bv is None or mant_bv is None:
             raise SmtSyntaxError("fp literal parts must be bitvectors", form.pos)
-        eb, sb = eb_bv[1], mant_bv[1] + 1
-        sort = fp_sort(eb, sb)
-        if sort is None:
-            raise UnsupportedSortError(
-                f"fp literal has layout ({eb},{sb})", form.pos
-            )
+        sort = _fp_sort(eb_bv[1], mant_bv[1] + 1, form.pos)
         sign = _require_bv(form.items[1], 1)
-        bits = (sign << (eb + sb - 1)) | (eb_bv[0] << (sb - 1)) | mant_bv[0]
+        bits = (sign << (sort.width - 1)) | (eb_bv[0] << (sort.sb - 1)) | mant_bv[0]
         return FPValue(sort.width, bits)
 
-    if _head(form) == "_" and len(form.items) == 4:
-        tag = form.items[1]
-        if isinstance(tag, SAtom) and tag.text in _SPECIAL_FP:
-            eb, sb = _int_atom(form.items[2]), _int_atom(form.items[3])
-            sort = fp_sort(eb, sb)
-            if sort is None:
-                raise UnsupportedSortError(f"layout ({eb},{sb})", form.pos)
-            return FPValue(sort.width, _special_fp_bits(tag.text, eb, sb))
+    if op == "_":
+        tag = form.items[1] if len(form.items) == 4 else None
+        if not (isinstance(tag, SAtom) and tag.text in _SPECIAL_FP):
+            raise UnsupportedOperationError(
+                f"unsupported indexed form {_render(form)}", form.pos
+            )
+        sort = _fp_sort(_int_atom(form.items[2]), _int_atom(form.items[3]), form.pos)
+        return FPValue(sort.width, _special_fp_bits(tag.text, sort.eb, sort.sb))
+
+    indices = form.items[0] if isinstance(form, SList) and form.items else None
+    if _head(indices) == "_":
+        tag = indices.items[1] if len(indices.items) == 4 else None
+        if not (isinstance(tag, SAtom) and tag.text == "to_fp"):
+            raise UnsupportedOperationError(
+                f"unsupported indexed operator {_render(indices)}", form.pos
+            )
+        return _decode_to_fp(indices, form.items[1:], form.pos)
 
     raise SmtSyntaxError(f"unrecognized FP literal {_render(form)}", form.pos)
 
@@ -336,12 +298,24 @@ def _require_bv(form, width: int) -> int:
     return bv[0]
 
 
+def _check_rm(form, defined=frozenset()) -> None:
+    """Accept a round-nearest-ties-to-even mode, named directly or by one of
+    the RoundingMode definitions in `defined` (which admit only RNE)."""
+    if isinstance(form, SAtom):
+        if form.text in RNE_NAMES or form.text in defined:
+            return
+        if form.text in OTHER_RM_NAMES:
+            raise UnsupportedRoundingModeError(
+                f"rounding mode {form.text} is not supported (RNE only)", form.pos
+            )
+    raise UnsupportedRoundingModeError(
+        f"expected an RNE rounding mode, got {_render(form)}", form.pos
+    )
+
+
 def _decode_to_fp(indices: SList, args: tuple, pos: SourcePosition) -> FPValue:
     """Decode ((_ to_fp eb sb) ...) in bitvector or RNE-real form."""
-    eb, sb = _int_atom(indices.items[2]), _int_atom(indices.items[3])
-    sort = fp_sort(eb, sb)
-    if sort is None:
-        raise UnsupportedSortError(f"layout ({eb},{sb}) in to_fp", pos)
+    sort = _fp_sort(_int_atom(indices.items[2]), _int_atom(indices.items[3]), pos)
 
     if len(args) == 1:
         bv = _bv_literal(args[0])
@@ -356,28 +330,17 @@ def _decode_to_fp(indices: SList, args: tuple, pos: SourcePosition) -> FPValue:
         return FPValue(sort.width, bv[0])
 
     if len(args) == 2:
-        rm = args[0]
-        if not (isinstance(rm, SAtom) and rm.text in RNE_NAMES):
-            if isinstance(rm, SAtom) and rm.text in OTHER_RM_NAMES:
-                raise UnsupportedRoundingModeError(
-                    f"rounding mode {rm.text} is not supported (RNE only)", rm.pos
-                )
-            raise UnsupportedRoundingModeError(
-                f"expected RNE rounding mode, got {_render(rm)}", pos
-            )
-        value = args[1]
-        negate = False
-        if isinstance(value, SList) and _head(value) == "-" and len(value.items) == 2:
-            negate = True
-            value = value.items[1]
+        _check_rm(args[0])
+        value, negate = args[1], False
+        if _head(value) == "-" and len(value.items) == 2:
+            value, negate = value.items[1], True
         if isinstance(value, SAtom):
             try:
                 frac = Fraction(value.text)
             except ValueError:
-                frac = None
-            if frac is not None:
-                if negate:
-                    frac = -frac
+                pass
+            else:
+                frac = -frac if negate else frac
                 return FPValue(sort.width, round_rational_to_bits(frac, sort.width))
         raise UnsupportedOperationError(
             f"to_fp argument {_render(args[1])} is not a supported literal", pos
@@ -434,7 +397,7 @@ class _Env:
     def __init__(self, script: Script, current_def: str | None = None):
         self.script = script
         self.locals: dict[str, Term] = {}
-        self.rm_values: dict[str, str] = {}  # defined RoundingMode constants
+        self.rm_values: set[str] = set()  # RoundingMode definitions, all RNE
         self.current_def = current_def
         # (definition name, argument terms) -> inlined body, for one parse
         self.applications: dict[tuple, Term] = {}
@@ -472,69 +435,55 @@ def _same_fp_sort(a: Term, b: Term, pos: SourcePosition, what: str) -> None:
         )
 
 
-def _resolve_rm(form, env: _Env) -> None:
-    """Check a rounding-mode argument; only RNE (possibly via define-fun) passes."""
-    if isinstance(form, SAtom):
-        name = form.text
-        if name in RNE_NAMES:
-            return
-        if name in OTHER_RM_NAMES:
-            raise UnsupportedRoundingModeError(
-                f"rounding mode {name} is not supported (RNE only)", form.pos
-            )
-        if name in env.rm_values:
-            if env.rm_values[name] in RNE_NAMES:
-                return
-            raise UnsupportedRoundingModeError(
-                f"rounding mode {name} = {env.rm_values[name]} is not RNE", form.pos
-            )
-    raise UnsupportedRoundingModeError(
-        f"expected an RNE rounding mode, got {_render(form)}", form.pos
-    )
+def _compare_pairs(cmp: CmpOp, pairs, pos: SourcePosition, what: str) -> Term:
+    """The conjunction of `cmp` over `pairs` of FP terms, each of one sort."""
+    parts = []
+    for a, b in pairs:
+        _same_fp_sort(a, b, pos, what)
+        parts.append(Compare(cmp, a, b))
+    return parts[0] if len(parts) == 1 else BoolAnd(tuple(parts))
+
+
+def _operands(op: str, rest: tuple, env: _Env, pos: SourcePosition,
+              require=None) -> list[Term]:
+    """Build the two or more operands of `op`, each checked by `require`."""
+    if len(rest) < 2:
+        raise SmtSyntaxError(f"{op} takes at least two arguments", pos)
+    if require is None:
+        return [_build_term(a, env) for a in rest]
+    return [require(_build_term(a, env), pos, f"{op} argument") for a in rest]
 
 
 def _build_term(form, env: _Env) -> Term:
     if isinstance(form, SAtom):
         return _build_atom(form, env)
 
-    if not form.items:
-        raise SmtSyntaxError("empty application", form.pos)
-    head = form.items[0]
+    items, pos = form
+    if not items:
+        raise SmtSyntaxError("empty application", pos)
+    head = items[0]
 
-    # FP literals: ((_ to_fp ...) ...), (_ +oo ...), (fp ...)
-    if isinstance(head, SList) and _head(head) == "_":
-        tag = head.items[1] if len(head.items) > 1 else None
-        if isinstance(tag, SAtom) and tag.text == "to_fp" and len(head.items) == 4:
-            return FPConst(decode_fp_literal(form))
-        raise UnsupportedOperationError(
-            f"unsupported indexed operator {_render(head)}", form.pos
-        )
-    if _head(form) == "_":
-        tag = form.items[1] if len(form.items) > 1 else None
-        if isinstance(tag, SAtom) and tag.text in _SPECIAL_FP and len(form.items) == 4:
-            return FPConst(decode_fp_literal(form))
-        raise UnsupportedOperationError(
-            f"unsupported indexed form {_render(form)}", form.pos
-        )
-    if _head(form) == "fp":
+    # FP literals: (fp ...), (_ +oo ...), ((_ to_fp ...) ...)
+    if isinstance(head, SList):
+        if _head(head) != "_":
+            raise SmtSyntaxError(f"expected an operator, got {_render(head)}", pos)
         return FPConst(decode_fp_literal(form))
-
-    if not isinstance(head, SAtom):
-        raise SmtSyntaxError(f"expected an operator, got {_render(head)}", form.pos)
     op = head.text
-    rest = form.items[1:]
+    if op == "fp" or op == "_":
+        return FPConst(decode_fp_literal(form))
+    rest = items[1:]
 
     if op in _KNOWN_UNSUPPORTED:
         raise UnsupportedOperationError(f"operation {op} is not supported", head.pos)
 
     if op == "not":
         if len(rest) != 1:
-            raise SmtSyntaxError("not takes one argument", form.pos)
-        return BoolNot(_require_bool(_build_term(rest[0], env), form.pos, "not argument"))
+            raise SmtSyntaxError("not takes one argument", pos)
+        return BoolNot(_require_bool(_build_term(rest[0], env), pos, "not argument"))
 
     if op in ("and", "or"):
         args = tuple(
-            _require_bool(_build_term(a, env), form.pos, f"{op} argument") for a in rest
+            _require_bool(_build_term(a, env), pos, f"{op} argument") for a in rest
         )
         if not args:
             return BoolConst(op == "and")
@@ -543,102 +492,77 @@ def _build_term(form, env: _Env) -> Term:
         return BoolAnd(args) if op == "and" else BoolOr(args)
 
     if op == "=>":
-        if len(rest) < 2:
-            raise SmtSyntaxError("=> takes at least two arguments", form.pos)
-        args = [_require_bool(_build_term(a, env), form.pos, "=> argument") for a in rest]
+        args = _operands(op, rest, env, pos, _require_bool)
         out = args[-1]
         for a in reversed(args[:-1]):
             out = BoolOr((BoolNot(a), out))
         return out
 
     if op == "xor":
-        if len(rest) < 2:
-            raise SmtSyntaxError("xor takes at least two arguments", form.pos)
-        args = [_require_bool(_build_term(a, env), form.pos, "xor argument") for a in rest]
+        args = _operands(op, rest, env, pos, _require_bool)
         out = args[0]
         for a in args[1:]:
             out = BoolOr((BoolAnd((out, BoolNot(a))), BoolAnd((BoolNot(out), a))))
         return out
 
     if op == "=":
-        if len(rest) < 2:
-            raise SmtSyntaxError("= takes at least two arguments", form.pos)
-        args = [_build_term(a, env) for a in rest]
+        args = _operands(op, rest, env, pos)
         if args[0].sort == BOOL:
             for a in args:
-                _require_bool(a, form.pos, "= argument")
+                _require_bool(a, pos, "= argument")
             out = None
             for a, b in zip(args, args[1:]):
                 iff = BoolOr((BoolAnd((a, b)), BoolAnd((BoolNot(a), BoolNot(b)))))
                 out = iff if out is None else BoolAnd((out, iff))
             return out
-        parts = []
-        for a, b in zip(args, args[1:]):
-            _require_fp(a, form.pos, "= argument")
-            _same_fp_sort(a, b, form.pos, "=")
-            parts.append(Compare(CmpOp.EQ, a, b))
-        return parts[0] if len(parts) == 1 else BoolAnd(tuple(parts))
+        _require_fp(args[0], pos, "= argument")
+        return _compare_pairs(CmpOp.EQ, zip(args, args[1:]), pos, op)
 
     if op == "distinct":
-        if len(rest) < 2:
-            raise SmtSyntaxError("distinct takes at least two arguments", form.pos)
-        args = [_build_term(a, env) for a in rest]
+        args = _operands(op, rest, env, pos)
         if args[0].sort == BOOL:
             if len(args) != 2:
-                raise SortError("Boolean distinct of arity > 2 is unsatisfiable", form.pos)
+                raise SortError("Boolean distinct of arity > 2 is unsatisfiable", pos)
             a, b = args
-            _require_bool(b, form.pos, "distinct argument")
+            _require_bool(b, pos, "distinct argument")
             return BoolOr((BoolAnd((a, BoolNot(b))), BoolAnd((BoolNot(a), b))))
-        parts = []
-        for i in range(len(args)):
-            _require_fp(args[i], form.pos, "distinct argument")
-            for j in range(i + 1, len(args)):
-                _same_fp_sort(args[i], args[j], form.pos, "distinct")
-                parts.append(Compare(CmpOp.NEQ, args[i], args[j]))
-        return parts[0] if len(parts) == 1 else BoolAnd(tuple(parts))
+        _require_fp(args[0], pos, "distinct argument")
+        return _compare_pairs(CmpOp.NEQ, combinations(args, 2), pos, op)
 
     if op in _CHAINABLE:
-        if len(rest) < 2:
-            raise SmtSyntaxError(f"{op} takes at least two arguments", form.pos)
-        args = [
-            _require_fp(_build_term(a, env), form.pos, f"{op} argument") for a in rest
-        ]
-        parts = []
-        for a, b in zip(args, args[1:]):
-            _same_fp_sort(a, b, form.pos, op)
-            parts.append(Compare(_CHAINABLE[op], a, b))
-        return parts[0] if len(parts) == 1 else BoolAnd(tuple(parts))
+        args = _operands(op, rest, env, pos, _require_fp)
+        return _compare_pairs(_CHAINABLE[op], zip(args, args[1:]), pos, op)
 
     if op in _ARITH_2:
         if len(rest) != 3:
-            raise SmtSyntaxError(f"{op} takes a rounding mode and two arguments", form.pos)
-        _resolve_rm(rest[0], env)
-        a = _require_fp(_build_term(rest[1], env), form.pos, f"{op} argument")
-        b = _require_fp(_build_term(rest[2], env), form.pos, f"{op} argument")
-        _same_fp_sort(a, b, form.pos, op)
+            raise SmtSyntaxError(f"{op} takes a rounding mode and two arguments", pos)
+        _check_rm(rest[0], env.rm_values)
+        a = _require_fp(_build_term(rest[1], env), pos, f"{op} argument")
+        b = _require_fp(_build_term(rest[2], env), pos, f"{op} argument")
+        _same_fp_sort(a, b, pos, op)
         return FPArith(_ARITH_2[op], (a, b))
 
     if op in ("fp.neg", "fp.abs"):
         if len(rest) != 1:
-            raise SmtSyntaxError(f"{op} takes one argument", form.pos)
-        a = _require_fp(_build_term(rest[0], env), form.pos, f"{op} argument")
+            raise SmtSyntaxError(f"{op} takes one argument", pos)
+        a = _require_fp(_build_term(rest[0], env), pos, f"{op} argument")
         return FPArith(ArithOp.NEG if op == "fp.neg" else ArithOp.ABS, (a,))
 
     if op == "ite":
         if len(rest) != 3:
-            raise SmtSyntaxError("ite takes three arguments", form.pos)
-        cond = _require_bool(_build_term(rest[0], env), form.pos, "ite condition")
+            raise SmtSyntaxError("ite takes three arguments", pos)
+        cond = _require_bool(_build_term(rest[0], env), pos, "ite condition")
         then = _build_term(rest[1], env)
         orelse = _build_term(rest[2], env)
         if then.sort == BOOL and orelse.sort == BOOL:
             return BoolOr((BoolAnd((cond, then)), BoolAnd((BoolNot(cond), orelse))))
-        _require_fp(then, form.pos, "ite branch")
-        _same_fp_sort(then, orelse, form.pos, "ite")
+        _require_fp(then, pos, "ite branch")
+        _same_fp_sort(then, orelse, pos, "ite")
         return Ite(cond, then, orelse)
 
     if op == "let":
         if len(rest) != 2 or not isinstance(rest[0], SList):
-            raise SmtSyntaxError("malformed let", form.pos)
+            raise SmtSyntaxError("malformed let", pos)
         child = env.child()
         for binding in rest[0].items:
             if not (isinstance(binding, SList) and len(binding.items) == 2
@@ -656,7 +580,7 @@ def _build_term(form, env: _Env) -> Term:
     if defn is not None:
         if len(rest) != len(defn.params):
             raise SmtSyntaxError(
-                f"{op} expects {len(defn.params)} arguments, got {len(rest)}", form.pos
+                f"{op} expects {len(defn.params)} arguments, got {len(rest)}", pos
             )
         if not rest:
             return defn.body
@@ -665,7 +589,7 @@ def _build_term(form, env: _Env) -> Term:
             arg = _build_term(arg_form, env)
             if arg.sort != psort:
                 raise SortError(
-                    f"argument {pname} of {op} must have sort {psort}", form.pos
+                    f"argument {pname} of {op} must have sort {psort}", pos
                 )
             args.append(arg)
         args = tuple(args)
@@ -723,8 +647,7 @@ def parse_script(text: str) -> Script:
     env = _Env(script)
     for form in _read_all(text):
         if not isinstance(form, SList) or not form.items:
-            raise SmtSyntaxError(f"expected a command, got {_render(form)}",
-                                 form.pos if isinstance(form, (SAtom, SList)) else None)
+            raise SmtSyntaxError(f"expected a command, got {_render(form)}", form.pos)
         cmd = form.items[0]
         if not isinstance(cmd, SAtom):
             raise SmtSyntaxError("expected a command name", form.pos)
@@ -770,7 +693,6 @@ def parse_script(text: str) -> Script:
 
 
 def _declare(form: SList, script: Script) -> None:
-    name_idx = 1
     if form.items[0].text == "declare-fun":
         if len(form.items) != 4:
             raise SmtSyntaxError("malformed declare-fun", form.pos)
@@ -784,7 +706,7 @@ def _declare(form: SList, script: Script) -> None:
         if len(form.items) != 3:
             raise SmtSyntaxError("malformed declare-const", form.pos)
         sort_form = form.items[2]
-    sym = form.items[name_idx]
+    sym = form.items[1]
     if not isinstance(sym, SAtom):
         raise SmtSyntaxError("expected a symbol", form.pos)
     sort = _parse_sort(sort_form)
@@ -816,7 +738,7 @@ def _define(form: SList, script: Script, env: _Env) -> None:
             raise UnsupportedRoundingModeError(
                 f"RoundingMode definition {sym.text} must be RNE", form.pos
             )
-        env.rm_values[sym.text] = body_form.text
+        env.rm_values.add(sym.text)
         return
 
     params: list[tuple[str, Sort]] = []
@@ -840,8 +762,7 @@ def _define(form: SList, script: Script, env: _Env) -> None:
         raise SortError(
             f"body of {sym.text} has sort {body.sort}, declared {result_sort}", form.pos
         )
-    script.definitions[sym.text] = Definition(sym.text, tuple(params), body,
-                                              result_sort, body_form)
+    script.definitions[sym.text] = Definition(sym.text, tuple(params), body, body_form)
 
 
 # --------------------------------------------------------------------------

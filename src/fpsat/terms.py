@@ -256,7 +256,6 @@ class Definition:
     name: str
     params: tuple[tuple[str, Sort], ...]
     body: Term
-    result_sort: Sort
     body_form: object
 
 

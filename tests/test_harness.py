@@ -25,6 +25,14 @@ from fpsat.parser import parse_script
 from fpsat.portfolio import PortfolioConfig
 
 
+# a malformed literal, and nesting deeper than the recursion limit: both are
+# input errors
+_MALFORMED_BV = ("(set-logic QF_FP)(declare-fun x () Float32)\n"
+                 "(assert (fp.lt x ((_ to_fp 8 24) #xZZ)))(check-sat)")
+_TOO_DEEP = ("(set-logic QF_FP)(declare-fun x () Float32)"
+             "(assert " + "(not " * 2000 + "(fp.lt x x)" + ")" * 2001 + "(check-sat)")
+
+
 def fast_config(**kw):
     defaults = dict(max_evals=20_000, seed=3)
     defaults.update(kw)
@@ -79,6 +87,19 @@ class TestRunSolve:
         assert report.exit_code == 2
         assert "error" in out.getvalue().splitlines()[0]
         assert report.message and "1:" in report.message  # position included
+
+    @pytest.mark.parametrize("text, message", [
+        (_MALFORMED_BV, "2:34: malformed bitvector literal #xZZ"),
+        (_TOO_DEEP, "nests too deeply"),
+    ], ids=["malformed-bitvector", "too-deep"])
+    def test_input_error_exits_two(self, tmp_path, text, message):
+        bad = tmp_path / "bad.smt2"
+        bad.write_text(text)
+        out = io.StringIO()
+        report = run_solve(bad, fast_config(), stream=out)
+        assert report.exit_code == 2
+        assert out.getvalue().splitlines()[0] == "error"
+        assert message in report.message
 
     def test_crashed_instance_is_an_error(self, corpus_path, crashing_isres):
         out = io.StringIO()
@@ -145,6 +166,17 @@ class TestBench:
         assert rec.verdict == "ERROR"
         assert rec.message and "x" in rec.message
         assert report.error_count == 1
+
+    def test_input_errors_are_error_rows(self, corpus_path, tmp_path):
+        # the bench records each bad file and goes on to the next
+        (tmp_path / "a_bitvector.smt2").write_text(_MALFORMED_BV)
+        (tmp_path / "b_deep.smt2").write_text(_TOO_DEEP)
+        (tmp_path / "c_listing1.smt2").write_text(
+            (corpus_path / "listing1.smt2").read_text())
+        report = run_bench(tmp_path, fast_config(), stream=io.StringIO())
+        assert [r.verdict for r in report.records] == ["ERROR", "ERROR", "SAT"]
+        assert "malformed bitvector literal #xZZ" in report.records[0].message
+        assert "nests too deeply" in report.records[1].message
 
     def test_crashed_instance_is_an_error_row(self, corpus_path, tmp_path,
                                               crashing_isres):

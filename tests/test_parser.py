@@ -6,7 +6,9 @@ import pytest
 
 from conftest import random_formula
 
+from fpsat import build_problem
 from fpsat.errors import (
+    InputError,
     RecursiveDefinitionError,
     SmtSyntaxError,
     SortError,
@@ -116,11 +118,15 @@ class TestParseScript:
             )
 
     def test_ignored_commands_warn(self):
-        with pytest.warns(UserWarning, match="push"):
+        with pytest.warns(UserWarning) as record:
             script = parse_script(
                 "(set-logic QF_FP)(push 1)(declare-fun x () Float32)"
                 "(assert (fp.eq x x))(check-sat)(get-model)"
             )
+        assert [str(w.message) for w in record] == [
+            "ignoring unsupported command (push ...)",
+            "ignoring unsupported command (get-model ...)",
+        ]
         assert len(script.assertions) == 1
 
     def test_malformed_sexpr(self):
@@ -173,6 +179,90 @@ class TestParseScript:
         assert "|odd name|" in script.declared_vars
 
 
+_DECL = "(set-logic QF_FP)(declare-fun x () Float32)\n"
+_ONE_EXP_SIG = "#x7f #b00000000000000000000000"  # exponent and significand of 1.0
+
+
+def _in_assert(term: str) -> str:
+    return f"{_DECL}(assert (fp.lt {term} x))"
+
+
+def _let_chain(depth: int) -> str:
+    body = f"(fp.lt a{depth} x)"
+    for i in range(depth, 0, -1):
+        body = f"(let ((a{i} (fp.add RNE a{i - 1} a{i - 1}))) {body})"
+    return f"{_DECL}(assert (let ((a0 (fp.add RNE x x))) {body}))"
+
+
+class TestErrorTable:
+    """The class and `line:col` of each input error, as the user sees them."""
+
+    @pytest.mark.parametrize("text, error, pos", [
+        # the reader's own errors
+        ("(assert |abc", SmtSyntaxError, "1:9"),
+        ('(set-info :x "ab""cd', SmtSyntaxError, "1:14"),
+        ('(set-info :x "ab""', SmtSyntaxError, "1:14"),
+        ("(assert true))", SmtSyntaxError, "1:14"),
+        ("(set-logic QF_FP)\n(assert (fp.lt x", SmtSyntaxError, "2:9"),
+        # positions after comments, multi-line symbols and strings, tabs, CRs
+        ('; (comment) "x" |y|\n(set-logic QF_FP) ; more\n  (assert y)',
+         UnknownSymbolError, "3:11"),
+        ("(set-logic QF_FP)(declare-fun |a\nb c| () Float32)"
+         "(assert (fp.lt |a\nb c| y))", UnknownSymbolError, "3:6"),
+        ('(set-info :source "multi\nline ""quoted""\n")(assert y)',
+         UnknownSymbolError, "3:11"),
+        ("(set-logic\tQF_FP)\n\t(assert\t(fp.lt\ty y))", UnknownSymbolError, "2:17"),
+        ("(set-logic QF_FP)\r\n(declare-fun x () Float32)\r\n(assert (fp.lt x y))",
+         UnknownSymbolError, "3:18"),
+        ("(set-logic QF_FP)\r(assert y)", UnknownSymbolError, "1:27"),
+        # literal-shaped forms that are not supported literals
+        (_in_assert("((_ extract 7 0) x)"), UnsupportedOperationError, "2:16"),
+        (_in_assert("(_ +oo 8)"), UnsupportedOperationError, "2:16"),
+        (_in_assert("((_ to_fp 8) RNE 1.0)"), UnsupportedOperationError, "2:16"),
+        # floating-point layouts other than binary32 and binary64
+        (_DECL + "(declare-fun y () (_ FloatingPoint 5 11))", UnsupportedSortError, "2:19"),
+        (_in_assert("((_ to_fp 5 11) #x0000)"), UnsupportedSortError, "2:16"),
+        (_in_assert("(_ NaN 5 11)"), UnsupportedSortError, "2:16"),
+        (_in_assert("(fp #b0 #b00000 #b0000000000)"), UnsupportedSortError, "2:16"),
+        # rounding modes other than RNE, and symbols that are not modes
+        (_in_assert("(fp.add RTZ x x)"), UnsupportedRoundingModeError, "2:24"),
+        (_in_assert("((_ to_fp 8 24) RTP 1.5)"), UnsupportedRoundingModeError, "2:32"),
+        (_in_assert("(fp.add foo x x)"), UnsupportedRoundingModeError, "2:24"),
+        # a form that is not a mode is reported at its own position
+        (_in_assert("((_ to_fp 8 24) foo 1.5)"), UnsupportedRoundingModeError, "2:32"),
+        # malformed bitvector literals
+        (_in_assert(f"(fp #b0 #x #b{'0' * 23})"), SmtSyntaxError, "2:24"),
+        (_in_assert(f"(fp #b2 {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+        (_in_assert("((_ to_fp 8 24) #xZZ)"), SmtSyntaxError, "2:32"),
+        (_in_assert(f"(fp (_ bvq 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+        (_in_assert(f"(fp (_ bv-1 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+        (_in_assert(f"(fp (_ bv2 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+    ], ids=[
+        "unterminated-symbol", "unterminated-string", "unterminated-string-quotes",
+        "unbalanced-close", "unbalanced-open",
+        "after-comments", "after-multiline-symbol", "after-multiline-string",
+        "after-tabs", "after-crlf", "after-cr",
+        "extract", "infinity-one-index", "to_fp-one-index",
+        "sort-layout", "to_fp-layout", "nan-layout", "fp-layout",
+        "fp.add-RTZ", "to_fp-RTP", "fp.add-non-mode", "to_fp-non-mode",
+        "bv-hex-empty", "bv-bin-digit", "bv-hex-digit", "bv-index-name",
+        "bv-index-negative", "bv-index-too-wide",
+    ])
+    def test_error_and_position(self, text, error, pos):
+        with pytest.raises(InputError) as err:
+            build_problem(text)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"{pos}: ")
+
+    @pytest.mark.parametrize("text", [
+        _let_chain(400), f"{_DECL}(assert {'(not ' * 2000}(fp.lt x x){')' * 2001}"
+    ], ids=["let-400", "not-2000"])
+    def test_too_deep_input_is_named(self, text):
+        with pytest.raises(InputError, match="nests too deeply") as err:
+            build_problem(text)
+        assert type(err.value) is InputError
+
+
 class TestDecodeLiteral:
     def test_to_fp_two(self):
         v = _decode("((_ to_fp 8 24) #x40000000)", FP32)
@@ -200,6 +290,11 @@ class TestDecodeLiteral:
                             ("(_ -oo 11 53)", 64)):
             (form,) = _read_all(text)
             assert decode_fp_literal(form).width == width
+
+    def test_bitvector_forms(self):
+        assert _decode(f"(fp (_ bv1 1) {_ONE_EXP_SIG})", FP32).to_float() == -1.0
+        assert _decode("((_ to_fp 8 24) #x3F800000)", FP32).to_float() == 1.0
+        assert _decode("(fp #b0 (_ bv127 8) (_ bv0 23))", FP32).to_float() == 1.0
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
