@@ -222,6 +222,12 @@ class ObjectiveProgram:
         self._var_regs = var_regs
         self.varmap = varmap  # list[(name, Sort)]
         self._widths = widths
+        # the template as numpy scalars of each register's width, so that
+        # constant operands keep binary32 rounding in `evaluate_many`
+        self._batch_template = [
+            np.float32(v) if w == 32 else np.float64(v) if w == 64 else np.bool_(v)
+            for v, w in zip(template, widths)
+        ]
         self._count_lock = threading.Lock()
         self._eval_count = 0
 
@@ -300,6 +306,93 @@ class ObjectiveProgram:
         with self._count_lock:
             self._eval_count += 1
         return total
+
+    def evaluate_many(self, X) -> np.ndarray:
+        """Evaluate the rows of X in order, bit for bit as `evaluate` does.
+
+        The tape runs once over whole columns: binary32 registers are
+        float32 arrays (correctly rounded like `narrow32` after each
+        operation), binary64 registers float64 arrays. Returns the values
+        up to and including the first zero; only those rows are counted.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.varmap):
+            raise DimensionMismatchError(
+                f"expected rows of {len(self.varmap)} coordinates, got shape {X.shape}"
+            )
+        with np.errstate(all="ignore"):
+            regs = list(self._batch_template)
+            for reg, idx, is32 in self._var_regs:
+                col = X[:, idx]
+                regs[reg] = col.astype(np.float32) if is32 else col
+
+            for code, dst, a, b, c in self._tape:
+                if code == _ADD32 or code == _ADD64:
+                    regs[dst] = regs[a] + regs[b]
+                elif code == _SUB32 or code == _SUB64:
+                    regs[dst] = regs[a] - regs[b]
+                elif code == _MUL32 or code == _MUL64:
+                    regs[dst] = regs[a] * regs[b]
+                elif code == _DIV32 or code == _DIV64:
+                    regs[dst] = regs[a] / regs[b]
+                elif code == _NEG:
+                    regs[dst] = -regs[a]
+                elif code == _ABS:
+                    regs[dst] = np.abs(regs[a])
+                elif code == _CMP:
+                    regs[dst] = c.holds(regs[a], regs[b]) != c.negated
+                elif code == _AND:
+                    regs[dst] = regs[a] & regs[b]
+                elif code == _OR:
+                    regs[dst] = regs[a] | regs[b]
+                else:  # _SELECT
+                    regs[dst] = np.where(regs[a], regs[b], regs[c])
+
+            total = np.zeros(len(X))
+            for clause in self._clauses:
+                prod = np.ones(len(X))
+                zero = np.zeros(len(X), dtype=bool)
+                for holds, lhs, rhs, negated, penalty, width, _ in clause:
+                    va, vb = regs[lhs], regs[rhs]
+                    sat = holds(va, vb) != negated
+                    # a satisfied literal multiplies by 1 and zeroes the
+                    # row below, so 0 * inf never arises
+                    dist = np.where(sat, 1.0, _theta_many(va, vb, width) + penalty)
+                    prod = prod * dist
+                    zero = zero | sat
+                total += np.where(zero, 0.0, prod)
+
+        zeros = np.flatnonzero(total == 0.0)
+        if len(zeros):
+            total = total[:zeros[0] + 1]
+        with self._count_lock:
+            self._eval_count += len(total)
+        return total
+
+
+def _theta_many(a, b, width: int) -> np.ndarray:
+    """`_theta_val` over arrays: 1 for NaN operands, 0 if IEEE-equal, else
+    the distance of the operands' ordered encodings."""
+    if width == 32:
+        ia = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
+        ib = np.asarray(b, dtype=np.float32).view(np.int32).astype(np.int64)
+        oa = np.where(ia < 0, -(ia & 0x7FFFFFFF), ia)
+        ob = np.where(ib < 0, -(ib & 0x7FFFFFFF), ib)
+        dist = np.abs(oa - ob).astype(np.float64)
+    else:
+        # offset binary, as theta64 in the C rendering: a signed int64
+        # difference of ordered encodings can overflow
+        ua = np.asarray(a, dtype=np.float64).view(np.uint64)
+        ub = np.asarray(b, dtype=np.float64).view(np.uint64)
+        oa = np.where(ua >> _SIGN64, _SIGN64_BIT - (ua & _MAG64), _SIGN64_BIT + ua)
+        ob = np.where(ub >> _SIGN64, _SIGN64_BIT - (ub & _MAG64), _SIGN64_BIT + ub)
+        dist = np.where(oa > ob, oa - ob, ob - oa).astype(np.float64)
+    return np.where((a != a) | (b != b), 1.0, np.where(a == b, 0.0, dist))
+
+
+_SIGN64 = np.uint64(63)
+_SIGN64_BIT = np.uint64(1 << 63)
+_MAG64 = np.uint64((1 << 63) - 1)
 
 
 def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
@@ -389,24 +482,41 @@ _SEM_CMP = {
 
 
 def _sem_bool(term: Term, env, memo) -> bool:
-    value = memo.get(term)
-    if value is not None:
-        return value
-    if isinstance(term, BoolConst):
-        value = term.value
-    elif isinstance(term, BoolNot):
-        value = not _sem_bool(term.child, env, memo)
-    elif isinstance(term, BoolAnd):
-        value = all(_sem_bool(c, env, memo) for c in term.children)
-    elif isinstance(term, BoolOr):
-        value = any(_sem_bool(c, env, memo) for c in term.children)
-    elif isinstance(term, Compare):
-        a = _sem_fp(term.lhs, env, memo)
-        b = _sem_fp(term.rhs, env, memo)
-        value = bool(_SEM_CMP[term.op](a, b)) != term.negated
-    else:
-        raise TypeError(f"not a Boolean term: {term!r}")
-    memo[term] = value
+    """Truth of a Boolean term. `not`/`and`/`or` are walked with an
+    explicit stack (and/or short-circuit left to right), so any nesting
+    depth the frontend accepts can be evaluated."""
+    stack = [(term, 0)]  # (node, index of the next child to evaluate)
+    value = False  # the truth of the node finished last
+    while stack:
+        node, i = stack.pop()
+        if i == 0:
+            known = memo.get(node)
+            if known is not None:
+                value = known
+                continue
+            if isinstance(node, (BoolNot, BoolAnd, BoolOr)):
+                children = (node.child,) if isinstance(node, BoolNot) else node.children
+                if children:
+                    stack.append((node, 1))
+                    stack.append((children[0], 0))
+                    continue
+                value = isinstance(node, BoolAnd)
+            elif isinstance(node, BoolConst):
+                value = node.value
+            elif isinstance(node, Compare):
+                a = _sem_fp(node.lhs, env, memo)
+                b = _sem_fp(node.rhs, env, memo)
+                value = bool(_SEM_CMP[node.op](a, b)) != node.negated
+            else:
+                raise TypeError(f"not a Boolean term: {node!r}")
+        elif isinstance(node, BoolNot):
+            value = not value
+        elif i < len(node.children) and value == isinstance(node, BoolAnd):
+            # the children so far leave the and/or undecided
+            stack.append((node, i + 1))
+            stack.append((node.children[i], 0))
+            continue
+        memo[node] = value
     return value
 
 

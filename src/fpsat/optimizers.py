@@ -3,10 +3,17 @@
 Three methods: basin hopping with a direction-set (Powell) local minimizer,
 controlled random search with local mutation, and a (mu, lambda) evolution
 strategy that ranks its offspring by objective value. Each instance owns
-all of its mutable state and its own PRNG stream; the shared stop token is
-polled before every objective evaluation and before each row of an
-initial population is drawn, so cancellation latency is at most one
-evaluation or one row and budgets are never exceeded.
+all of its mutable state and its own PRNG stream. The population methods
+evaluate their initial population (after its start point) and every
+ISRES generation as one batch through `f_many` when one is given, which
+draws the same random numbers and evaluates the same points, in the same
+order, as a point-by-point run. `f_many(X)` returns an ndarray of the
+values of the rows of X up to and including the first zero, as
+`ObjectiveProgram.evaluate_many` does. The shared stop token is polled
+before every evaluation and before every batch, so cancellation latency
+is at most one evaluation or one batch of at most 20 (n + 1) rows, and
+budgets are never exceeded. Objectives receive each point as a sequence of floats
+(an ndarray, or a list in the CRS2 steady state).
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -72,10 +79,11 @@ class _Stop(Exception):
 class _Run:
     """Budgeted, cancellable objective handle tracking the running best."""
 
-    def __init__(self, fn, max_evals, stop, on_zero=None):
+    def __init__(self, fn, max_evals, stop, on_zero=None, fn_many=None):
         if max_evals <= 0:
             raise ValueError("max_evals must be positive")
         self.fn = fn
+        self.fn_many = fn_many
         self.max_evals = max_evals
         self.stop = stop
         self.on_zero = on_zero
@@ -88,7 +96,29 @@ class _Run:
             raise _Stop(TerminationReason.CANCELLED)
         if self.evals >= self.max_evals:
             raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
-        v = self.fn(x)
+        return self._take(x, self.fn(x))
+
+    def many(self, X) -> list[float]:
+        """Evaluate the rows of X in order, with the rules of `__call__`
+        applied row by row; one batch through `fn_many` when there is one.
+
+        The stop flag is polled once per batch, and the batch is cut at the
+        remaining budget: rows past it are not evaluated.
+        """
+        if self.fn_many is None:
+            return [self(x) for x in X]
+        self.poll()
+        room = self.max_evals - self.evals
+        if room <= 0:
+            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
+        values = self.fn_many(X[:room]).tolist()
+        values = [self._take(x, v) for x, v in zip(X, values)]
+        if len(X) > room:
+            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
+        return values
+
+    def _take(self, x, v: float) -> float:
+        """Count one evaluation of x; track the best and stop on a zero."""
         self.evals += 1
         if v < self.best_value or self.best_x is None:
             self.best_value = v
@@ -109,7 +139,7 @@ class _Run:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
 
 
-def _bounds_arrays(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(bounds) -> tuple[float, float]:
     arr = np.asarray(bounds, dtype=float)
     if arr.shape != (2,):
         raise ValueError("bounds must be (lo, hi)")
@@ -117,21 +147,45 @@ def _bounds_arrays(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bounds must be finite")
     if not arr[0] < arr[1]:
         raise ValueError("bounds must satisfy lo < hi")
-    return np.full(n, arr[0]), np.full(n, arr[1])
+    return float(arr[0]), float(arr[1])
 
 
-def _gauss_vec(rng: Xoshiro256Plus, n: int) -> np.ndarray:
-    out = np.empty(n)
-    i = 0
-    while i < n:
-        u1 = 1.0 - rng.next_double()  # (0, 1], keeps log finite
-        u2 = rng.next_double()
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[i] = r * math.cos(2.0 * math.pi * u2)
-        if i + 1 < n:
-            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-        i += 2
-    return out
+def _clip(x, lo: float, hi: float):
+    """Clip into [lo, hi]: a bound wins a tie (-0.0 clipped at 0.0 is 0.0)
+    and NaN passes, as `np.clip` does on a point against bound arrays."""
+    return np.where(x <= lo, lo, np.where(x >= hi, hi, x))
+
+
+def _population(run: _Run, rng: Xoshiro256Plus, x0: np.ndarray, size: int,
+                lo: float, hi: float) -> tuple[np.ndarray, list[float]]:
+    """The start point clipped into the box, then size - 1 uniform points,
+    with their values. The start point is evaluated first and alone (it is
+    often the zero), the rest as one batch."""
+    n = len(x0)
+    pop = np.empty((size, n))
+    pop[0] = _clip(x0, lo, hi)
+    f0 = run(pop[0])
+    draws = np.array(rng.doubles((size - 1) * n)).reshape(size - 1, n)
+    pop[1:] = lo + draws * (hi - lo)
+    return pop, [f0] + run.many(pop[1:])
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
+    """Standard normal deviates, `rows` x `width` (width even), in draw
+    order. Box-Muller: each pair of doubles gives a cosine then a sine
+    deviate; 1 - u lies in (0, 1], so the log is finite. The
+    transcendental functions are the `math` module's, whose bits numpy's
+    vectorized versions do not always reproduce."""
+    d = rng.doubles(rows * width)
+    r = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in d[0::2]]))
+    angle = [_TWO_PI * u for u in d[1::2]]
+    z = np.empty((len(angle), 2))
+    z[:, 0] = r * np.array([math.cos(a) for a in angle])
+    z[:, 1] = r * np.array([math.sin(a) for a in angle])
+    return z.reshape(rows, width)
 
 
 # --------------------------------------------------------------------------
@@ -308,8 +362,10 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
 
 
 def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                  stop=None, on_zero=None) -> OptOutcome:
-    """Random perturbation + Powell descent + Metropolis acceptance."""
+                  stop=None, on_zero=None, f_many=None) -> OptOutcome:
+    """Random perturbation + Powell descent + Metropolis acceptance.
+
+    Every point depends on the last value, so `f_many` goes unused."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
@@ -339,53 +395,53 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
 
 
 def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                  stop=None, on_zero=None) -> OptOutcome:
-    """CRS2: simplex reflection over a random population, with local mutation."""
+                  stop=None, on_zero=None, f_many=None) -> OptOutcome:
+    """CRS2: simplex reflection over a random population, with local mutation.
+
+    Each trial depends on the last replacement, so the steady state runs
+    point by point, on lists of floats."""
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    lo, hi = _bounds_arrays(cfg.bounds, n)
+    lo, hi = _bounds(cfg.bounds)
     pop_size = _CRS2_POP_PER_DIM * (n + 1)
-    run = _Run(f, cfg.max_evals, stop, on_zero)
+    run = _Run(f, cfg.max_evals, stop, on_zero, f_many)
     try:
-        pop = np.empty((pop_size, n))
-        pop[0] = np.clip(x0, lo, hi)
-        for i in range(1, pop_size):
-            run.poll()
-            pop[i] = [rng.uniform(lo[j], hi[j]) for j in range(n)]
-        fvals = np.array([run(pop[i]) for i in range(pop_size)])
-
+        pop, fvals = _population(run, rng, x0, pop_size, lo, hi)
+        pop = pop.tolist()
         while True:
-            worst = int(np.argmax(fvals))
-            best = int(np.argmin(fvals))
-            # n+1 distinct points led by the current best
+            worst = fvals.index(max(fvals))
+            best = fvals.index(min(fvals))
+            # n+1 distinct points led by the current best, each further one
+            # at a uniform index int(u * len(pool)) into the rest
             pool = list(range(pop_size))
             pool.remove(best)
             chosen = [best]
-            for _ in range(n):
-                k = rng.below(len(pool))
-                chosen.append(pool.pop(k))
-            centroid = pop[chosen[:-1]].mean(axis=0)
-            trial = 2.0 * centroid - pop[chosen[-1]]
+            for u in rng.doubles(n):
+                chosen.append(pool.pop(int(u * len(pool))))
+            # the centroid of all but the last, summed in row order from
+            # +0.0 and then divided, as `mean(axis=0)` does
+            total = [0.0] * n
+            for i in chosen[:-1]:
+                total = [a + b for a, b in zip(total, pop[i])]
+            trial = [2.0 * (a / n) - b for a, b in zip(total, pop[chosen[-1]])]
 
-            replaced = False
-            if np.all(trial >= lo) and np.all(trial <= hi):
+            if all(lo <= t <= hi for t in trial):
                 ft = run(trial)
                 if ft < fvals[worst]:
                     pop[worst] = trial
                     fvals[worst] = ft
-                    replaced = True
-            if not replaced:
-                # local mutation: reflect the failed trial about the best
-                # point with per-coordinate random weights
-                w = np.array([rng.next_double() for _ in range(n)])
-                mutated = (1.0 + w) * pop[best] - w * trial
-                mutated = np.clip(mutated, lo, hi)
-                ft = run(mutated)
-                if ft < fvals[worst]:
-                    pop[worst] = mutated
-                    fvals[worst] = ft
+                    continue
+            # local mutation: reflect the failed trial about the best
+            # point with per-coordinate random weights
+            mutated = [(1.0 + w) * b - w * t
+                       for w, b, t in zip(rng.doubles(n), pop[best], trial)]
+            mutated = [lo if v <= lo else hi if v >= hi else v for v in mutated]
+            ft = run(mutated)
+            if ft < fvals[worst]:
+                pop[worst] = mutated
+                fvals[worst] = ft
     except _Stop as end:
         return run.outcome(end.reason)
 
@@ -399,7 +455,7 @@ _ISRES_GAMMA = 0.85
 
 
 def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                   stop=None, on_zero=None) -> OptOutcome:
+                   stop=None, on_zero=None, f_many=None) -> OptOutcome:
     """(mu, lambda) evolution strategy with log-normal step-size
     self-adaptation; runs unconstrained (the objective already folds every
     constraint into its distance).
@@ -407,51 +463,51 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     Stochastic ranking (Runarsson & Yao, 2000) orders by constraint
     violation only where one is nonzero; here every violation is zero, so
     it is a stable sort by objective value and draws no randomness.
+
+    A generation is built whole and evaluated as one batch. Its first
+    mu - 1 offspring take a directed differential step among the elite;
+    each later one draws, in this order, one normal deviate for its global
+    step factor (the cosine of a Box-Muller pair), n for its step sizes
+    and n for its step (n rounded up to even).
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    lo, hi = _bounds_arrays(cfg.bounds, n)
+    lo, hi = _bounds(cfg.bounds)
     lam = _ISRES_LAMBDA_PER_DIM * (n + 1)
     mu = round(lam / 7)
+    drawn = lam - (mu - 1)  # offspring with a random mutation
+    even_n = n + n % 2  # deviates drawn for n coordinates
 
     tau = _ISRES_PHI / math.sqrt(2.0 * math.sqrt(n))
     taup = _ISRES_PHI / math.sqrt(2.0 * n)
-    sigma0 = (hi - lo) / math.sqrt(n)
 
-    run = _Run(f, cfg.max_evals, stop, on_zero)
+    run = _Run(f, cfg.max_evals, stop, on_zero, f_many)
     try:
-        pop = np.empty((lam, n))
-        pop[0] = np.clip(x0, lo, hi)
-        for i in range(1, lam):
-            run.poll()
-            pop[i] = [rng.uniform(lo[j], hi[j]) for j in range(n)]
-        sigmas = np.tile(sigma0, (lam, 1))
-        fvals = np.array([run(pop[i]) for i in range(lam)])
+        pop, fvals = _population(run, rng, x0, lam, lo, hi)
+        sigmas = np.full((lam, n), (hi - lo) / math.sqrt(n))
 
         while True:
             elite = np.argsort(fvals, kind="stable")[:mu]
             parents = pop[elite]
             psig = sigmas[elite]
-            new_pop = np.empty_like(pop)
-            new_sig = np.empty_like(sigmas)
-            new_f = np.empty(lam)
-            for k in range(lam):
-                i = k % mu
-                if k < mu - 1:
-                    # directed differential variation among the elite
-                    x = parents[i] + _ISRES_GAMMA * (parents[0] - parents[i + 1])
-                    s = psig[i].copy()
-                else:
-                    g_all = _gauss_vec(rng, 1)[0]
-                    s = psig[i] * np.exp(taup * g_all + tau * _gauss_vec(rng, n))
-                    s = np.minimum(s, hi - lo)
-                    x = parents[i] + s * _gauss_vec(rng, n)
-                x = np.clip(x, lo, hi)
-                new_pop[k] = x
-                new_sig[k] = s
-                new_f[k] = run(x)
-            pop, sigmas, fvals = new_pop, new_sig, new_f
+            pop = np.empty((lam, n))
+            sigmas = np.empty((lam, n))
+            # directed differential variation among the elite
+            pop[:mu - 1] = parents[:-1] + _ISRES_GAMMA * (parents[0] - parents[1:])
+            sigmas[:mu - 1] = psig[:-1]
+            # log-normal step-size mutation
+            z = _gauss_rows(rng, drawn, 2 + 2 * even_n)
+            g_all = z[:, :1]
+            z_sigma = z[:, 2:2 + n]
+            z_step = z[:, 2 + even_n:2 + even_n + n]
+            which = np.arange(mu - 1, lam) % mu
+            s = psig[which] * np.exp(taup * g_all + tau * z_sigma)
+            s = np.minimum(s, hi - lo)
+            sigmas[mu - 1:] = s
+            pop[mu - 1:] = parents[which] + s * z_step
+            pop = _clip(pop, lo, hi)
+            fvals = run.many(pop)
     except _Stop as end:
         return run.outcome(end.reason)

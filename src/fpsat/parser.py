@@ -435,13 +435,26 @@ def _same_fp_sort(a: Term, b: Term, pos: SourcePosition, what: str) -> None:
         )
 
 
-def _compare_pairs(cmp: CmpOp, pairs, pos: SourcePosition, what: str) -> Term:
-    """The conjunction of `cmp` over `pairs` of FP terms, each of one sort."""
+def _pairwise(relation, pairs, pos: SourcePosition, what: str) -> Term:
+    """The conjunction of `relation(a, b)` over `pairs` of FP terms, each
+    of one sort."""
     parts = []
     for a, b in pairs:
         _same_fp_sort(a, b, pos, what)
-        parts.append(Compare(cmp, a, b))
+        parts.append(relation(a, b))
     return parts[0] if len(parts) == 1 else BoolAnd(tuple(parts))
+
+
+def _fp_identical(a: Term, b: Term) -> Term:
+    """SMT-LIB `=` on FP terms, which is identity of values: both NaN, or
+    IEEE-equal with IEEE-equal reciprocals, which tells +0 from -0."""
+    one = FPConst(FPValue.from_float(1.0, a.sort.width))
+    both_nan = BoolAnd((BoolNot(Compare(CmpOp.EQ, a, a)),
+                        BoolNot(Compare(CmpOp.EQ, b, b))))
+    same = BoolAnd((Compare(CmpOp.EQ, a, b),
+                    Compare(CmpOp.EQ, FPArith(ArithOp.DIV, (one, a)),
+                            FPArith(ArithOp.DIV, (one, b)))))
+    return BoolOr((both_nan, same))
 
 
 def _operands(op: str, rest: tuple, env: _Env, pos: SourcePosition,
@@ -516,7 +529,7 @@ def _build_term(form, env: _Env) -> Term:
                 out = iff if out is None else BoolAnd((out, iff))
             return out
         _require_fp(args[0], pos, "= argument")
-        return _compare_pairs(CmpOp.EQ, zip(args, args[1:]), pos, op)
+        return _pairwise(_fp_identical, zip(args, args[1:]), pos, op)
 
     if op == "distinct":
         args = _operands(op, rest, env, pos)
@@ -527,11 +540,13 @@ def _build_term(form, env: _Env) -> Term:
             _require_bool(b, pos, "distinct argument")
             return BoolOr((BoolAnd((a, BoolNot(b))), BoolAnd((BoolNot(a), b))))
         _require_fp(args[0], pos, "distinct argument")
-        return _compare_pairs(CmpOp.NEQ, combinations(args, 2), pos, op)
+        return _pairwise(lambda a, b: BoolNot(_fp_identical(a, b)),
+                         combinations(args, 2), pos, op)
 
     if op in _CHAINABLE:
         args = _operands(op, rest, env, pos, _require_fp)
-        return _compare_pairs(_CHAINABLE[op], zip(args, args[1:]), pos, op)
+        cmp = _CHAINABLE[op]
+        return _pairwise(lambda a, b: Compare(cmp, a, b), zip(args, args[1:]), pos, op)
 
     if op in _ARITH_2:
         if len(rest) != 3:
@@ -664,7 +679,7 @@ def parse_script(text: str) -> Script:
             script.logic = logic
 
         elif name in ("declare-fun", "declare-const"):
-            _declare(form, script)
+            _declare(form, script, env)
 
         elif name == "define-fun":
             _define(form, script, env)
@@ -692,7 +707,13 @@ def parse_script(text: str) -> Script:
     return script
 
 
-def _declare(form: SList, script: Script) -> None:
+def _is_bound(name: str, script: Script, env: _Env) -> bool:
+    """Whether a command already declared or defined `name`."""
+    return (name in script.declared_vars or name in script.definitions
+            or name in env.rm_values)
+
+
+def _declare(form: SList, script: Script, env: _Env) -> None:
     if form.items[0].text == "declare-fun":
         if len(form.items) != 4:
             raise SmtSyntaxError("malformed declare-fun", form.pos)
@@ -718,7 +739,7 @@ def _declare(form: SList, script: Script) -> None:
         raise UnsupportedSortError(
             f"declared variables must be floating point, got {sort}", form.pos
         )
-    if sym.text in script.declared_vars or sym.text in script.definitions:
+    if _is_bound(sym.text, script, env):
         raise SmtSyntaxError(f"symbol {sym.text} redeclared", sym.pos)
     script.declared_vars[sym.text] = sort
 
@@ -729,7 +750,7 @@ def _define(form: SList, script: Script, env: _Env) -> None:
     sym, params_form, sort_form, body_form = form.items[1:]
     if not isinstance(sym, SAtom):
         raise SmtSyntaxError("expected a symbol", form.pos)
-    if sym.text in script.declared_vars or sym.text in script.definitions:
+    if _is_bound(sym.text, script, env):
         raise SmtSyntaxError(f"symbol {sym.text} redefined", sym.pos)
     result_sort = _parse_sort(sort_form)
 

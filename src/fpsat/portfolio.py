@@ -3,7 +3,8 @@
 Shared state is limited to the immutable program, a stop event, a
 first-writer result slot, and per-instance counters. A winning zero is
 claimed at the evaluation that produced it; every other instance then
-performs at most one further evaluation before observing the stop token.
+performs at most one further evaluation, or one batch of them, before
+observing the stop token.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
 
@@ -176,6 +177,7 @@ def solve(formula: Term, program: ObjectiveProgram,
     winner_slot: list = [None]  # (instance index, algorithm, x-vector)
 
     opt_cfg = OptimizerConfig(max_evals=config.max_evals, bounds=config.bounds)
+    f_many = getattr(program, "evaluate_many", None)
 
     stats: list[InstanceStats | None] = [None] * len(algs)
     crashes: list = []  # (instance index, algorithm, exception)
@@ -195,6 +197,7 @@ def solve(formula: Term, program: ObjectiveProgram,
             outcome = minimize(
                 program.evaluate, x0, opt_cfg, rng, stop=stop,
                 on_zero=lambda x, idx=idx, alg=alg: claim(idx, alg, x),
+                f_many=f_many,
             )
             stats[idx] = InstanceStats(
                 alg, idx, outcome.evals_used, outcome.best_value,

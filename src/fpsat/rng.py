@@ -63,12 +63,24 @@ class Xoshiro256Plus:
         """Uniform binary64 in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * _INV_2_53
 
+    def doubles(self, k: int) -> list[float]:
+        """The next k `next_double()` values, drawn in one loop."""
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        out = [0.0] * k
+        for i in range(k):
+            out[i] = (((s0 + s3) & _M64) >> 11) * _INV_2_53
+            t = (s1 << 17) & _M64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        return out
+
     def uniform(self, lo: float, hi: float) -> float:
         return lo + self.next_double() * (hi - lo)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self.next_double() * n)
 
     def state(self) -> tuple[int, int, int, int]:
         return (self.s0, self.s1, self.s2, self.s3)

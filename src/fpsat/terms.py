@@ -310,7 +310,6 @@ _CMP_SYMBOL = {
     CmpOp.GT: "fp.gt",
     CmpOp.GEQ: "fp.geq",
     CmpOp.EQ: "fp.eq",
-    CmpOp.NEQ: "distinct",
 }
 
 _ARITH_SYMBOL = {
@@ -331,7 +330,12 @@ def fp_const_to_smt2(value: FPValue) -> str:
 
 
 def term_to_smt2(term: Term) -> str:
-    """Render a term back to SMT-LIB2 text; re-parsing yields an equal term."""
+    """Render a term back to SMT-LIB2 text; re-parsing yields an equal term.
+
+    The one exception is IEEE inequality (NEQ), which has no SMT-LIB
+    symbol (`distinct` is not identity of values): it prints as the
+    negated `fp.eq` and comes back as one.
+    """
     if isinstance(term, BoolConst):
         return "true" if term.value else "false"
     if isinstance(term, BoolNot):
@@ -341,9 +345,10 @@ def term_to_smt2(term: Term) -> str:
     if isinstance(term, BoolOr):
         return "(or " + " ".join(term_to_smt2(c) for c in term.children) + ")"
     if isinstance(term, Compare):
-        sym = _CMP_SYMBOL[term.op]
+        negated = term.negated != (term.op == CmpOp.NEQ)
+        sym = _CMP_SYMBOL[CmpOp.EQ if term.op == CmpOp.NEQ else term.op]
         text = f"({sym} {term_to_smt2(term.lhs)} {term_to_smt2(term.rhs)})"
-        return f"(not {text})" if term.negated else text
+        return f"(not {text})" if negated else text
     if isinstance(term, FPConst):
         return fp_const_to_smt2(term.value)
     if isinstance(term, FPVar):

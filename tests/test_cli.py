@@ -37,6 +37,19 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "unknown"
 
+    def test_deeply_nested_formula_verifies(self, tmp_path, capsys):
+        # 340 nested ors build; the model check must not hit the recursion
+        # limit (depth 1000 is an InputError from the frontend)
+        body = "(fp.leq x x)"
+        for _ in range(340):
+            body = f"(or (fp.lt x x) {body})"
+        path = tmp_path / "deep.smt2"
+        path.write_text(f"(set-logic QF_FP)(declare-fun x () Float64)"
+                        f"(assert {body})(check-sat)")
+        code = main(["solve", str(path), "--max-evals", "10000"])
+        assert capsys.readouterr().out.splitlines()[0] == "sat"
+        assert code == 0
+
     def test_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"
         bad.write_text("(set-logic QF_BV)(assert true)(check-sat)")

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,6 +315,81 @@ class TestCompileAndEvaluate:
             partial *= atom_distance(CmpOp.EQ, False, f64(-1.7e308), f64(1.0))
         assert partial == math.inf  # the hazard is real
         assert program.evaluate(x) == 0.0  # yet the satisfied literal wins
+
+
+# binary64 points whose narrowing to binary32 overflows, underflows or ties
+NARROWING_EDGES = [
+    1e300, -1e300, 3.4028235677973366e38, -3.4028235677973362e38,
+    2.0**128 - 2.0**103, 2.0**-150, -(2.0**-150), 1.5 * 2.0**-149, 1e-50,
+]
+
+
+def _points(rng: random.Random, varmap, rows: int):
+    """Rows of coordinates: values of each variable's width (specials
+    included, conftest.random_fp_double), any binary64, or a narrowing edge."""
+    def one(width):
+        r = rng.random()
+        if r < 0.6:
+            return random_fp_double(rng, width)
+        if r < 0.85:
+            return random_fp_double(rng, 64)
+        return rng.choice(NARROWING_EDGES)
+
+    return np.array([[one(s.width) for _, s in varmap] for _ in range(rows)],
+                    dtype=float).reshape(rows, len(varmap))
+
+
+def _assert_batch_matches(program, X):
+    """evaluate_many(X) is evaluate over the rows, bit for bit, up to and
+    including the first zero, and counts exactly those rows."""
+    want = []
+    for x in X:
+        want.append(program.evaluate(x))
+        if want[-1] == 0.0:
+            break
+    before = program.eval_count
+    got = program.evaluate_many(X)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert program.eval_count - before == len(want)
+
+
+class TestEvaluateMany:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_evaluate(self, seed, rows):
+        rng = random.Random(seed)
+        formula, varmap = random_formula(rng)
+        program, _ = build_program(formula, varmap)
+        _assert_batch_matches(program, _points(rng, varmap, rows))
+
+    @pytest.mark.parametrize("path", sorted(corpus_dir().glob("*.smt2")),
+                             ids=lambda p: p.name)
+    def test_bitwise_equal_on_corpus(self, path):
+        program = load_problem(path).program
+        rng = random.Random(path.name)
+        for rows in (1, 7, 64):
+            _assert_batch_matches(program, _points(rng, program.varmap, rows))
+
+    @given(rows=st.integers(1, 64), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncates_at_first_zero(self, rows, data, listing1_text):
+        program = build_problem(listing1_text).program
+        X = np.linspace(0.5, 3.0, rows).reshape(rows, 1)
+        zeros = data.draw(st.lists(st.integers(0, rows - 1), max_size=3))
+        X[zeros] = -2.0  # listing1's solution
+        before = program.eval_count
+        got = program.evaluate_many(X)
+        first = min(zeros, default=rows - 1)
+        assert len(got) == first + 1 == program.eval_count - before
+        assert (got[-1] == 0.0) == bool(zeros)
+        assert np.all(got[:-1] > 0.0)
+        _assert_batch_matches(program, X)
+
+    def test_dimension_mismatch(self, listing1_text):
+        program = build_problem(listing1_text).program
+        with pytest.raises(DimensionMismatchError):
+            program.evaluate_many(np.zeros((3, 2)))
 
 
 class TestSemanticEval:

@@ -1,5 +1,6 @@
 """Optimizer contracts: budgets, zero-exit, cancellation, determinism."""
 
+import hashlib
 import math
 import threading
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fpsat import build_problem
+from fpsat.harness import corpus_dir
 from fpsat.optimizers import (
     OptimizerConfig,
     TerminationReason,
@@ -260,6 +262,10 @@ class TestCommonContracts:
                 self.draws += 1
                 return super().next_double()
 
+            def doubles(self, k):
+                self.draws += k
+                return super().doubles(k)
+
         n = 11
         rng = CountingRng(7)
         rng.draws = 0
@@ -270,6 +276,44 @@ class TestCommonContracts:
         assert out.terminated_by == TerminationReason.CANCELLED
         assert out.evals_used == 0
         assert rng.draws <= n
+
+    @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
+    def test_batches_cut_at_the_budget(self, minimize, corpus_path):
+        # a batch is cut at the remaining budget, so no row past it is
+        # evaluated and the run ends with exactly its budget spent
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        for budget in (1, 7, 100, 953):
+            rows = []
+
+            def f_many(X):
+                rows.append(len(X))
+                return program.evaluate_many(X)
+
+            before = program.eval_count
+            out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=budget),
+                           Xoshiro256Plus(5), f_many=f_many)
+            assert out.terminated_by == TerminationReason.BUDGET_EXHAUSTED
+            assert out.evals_used == budget == program.eval_count - before
+            assert 1 + sum(rows) <= budget  # the start point is evaluated alone
+
+    @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
+    def test_cancel_between_batches(self, minimize, corpus_path):
+        # the stop flag is polled before each batch: set inside one, it
+        # ends the run before the next
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        stop = threading.Event()
+        rows = []
+
+        def f_many(X):
+            rows.append(len(X))
+            stop.set()
+            return program.evaluate_many(X)
+
+        out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=10_000),
+                       Xoshiro256Plus(5), stop=stop, f_many=f_many)
+        assert out.terminated_by == TerminationReason.CANCELLED
+        assert len(rows) == 1
+        assert out.evals_used == 1 + rows[0]
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):
@@ -289,3 +333,57 @@ class TestCommonContracts:
         out = minimize(calls, np.array([0.0, 0.0]), cfg, rng)
         values = [rosenbrock(p) for p in calls.points]
         assert out.best_value == min(values)
+
+
+# SHA-256 of the evaluated points (binary64 bytes, in order), evals_used,
+# best_value and best_x of fixed-seed runs: 3,000 evaluations in the default
+# box, seed 2024, the start point drawn first from the same stream. Taken
+# from the point-by-point implementation, so the batched population path
+# must reproduce its trajectories bit for bit.
+GOLDEN = {
+    ("infeasible_box.smt2", "bh"): (
+        "59adbc375126b9e951f570730ef8edf96ddbadc5e0d6d782d164647b9bfddf67",
+        3000, "0x1.fc00000000000p+29", "5095d3e6fc95ce3f"),
+    ("infeasible_box.smt2", "crs2"): (
+        "0affa8cedfaf832809f7a9a26db0d1a35ad9330648b869482cee23d0c04caf23",
+        3000, "0x1.fc00000000000p+29", "5095d3e6fc95ce3f"),
+    ("infeasible_box.smt2", "isres"): (
+        "d4bde5f0e44e6e12003ab3889406b2a86c0028795e3559264ca2f5474f4fdbd6",
+        3000, "0x1.fc00000000000p+29", "5095d3e6fc95ce3f"),
+    ("listing1.smt2", "bh"): (
+        "f03254f1f19885ffb1048d7df98a709f5090806f007517ac8d8de39feaad53a0",
+        7, "0x0.0p+0", "6e79c202000000c0"),
+    ("listing1.smt2", "crs2"): (
+        "6cd5efa975ba5b54a060ea5b76d8d103c50e925a51721fb4e2b3cc340064f936",
+        449, "0x0.0p+0", "20ad0cb1010000c0"),
+    ("listing1.smt2", "isres"): (
+        "c3d5e1b6decf005e9bdddcd745341748e4bb955150683a7661c087fa4634ac64",
+        1321, "0x0.0p+0", "e70881b58affffbf"),
+}
+MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])
+@pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
+def test_golden_trajectory(name, alg, batched):
+    program = build_problem((corpus_dir() / name).read_text()).program
+    digest = hashlib.sha256()
+
+    def f(x):
+        digest.update(np.asarray(x, dtype=float).tobytes())
+        return program.evaluate(x)
+
+    def f_many(X):
+        values = program.evaluate_many(X)
+        digest.update(np.ascontiguousarray(X[:len(values)], dtype=float).tobytes())
+        return values
+
+    rng = Xoshiro256Plus(2024)
+    x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
+    before = program.eval_count
+    out = MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=3_000), rng,
+                          f_many=f_many if batched else None)
+    got = (digest.hexdigest(), out.evals_used, out.best_value.hex(),
+           out.best_x.tobytes().hex())
+    assert got == GOLDEN[(name, alg)]
+    assert program.eval_count - before == out.evals_used

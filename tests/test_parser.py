@@ -1,5 +1,6 @@
 """Frontend: script parsing, literal decoding, definition expansion."""
 
+import math
 import random
 
 import pytest
@@ -21,12 +22,14 @@ from fpsat.errors import (
 )
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.normalizer import push_negations, simplify
+from fpsat.objective import semantic_eval
 from fpsat.parser import decode_fp_literal, expand_definitions, parse_script
 from fpsat.parser import _read_all  # noqa: internal, used for literal forms
 from fpsat.terms import (
     ArithOp,
     BoolAnd,
     BoolNot,
+    BoolOr,
     CmpOp,
     Compare,
     FPArith,
@@ -459,7 +462,7 @@ class TestWildScript:
         # the chainable fp.lt became a conjunction of adjacent pairs
         chain = script.assertions[1]
         assert isinstance(chain, BoolAnd) and len(chain.children) == 2
-        # pairwise distinct of arity 3 gives three NEQ atoms
+        # pairwise distinct of arity 3 gives three negated identities
         dist = script.assertions[2]
         assert isinstance(dist, BoolAnd) and len(dist.children) == 3
         # end to end: the instance is satisfiable and the model verifies
@@ -471,6 +474,27 @@ class TestWildScript:
                     PortfolioConfig(max_evals=100_000, seed=8))
         assert out.verdict == "sat"
         assert verify_model(problem.formula, out.model)
+
+
+def _neq_as_fp_eq(term):
+    """The term with each IEEE inequality (NEQ) atom spelled as the negated
+    `fp.eq` it prints as."""
+    if isinstance(term, Compare):
+        lhs, rhs = _neq_as_fp_eq(term.lhs), _neq_as_fp_eq(term.rhs)
+        if term.op != CmpOp.NEQ:
+            return Compare(term.op, lhs, rhs, term.negated)
+        eq = Compare(CmpOp.EQ, lhs, rhs)
+        return eq if term.negated else BoolNot(eq)
+    if isinstance(term, BoolNot):
+        return BoolNot(_neq_as_fp_eq(term.child))
+    if isinstance(term, (BoolAnd, BoolOr)):
+        return type(term)(tuple(_neq_as_fp_eq(c) for c in term.children))
+    if isinstance(term, FPArith):
+        return FPArith(term.op, tuple(_neq_as_fp_eq(a) for a in term.args))
+    if isinstance(term, Ite):
+        return Ite(_neq_as_fp_eq(term.cond), _neq_as_fp_eq(term.then),
+                   _neq_as_fp_eq(term.orelse))
+    return term
 
 
 class TestPrinterRoundTrip:
@@ -489,12 +513,14 @@ class TestPrinterRoundTrip:
             )
             script = parse_script(f"(set-logic QF_FP){decls}(assert {text})(check-sat)")
             reparsed, _ = expand_definitions(script)
-            assert reparsed == formula
+            assert reparsed == _neq_as_fp_eq(formula)
         assert hits > 200
 
-    def test_distinct_prints_as_neq(self):
-        t = Compare(CmpOp.NEQ, FPVar("a", FP32), FPVar("b", FP32))
-        assert term_to_smt2(t) == "(distinct a b)"
+    def test_neq_prints_as_negated_fp_eq(self):
+        # SMT-LIB has no IEEE inequality: `distinct` is not identity
+        a, b = FPVar("a", FP32), FPVar("b", FP32)
+        assert term_to_smt2(Compare(CmpOp.NEQ, a, b)) == "(not (fp.eq a b))"
+        assert term_to_smt2(Compare(CmpOp.NEQ, a, b, True)) == "(fp.eq a b)"
 
     def test_negated_compare_prints_with_not(self):
         t = Compare(CmpOp.LT, FPVar("a", FP32), FPVar("b", FP32), True)
@@ -513,7 +539,7 @@ class TestPrinterRoundTrip:
             text = term_to_smt2(nnf)
             script = parse_script(f"(set-logic QF_FP){decls}(assert {text})(check-sat)")
             reparsed, _ = expand_definitions(script)
-            assert push_negations(reparsed) == nnf
+            assert push_negations(reparsed) == push_negations(_neq_as_fp_eq(nnf))
             hits += "(not " in text  # in NNF, only a negated Compare prints a not
         assert hits > 30
 
@@ -521,3 +547,76 @@ class TestPrinterRoundTrip:
         t = BoolNot(Compare(CmpOp.LT, FPVar("a", FP64), FPVar("a", FP64)))
         assert term_to_smt2(t) == "(not (fp.lt a a))"
 
+
+
+def _formula(decls: str, assertion: str):
+    return build_problem(f"(set-logic QF_FP){decls}(assert {assertion})(check-sat)")
+
+
+class TestSmtEquality:
+    """SMT-LIB `=` on FP terms is identity of values: NaN = NaN holds and
+    +0 = -0 does not. `distinct` is its pairwise negation; `fp.eq` stays
+    IEEE equality."""
+
+    @pytest.mark.parametrize("eb,sb", [(8, 24), (11, 53)])
+    def test_signed_zeros_are_not_identical(self, eb, sb):
+        decl = f"(declare-fun x () (_ FloatingPoint {eb} {sb}))"
+        eq = _formula(decl, f"(= x (_ +zero {eb} {sb}))")
+        assert semantic_eval(eq.formula, {"x": 0.0}) is True
+        assert semantic_eval(eq.formula, {"x": -0.0}) is False
+        assert eq.program.evaluate([0.0]) == 0.0
+        assert eq.program.evaluate([-0.0]) >= 1.0
+        ieee = _formula(decl, f"(fp.eq x (_ +zero {eb} {sb}))")
+        assert semantic_eval(ieee.formula, {"x": -0.0}) is True
+
+    @pytest.mark.parametrize("eb,sb", [(8, 24), (11, 53)])
+    def test_nan_is_identical_to_itself(self, eb, sb):
+        decl = f"(declare-fun x () (_ FloatingPoint {eb} {sb}))"
+        refl = _formula(decl, "(= x x)")
+        assert semantic_eval(refl.formula, {"x": math.nan}) is True
+        assert refl.program.evaluate([math.nan]) == 0.0
+        nan = _formula(decl, f"(= x (_ NaN {eb} {sb}))")
+        assert semantic_eval(nan.formula, {"x": math.nan}) is True
+        assert semantic_eval(nan.formula, {"x": 1.0}) is False
+        assert nan.program.evaluate([math.nan]) == 0.0
+
+    def test_identity_on_ordinary_values(self):
+        decl = "(declare-fun x () Float64)(declare-fun y () Float64)"
+        p = _formula(decl, "(= x y)")
+        for a, b, same in [(1.5, 1.5, True), (1.5, 2.0, False), (math.inf, math.inf, True),
+                           (math.inf, -math.inf, False), (math.nan, 1.0, False)]:
+            assert semantic_eval(p.formula, {"x": a, "y": b}) is same
+            assert (p.program.evaluate([a, b]) == 0.0) is same
+
+    def test_distinct_is_pairwise_non_identity(self):
+        decl = "".join(f"(declare-fun {v} () Float32)" for v in "xyz")
+        p = _formula(decl, "(distinct x y z)")
+        for x, y, z, holds in [(0.0, -0.0, 1.0, True), (math.nan, math.nan, 1.0, False),
+                               (1.0, 2.0, 1.0, False), (1.0, 2.0, 3.0, True)]:
+            assert semantic_eval(p.formula, {"x": x, "y": y, "z": z}) is holds
+            assert (p.program.evaluate([x, y, z]) == 0.0) is holds
+
+    def test_parses_to_nan_test_or_equal_reciprocals(self):
+        x, y = FPVar("x", FP64), FPVar("y", FP64)
+        one = FPConst(FPValue.from_float(1.0, 64))
+        script = parse_script("(declare-fun x () Float64)(declare-fun y () Float64)"
+                              "(assert (= x y))(assert (distinct x y))")
+        identical = BoolOr((
+            BoolAnd((BoolNot(Compare(CmpOp.EQ, x, x)), BoolNot(Compare(CmpOp.EQ, y, y)))),
+            BoolAnd((Compare(CmpOp.EQ, x, y),
+                     Compare(CmpOp.EQ, FPArith(ArithOp.DIV, (one, x)),
+                             FPArith(ArithOp.DIV, (one, y))))),
+        ))
+        assert script.assertions == [identical, BoolNot(identical)]
+
+
+class TestRoundingModeRedeclaration:
+    def test_declare_after_rounding_mode_definition(self):
+        with pytest.raises(SmtSyntaxError, match="redeclared"):
+            parse_script("(define-fun r () RoundingMode RNE)(declare-fun r () Float32)"
+                         "(assert (fp.lt (fp.add r r r) r))")
+
+    def test_rounding_mode_defined_twice(self):
+        with pytest.raises(SmtSyntaxError, match="redefined"):
+            parse_script("(define-fun r () RoundingMode RNE)(define-fun r () RoundingMode RNE)"
+                         "(declare-fun x () Float32)(assert (fp.lt (fp.add r x x) x))")

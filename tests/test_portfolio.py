@@ -253,6 +253,50 @@ class TestSolve:
                 per_thread_after[ident] = per_thread_after.get(ident, 0) + 1
         assert all(n <= 1 for n in per_thread_after.values())
 
+    def test_post_win_cancellation_batch_path(self, listing1_text):
+        # with a batch objective, log every start of an evaluation or of a
+        # batch: once the winning zero is seen, a thread may still start
+        # the one it had already polled the stop flag for, but no second
+        problem = build_problem(listing1_text)
+        program = problem.program
+        log = []  # (thread, "eval" | "batch", zero already seen)
+        log_lock = threading.Lock()
+        zero_seen = threading.Event()
+
+        def record(kind, zero):
+            with log_lock:
+                log.append((threading.get_ident(), kind, zero_seen.is_set()))
+                if zero:
+                    zero_seen.set()
+
+        def evaluate(x):
+            v = program.evaluate(x)
+            record("eval", v == 0.0)
+            return v
+
+        def evaluate_many(X):
+            values = program.evaluate_many(X)
+            record("batch", values[-1] == 0.0)
+            return values
+
+        class Proxy:
+            varmap = program.varmap
+            dimension = program.dimension
+
+        Proxy.evaluate = staticmethod(evaluate)
+        Proxy.evaluate_many = staticmethod(evaluate_many)
+        cfg = PortfolioConfig(instances=[("isres", 3)],
+                              max_evals=30_000, seed=77)
+        out = solve(problem.formula, Proxy(), cfg)
+        assert out.verdict == "sat"
+        assert any(kind == "batch" for _, kind, _ in log)
+        per_thread_after = {}
+        for ident, _, after in log:
+            if after:
+                per_thread_after[ident] = per_thread_after.get(ident, 0) + 1
+        assert all(n <= 1 for n in per_thread_after.values())
+        assert out.total_evals == sum(s.evals for s in out.stats)
+
     @pytest.mark.parametrize("alg", ["crs2", "isres"])
     def test_bounds_box_the_population_methods(self, corpus_path, alg):
         problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
@@ -318,7 +362,8 @@ class TestCrashedInstance:
         class Crash(RuntimeError):
             pass
 
-        def crashing(f, x0, cfg, rng, stop=None, on_zero=None):
+        def crashing(f, x0, cfg, rng, stop=None, on_zero=None, f_many=None):
+            # f_many is ignored: the crash is raised on the scalar path
             calls = [0]
 
             def g(x):

@@ -106,6 +106,19 @@ class TestXoshiro256Plus:
         for expected in XOSHIRO256P_DOUBLE_TRACES[seed]:
             assert rng.next_double() == expected
 
+    @pytest.mark.parametrize("seed", sorted(XOSHIRO256P_DOUBLE_TRACES))
+    def test_doubles_batch_matches_trace(self, seed):
+        rng = Xoshiro256Plus(seed)
+        assert rng.doubles(len(XOSHIRO256P_DOUBLE_TRACES[seed])) == \
+            XOSHIRO256P_DOUBLE_TRACES[seed]
+
+    def test_doubles_is_next_double_repeated(self):
+        # any split into batches gives the same stream and the same state
+        a, b = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
+        for k in (0, 1, 2, 7, 64, 1000):
+            assert a.doubles(k) == [b.next_double() for _ in range(k)]
+            assert a.state() == b.state()
+
     def test_range_contract(self):
         rng = Xoshiro256Plus(7)
         for _ in range(10**6):
