@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CnfBlowupError
-from .fp import FPValue, ieee_div, narrow32
 from .terms import (
-    ArithOp,
     BoolAnd,
     BoolConst,
     BoolNot,
@@ -200,30 +198,14 @@ def clause_set_to_sexpr(clauses: ClauseSet) -> str:
 # --------------------------------------------------------------------------
 
 
-def _fold_arith(op: ArithOp, width: int, vals: list[float]) -> float:
-    if op == ArithOp.NEG:
-        return -vals[0]
-    if op == ArithOp.ABS:
-        return abs(vals[0])
-    a, b = vals
-    if op == ArithOp.ADD:
-        r = a + b
-    elif op == ArithOp.SUB:
-        r = a - b
-    elif op == ArithOp.MUL:
-        r = a * b
-    else:
-        r = ieee_div(a, b)
-    return narrow32(r) if width == 32 else r
-
-
 def simplify(formula: Term) -> Term:
-    """Constant folding and Boolean identity folds; semantics preserved.
+    """Boolean identity folds; semantics preserved.
 
-    All-constant FP subterms fold under RNE at their declared width;
-    comparisons of constants fold to Boolean constants; and/or/not/ite
-    collapse around constants. Nothing else is rewritten. Memoized per
-    node, so shared subterms stay shared.
+    A comparison of two constants folds to a Boolean constant (through
+    `terms.COMPARE`), and and/or/not/ite collapse around constants.
+    FP arithmetic is never folded, even over constants: the objective's
+    tape computes it, and the oracle checks it. Nothing else is rewritten.
+    Memoized per node, so shared subterms stay shared.
     """
     return _simplify(formula, {})
 
@@ -278,12 +260,7 @@ def _simplify_node(formula: Term, memo: dict) -> Term:
             return BoolConst(truth != formula.negated)
         return Compare(formula.op, lhs, rhs, formula.negated)
     if isinstance(formula, FPArith):
-        args = tuple(_simplify(a, memo) for a in formula.args)
-        if all(isinstance(a, FPConst) for a in args):
-            width = formula.sort.width
-            folded = _fold_arith(formula.op, width, [a.value.to_float() for a in args])
-            return FPConst(FPValue.from_float(folded, width))
-        return FPArith(formula.op, args)
+        return FPArith(formula.op, tuple(_simplify(a, memo) for a in formula.args))
     if isinstance(formula, Ite):
         cond = _simplify(formula.cond, memo)
         then, orelse = _simplify(formula.then, memo), _simplify(formula.orelse, memo)

@@ -180,18 +180,10 @@ class _Compiler:
         reg = self.memo.get(term)
         if reg is not None:
             return reg
-        if isinstance(term, BoolConst):
-            reg = self.new_reg(0, term.value)
-        elif isinstance(term, Compare):
+        if isinstance(term, Compare):
             lit = self.compile_literal(term)
             reg = self.new_reg(0)
             self.tape.append((_CMP, reg, lit.lhs_reg, lit.rhs_reg, lit))
-        elif isinstance(term, BoolNot):
-            inner = self.compile_bool(term.child)
-            false_reg = self.new_reg(0, False)
-            true_reg = self.new_reg(0, True)
-            reg = self.new_reg(0)
-            self.tape.append((_SELECT, reg, inner, false_reg, true_reg))
         elif isinstance(term, (BoolAnd, BoolOr)):
             code = _AND if isinstance(term, BoolAnd) else _OR
             regs = [self.compile_bool(c) for c in term.children]
@@ -398,6 +390,12 @@ _MAG64 = np.uint64((1 << 63) - 1)
 def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
     """Compile a clause set over the given variable map into a program.
 
+    The input is in negation normal form, as `simplify` then
+    `push_negations` leave it: every literal, and every `ite` condition,
+    is built from `Compare` nodes with `and` and `or` only. A `not` or a
+    Boolean constant inside an `ite` condition is a `TypeError`; a
+    variable missing from `varmap` is an `UnboundVariableError`. FP
+    arithmetic over constants is computed on the tape, like any other.
     Identical subterms share tape slots; evaluation semantics stay the
     tree semantics of the source formula.
     """
@@ -609,8 +607,6 @@ def render_objective_source(program: ObjectiveProgram) -> str:
             idx, is32 = var_regs[reg]
             cast = "(float)" if is32 else ""
             lines.append(f"{decl(reg)} = {cast}x[{idx}];")
-        elif widths[reg] == 0:
-            lines.append(f"{decl(reg)} = {int(init)};")
         else:
             lines.append(f"{decl(reg)} = {_c_float(init, widths[reg] == 32)};")
 

@@ -22,6 +22,7 @@ parSAT runs each optimizer with its defaults.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,11 +81,9 @@ class _Run:
     """Budgeted, cancellable objective handle tracking the running best."""
 
     def __init__(self, fn, max_evals, stop, on_zero=None, fn_many=None):
-        if max_evals <= 0:
-            raise ValueError("max_evals must be positive")
         self.fn = fn
         self.fn_many = fn_many
-        self.max_evals = max_evals
+        self.max_evals = _budget(max_evals)
         self.stop = stop
         self.on_zero = on_zero
         self.evals = 0
@@ -137,6 +136,13 @@ class _Run:
 
     def outcome(self, reason: TerminationReason) -> OptOutcome:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
+
+
+def _budget(max_evals) -> int:
+    """The evaluation budget, which must be an integer >= 1."""
+    if not isinstance(max_evals, numbers.Integral) or max_evals < 1:
+        raise ValueError(f"max_evals must be an integer >= 1, got {max_evals!r}")
+    return int(max_evals)
 
 
 def _bounds(bounds) -> tuple[float, float]:

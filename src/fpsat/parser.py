@@ -42,7 +42,6 @@ from .terms import (
     Ite,
     Script,
     Term,
-    free_vars,
 )
 
 __all__ = ["parse_script", "decode_fp_literal", "expand_definitions"]
@@ -794,14 +793,12 @@ def _define(form: SList, script: Script, env: _Env) -> None:
 def expand_definitions(script: Script) -> tuple[Term, list[tuple[str, Sort]]]:
     """Conjoin the assertions, whose definitions were inlined as parsed.
 
-    Returns the closed formula plus the variable map: each declared variable
-    exactly once, in declaration order.
+    Returns the formula plus the variable map: each declared variable
+    exactly once, in declaration order. The formula is not walked again:
+    `parse_script` already rejected every undeclared symbol at its
+    position. A hand-built `Script` that uses an undeclared variable
+    fails later, in `compile_objective`, with `UnboundVariableError`.
     """
     assertions = script.assertions
     formula = assertions[0] if len(assertions) == 1 else BoolAnd(tuple(assertions))
-
-    for name in free_vars(formula):
-        if name not in script.declared_vars:
-            raise UnknownSymbolError(f"assertion uses undeclared symbol {name}")
-    varmap = list(script.declared_vars.items())
-    return formula, varmap
+    return formula, list(script.declared_vars.items())

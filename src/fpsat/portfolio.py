@@ -21,6 +21,8 @@ from .fp import FPValue, Sort
 from .objective import ObjectiveProgram, semantic_eval
 from .optimizers import (
     OptimizerConfig,
+    _bounds,
+    _budget,
     basin_hopping,
     crs2_minimize,
     isres_minimize,
@@ -65,6 +67,8 @@ class PortfolioConfig:
         for name, count in self.instances:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
+            if count < 0:
+                raise ValueError(f"instance count of {name} must be >= 0")
             out.extend([name] * count)
         if not out:
             raise ValueError("portfolio needs at least one instance")
@@ -142,44 +146,58 @@ def solve(formula: Term, program: ObjectiveProgram,
           stop: threading.Event | None = None) -> SolveOutcome:
     """Race the configured instances; SAT on the first verified zero.
 
-    An externally supplied `stop` event cancels the whole race (combined
-    mode uses this). Raises ValueError on a non-finite start range, before
-    any instance starts; VerificationFailureError if a zero-valued
-    point fails the semantic check (that would be an encoding bug, never
-    hidden), and InstanceCrashError, naming the instance, if an instance
-    raised.
+    A zero-dimensional program is decided by one evaluation instead of a
+    race, and its zero takes the same path to a verified model. An
+    externally supplied `stop` event cancels the whole race (combined
+    mode uses this). Raises ValueError on an invalid configuration (an
+    unknown algorithm or a negative count, a non-finite start range, a
+    budget that is not an integer >= 1, bounds that are not finite with
+    lo < hi) before anything is evaluated; VerificationFailureError if a
+    zero-valued point fails the semantic check (that would be an encoding
+    bug, never hidden), and InstanceCrashError, naming the instance, if
+    an instance raised.
     """
     if config is None:
         config = PortfolioConfig()
     algs = config.expanded()
     if not np.isfinite(np.asarray(config.start_range, dtype=float)).all():
         raise ValueError("start_range must be finite")
-    dim = program.dimension
+    opt_cfg = OptimizerConfig(max_evals=_budget(config.max_evals),
+                              bounds=_bounds(config.bounds))
     t_start = time.perf_counter()
 
-    if dim == 0:
+    if program.dimension == 0:
         value = program.evaluate(())
+        winner = (0, "direct", ()) if value == 0.0 else None
         stats = [InstanceStats("direct", 0, 1, value, 0.0, "single-evaluation")]
-        elapsed = time.perf_counter() - t_start
-        if value == 0.0:
-            model = Model([])
-            if not verify_model(formula, model):
-                raise VerificationFailureError(
-                    "constant objective is zero but the formula is false"
-                )
-            return SolveOutcome("sat", model, ("direct", 0), stats, None, elapsed)
-        return SolveOutcome("unknown", None, None, stats,
-                            "constant-objective-nonzero", elapsed)
+        reason = "constant-objective-nonzero"
+    else:
+        winner, stats, reason = _race(program, algs, config, opt_cfg, stop, t_start)
+    elapsed = time.perf_counter() - t_start
 
+    if winner is None:
+        return SolveOutcome("unknown", None, None, stats, reason, elapsed)
+    idx, alg, x = winner
+    model = extract_model(x, program.varmap)
+    if not verify_model(formula, model):
+        raise VerificationFailureError(
+            f"zero-valued point {list(map(float, x))} fails semantic "
+            f"evaluation; the objective encoding is broken"
+        )
+    return SolveOutcome("sat", model, (alg, idx), stats, None, elapsed)
+
+
+def _race(program, algs, config, opt_cfg, stop, t_start):
+    """One thread per instance; returns the winner (instance index,
+    algorithm, zero point) or None, the instances' stats, and why the race
+    ended without a winner."""
     if stop is None:
         stop = threading.Event()
     claim_lock = threading.Lock()
-    winner_slot: list = [None]  # (instance index, algorithm, x-vector)
-
-    opt_cfg = OptimizerConfig(max_evals=config.max_evals, bounds=config.bounds)
+    winner_slot: list = [None]
+    dim = program.dimension
     f_many = getattr(program, "evaluate_many", None)
-
-    stats: list[InstanceStats | None] = [None] * len(algs)
+    stats: list = [None] * len(algs)  # each instance fills its own entry
     crashes: list = []  # (instance index, algorithm, exception)
 
     def claim(idx: int, alg: str, x: np.ndarray) -> None:
@@ -203,11 +221,9 @@ def solve(formula: Term, program: ObjectiveProgram,
                 alg, idx, outcome.evals_used, outcome.best_value,
                 time.perf_counter() - t0, outcome.terminated_by.value,
             )
-        except Exception as exc:  # surfaced after join
+        except Exception as exc:  # raised after join
             crashes.append((idx, alg, exc))
             stop.set()  # a crashed instance ends the race
-            stats[idx] = InstanceStats(alg, idx, 0, float("inf"),
-                                       time.perf_counter() - t0, "error")
 
     threads = [
         threading.Thread(target=worker, args=(i, alg), daemon=True)
@@ -233,23 +249,10 @@ def solve(formula: Term, program: ObjectiveProgram,
             f"instance {idx} ({alg}) crashed: {type(exc).__name__}: {exc}"
         ) from exc
 
-    elapsed = time.perf_counter() - t_start
-    final_stats = [s for s in stats if s is not None]
-
-    if winner_slot[0] is not None:
-        idx, alg, x = winner_slot[0]
-        model = extract_model(x, program.varmap)
-        if not verify_model(formula, model):
-            raise VerificationFailureError(
-                f"zero-valued point {list(map(float, x))} fails semantic "
-                f"evaluation; the objective encoding is broken"
-            )
-        return SolveOutcome("sat", model, (alg, idx), final_stats, None, elapsed)
-
     if timed_out:
         reason = "wall-timeout"
     elif stop.is_set():
         reason = "cancelled"
     else:
         reason = "budget-exhausted"
-    return SolveOutcome("unknown", None, None, final_stats, reason, elapsed)
+    return winner_slot[0], stats, reason

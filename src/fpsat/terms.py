@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
-from .errors import SortError
 from .fp import BOOL, FPValue, Sort
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "Ite",
     "Script",
     "Definition",
-    "free_vars",
     "term_to_smt2",
 ]
 
@@ -268,40 +266,6 @@ class Script:
     declared_vars: dict[str, Sort] = field(default_factory=dict)  # ordered
     definitions: dict[str, Definition] = field(default_factory=dict)
     has_check_sat: bool = False
-
-
-def free_vars(term: Term) -> dict[str, Sort]:
-    """Ordered map of the free variables of a term (first occurrence order)."""
-    acc: dict[str, Sort] = {}
-    _collect_vars(term, acc, set())
-    return acc
-
-
-def _collect_vars(term: Term, acc: dict[str, Sort], seen: set) -> None:
-    # a node seen before adds no variable that its first visit did not
-    if term in seen:
-        return
-    seen.add(term)
-    if isinstance(term, FPVar):
-        prev = acc.get(term.name)
-        if prev is not None and prev != term.var_sort:
-            raise SortError(f"variable {term.name} used at two sorts")
-        acc.setdefault(term.name, term.var_sort)
-    elif isinstance(term, BoolNot):
-        _collect_vars(term.child, acc, seen)
-    elif isinstance(term, (BoolAnd, BoolOr)):
-        for c in term.children:
-            _collect_vars(c, acc, seen)
-    elif isinstance(term, Compare):
-        _collect_vars(term.lhs, acc, seen)
-        _collect_vars(term.rhs, acc, seen)
-    elif isinstance(term, FPArith):
-        for c in term.args:
-            _collect_vars(c, acc, seen)
-    elif isinstance(term, Ite):
-        _collect_vars(term.cond, acc, seen)
-        _collect_vars(term.then, acc, seen)
-        _collect_vars(term.orelse, acc, seen)
 
 
 _CMP_SYMBOL = {

@@ -1,6 +1,5 @@
 """NNF with negation flags, distributive CNF, conservative simplification."""
 
-import math
 import random
 
 import pytest
@@ -161,9 +160,12 @@ class TestToCnf:
 
 
 class TestSimplify:
-    def test_constant_fold_add(self):
-        t = FPArith(ArithOp.ADD, (C1, C1))
-        assert simplify(t) == FPConst(FPValue.from_float(2.0, 32))
+    def test_constant_arith_left_in_place(self):
+        # FP arithmetic runs only on the tape and in the oracle
+        zero = FPConst(FPValue.from_float(0.0, 32))
+        for t in (FPArith(ArithOp.ADD, (C1, C1)), FPArith(ArithOp.DIV, (C1, zero)),
+                  FPArith(ArithOp.NEG, (C2,)), lt(FPArith(ArithOp.ADD, (C1, C1)), C2)):
+            assert simplify(t) is t
 
     def test_and_true_identity(self):
         p = lt(A32, B32)
@@ -184,12 +186,6 @@ class TestSimplify:
     def test_nan_comparison_folds_false(self):
         nan = FPConst(FPValue(32, 0x7FC00000))
         assert simplify(eq(nan, nan)) == FALSE
-
-    def test_division_fold_ieee(self):
-        zero = FPConst(FPValue.from_float(0.0, 32))
-        t = FPArith(ArithOp.DIV, (C1, zero))
-        out = simplify(t)
-        assert out.value.to_float() == math.inf
 
     def test_preserves_semantics_randomized(self):
         rng = random.Random(23)

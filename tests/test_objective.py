@@ -1,6 +1,7 @@
 """Distance encodings, program compilation/evaluation, the Boolean oracle."""
 
 import ctypes
+import hashlib
 import math
 import random
 import shutil
@@ -22,10 +23,11 @@ from conftest import (
 )
 
 from fpsat import build_problem, load_problem
-from fpsat.errors import DimensionMismatchError, SortError
+from fpsat.errors import DimensionMismatchError, SortError, UnboundVariableError
 from fpsat.fp import FP32, FP64, FPValue, float_to_bits, ordered_bits
 from fpsat.harness import corpus_dir
-from fpsat.normalizer import push_negations, simplify, to_cnf
+from fpsat.normalizer import ClauseSet, push_negations, simplify, to_cnf
+from fpsat.parser import expand_definitions
 from fpsat.objective import (
     atom_distance,
     compile_objective,
@@ -35,14 +37,17 @@ from fpsat.objective import (
 )
 from fpsat.terms import (
     COMPARE,
+    TRUE,
     ArithOp,
     BoolAnd,
+    BoolNot,
     CmpOp,
     Compare,
     FPArith,
     FPConst,
     FPVar,
     Ite,
+    Script,
 )
 
 
@@ -290,6 +295,24 @@ class TestCompileAndEvaluate:
         assert program.evaluate([1.0]) == 0.0
         assert program.evaluate([0.5]) > 0.0
 
+    @pytest.mark.parametrize("cond", ["not", "true"])
+    def test_ite_condition_outside_nnf_rejected(self, cond):
+        # compile_objective takes NNF: push_negations leaves no `not`, and
+        # simplify leaves no constant condition
+        x = FPVar("x", FP64)
+        zero = FPConst(f64(0.0))
+        c = BoolNot(Compare(CmpOp.LT, x, zero)) if cond == "not" else TRUE
+        formula = Compare(CmpOp.GEQ, Ite(c, x, zero), zero)
+        with pytest.raises(TypeError):
+            compile_objective(ClauseSet(((formula,),)), [("x", FP64)])
+
+    def test_undeclared_variable_is_unbound(self):
+        script = Script(assertions=[Compare(CmpOp.LT, FPVar("y", FP64), FPConst(f64(0.0)))])
+        formula, varmap = expand_definitions(script)
+        assert varmap == []
+        with pytest.raises(UnboundVariableError, match="y"):
+            compile_objective(to_cnf(push_negations(simplify(formula))), varmap)
+
     def test_nonnegative_with_nan_inputs(self, listing1_text):
         program = build_problem(listing1_text).program
         v = program.evaluate([float("nan")])
@@ -298,8 +321,6 @@ class TestCompileAndEvaluate:
     def test_overflowing_clause_product_short_circuits(self):
         # a satisfied literal zeroes the clause even when the unsatisfied
         # distances in front of it have already overflowed the product
-        from fpsat.normalizer import ClauseSet
-
         n = 20
         one = FPConst(f64(1.0))
         names = [f"x{i}" for i in range(n)]
@@ -392,6 +413,73 @@ class TestEvaluateMany:
             program.evaluate_many(np.zeros((3, 2)))
 
 
+# Objective values on the corpus, pinned by SHA-256 over the packed
+# binary64 results of `_pinned_values`. They guard every change to the
+# frontend or the tape that must leave the objective's bytes alone.
+PINNED_SPECIALS = (0.0, math.inf, math.nan, 5e-324, 1e-45, 3.4e38, 1e308)
+PINNED_DIGESTS = {
+    "branching.smt2":
+        "bc275062536f65819085384e2a1f6c126045b72550d8c4cfa7dddb7ead076bbe",
+    "conjunction2d.smt2":
+        "0f710ac7582ded8ef98e390b00eeaf78a66aa219ca03155a9a29dc1ecc40aab4",
+    "disjunction.smt2":
+        "be6e6dadf87b3b603979a10245ea97882c89396de76474b1ba278ee92f63092f",
+    "equality32.smt2":
+        "6cc42fabc2fa995d874907a6f7c950b74084e49ac7888bba1ee64abeaa3731ef",
+    "infeasible_abs.smt2":
+        "89298073e4ea033691dda57fd1a66097fbd778e055d8f6296cd1f43dc9f3ad4f",
+    "infeasible_box.smt2":
+        "e7c59947b040dfda32251dc5471784a26fa15b5aa220d01c950a062d6fa2bb1c",
+    "infeasible_cycle.smt2":
+        "008386f761cc0e71aee86d594b44202a6160fe9eef666878a3ff9ccce441e192",
+    "infeasible_irreflexive.smt2":
+        "861da30b0efeb3601cd1f13f1d02ccdaecf10290375f8ec4c189005114fa1872",
+    "listing1.smt2":
+        "1cd7b716a384dc201cc5cd08f78d563b42ac27629e16f65b53c6b383b98054d1",
+    "mixed_width.smt2":
+        "0aec9fcb8413c6267c42a9f3f6892fd99de5cc8a9303f8f9ed0da0875f0a1106",
+    "negated_guard.smt2":
+        "0993816a395a390180b492ffc8566696fd326f0b4587f0ff8aeadc9c32abb6b3",
+    "quadratic64.smt2":
+        "f63aee0c19de9cb380418346c55302fe698f84941ab3eb50aa4a860c35e78481",
+}
+
+
+def _pinned_points(name: str, dim: int) -> np.ndarray:
+    """350 seeded points; about 30% of the coordinates are special values
+    of either sign, the rest are uniform in [-4, 4] or any binary64."""
+    rng = random.Random(f"pinned/{name}")
+
+    def one():
+        r = rng.random()
+        if r < 0.3:
+            return rng.choice(PINNED_SPECIALS) * rng.choice((1.0, -1.0))
+        if r < 0.65:
+            return rng.uniform(-4.0, 4.0)
+        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+
+    return np.array([[one() for _ in range(dim)] for _ in range(350)],
+                    dtype=float).reshape(350, dim)
+
+
+def _pinned_values(program, X) -> tuple[str, str]:
+    """Digests of `evaluate` and of `evaluate_many` over the rows of X;
+    `evaluate_many` is resumed after each zero, where it cuts its batch."""
+    one = np.array([program.evaluate(x) for x in X])
+    many = []
+    while len(many) < len(X):
+        many.extend(program.evaluate_many(X[len(many):]).tolist())
+    return (hashlib.sha256(one.tobytes()).hexdigest(),
+            hashlib.sha256(np.array(many).tobytes()).hexdigest())
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_pinned_corpus_objective(name):
+    program = load_problem(corpus_dir() / name).program
+    X = _pinned_points(name, program.dimension)
+    assert _pinned_values(program, X) == (PINNED_DIGESTS[name],) * 2
+
+
 class TestSemanticEval:
     def test_listing1_truth(self, listing1_text):
         problem = build_problem(listing1_text)
@@ -405,8 +493,6 @@ class TestSemanticEval:
             assert semantic_eval(t, {"x": v}) is False
 
     def test_negated_lt_with_nan_true(self):
-        from fpsat.terms import BoolNot
-
         x, y = FPVar("x", FP64), FPVar("y", FP64)
         t = BoolNot(Compare(CmpOp.LT, x, y))
         assert semantic_eval(t, {"x": 1.0, "y": float("nan")}) is True

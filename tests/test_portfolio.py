@@ -137,6 +137,24 @@ class TestSolve:
         assert out.verdict == "unknown"
         assert out.total_evals == 1
 
+    @pytest.mark.parametrize("eb,sb", [(8, 24), (11, 53)])
+    @pytest.mark.parametrize("numerator,verdict,winner,reason", [
+        ("1.0", "sat", ("direct", 0), None),  # 1/0 is +oo
+        ("0.0", "unknown", None, "constant-objective-nonzero"),  # 0/0 is NaN
+    ], ids=["one", "zero"])
+    def test_dimension_zero_division_on_the_tape(self, eb, sb, numerator, verdict,
+                                                 winner, reason):
+        # IEEE division by zero over constants is computed by the tape
+        # (simplify folds no arithmetic) and checked by the oracle
+        problem = build_problem(
+            f"(set-logic QF_FP)(assert (fp.eq (fp.div RNE ((_ to_fp {eb} {sb}) RNE "
+            f"{numerator}) ((_ to_fp {eb} {sb}) RNE 0.0)) (_ +oo {eb} {sb})))(check-sat)"
+        )
+        assert problem.program.dimension == 0
+        out = solve(problem.formula, problem.program, small_config())
+        assert (out.verdict, out.winner, out.unknown_reason) == (verdict, winner, reason)
+        assert out.total_evals == 1
+
     def test_stats_conservation(self, listing1_text):
         problem = build_problem(listing1_text)
         program = problem.program
@@ -219,6 +237,24 @@ class TestSolve:
 
             def evaluate(self, x):
                 return 0.0  # claims everything is a solution
+
+        with pytest.raises(VerificationFailureError):
+            solve(problem.formula, Broken(), small_config())
+
+    def test_verification_failure_surfaces_at_dimension_zero(self):
+        # the one evaluation's zero takes the race winner's path
+        problem = build_problem(
+            "(set-logic QF_FP)"
+            "(assert (fp.gt ((_ to_fp 8 24) RNE 1.0) ((_ to_fp 8 24) RNE 2.0)))"
+            "(check-sat)"
+        )
+
+        class Broken:
+            varmap = []
+            dimension = 0
+
+            def evaluate(self, x):
+                return 0.0
 
         with pytest.raises(VerificationFailureError):
             solve(problem.formula, Broken(), small_config())
@@ -325,6 +361,24 @@ class TestStartRange:
         with pytest.raises(ValueError, match="start_range"):
             solve(problem.formula, problem.program,
                   small_config(max_evals=2_000, start_range=start_range))
+        assert problem.program.eval_count == before
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize("overrides", [
+        dict(max_evals=0),
+        dict(bounds=(1.0, 1.0)),
+        dict(bounds=(0.0, math.inf)),
+        dict(max_evals=2.5),
+        dict(instances=[("bh", -1), ("crs2", 1)]),
+        dict(instances=[("bh", 1)], bounds=(1.0, 1.0)),
+    ], ids=["zero-budget", "empty-box", "infinite-box", "fractional-budget",
+            "negative-count", "bh-empty-box"])
+    def test_rejected_before_any_evaluation(self, listing1_text, overrides):
+        problem = build_problem(listing1_text)
+        before = problem.program.eval_count
+        with pytest.raises(ValueError):
+            solve(problem.formula, problem.program, small_config(**overrides))
         assert problem.program.eval_count == before
 
 
