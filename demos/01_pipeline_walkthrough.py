@@ -35,7 +35,7 @@ print(clause_set_to_sexpr(clauses), end="")
 
 program = compile_objective(clauses, varmap)
 print(f"\ncompiled program: dimension={program.dimension} "
-      f"clauses={program.clause_count}")
+      f"clauses={len(clauses)}")
 
 for x in (-3.0, -2.5, -2.0, -1.5, 0.0, 1.0):
     print(f"  G({x:+.1f}) = {program.evaluate([x]):.1f}")

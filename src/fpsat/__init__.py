@@ -17,7 +17,6 @@ from .errors import FpsatError
 from .fp import FP32, FP64, FPValue, Sort
 from .normalizer import (
     ClauseSet,
-    clause_set_as_formula,
     clause_set_to_sexpr,
     push_negations,
     simplify,
@@ -72,7 +71,6 @@ __all__ = [
     "push_negations",
     "to_cnf",
     "simplify",
-    "clause_set_as_formula",
     "clause_set_to_sexpr",
     "theta",
     "atom_distance",

@@ -33,7 +33,6 @@ __all__ = [
     "push_negations",
     "to_cnf",
     "simplify",
-    "clause_set_as_formula",
     "clause_set_to_sexpr",
 ]
 
@@ -162,23 +161,6 @@ def _cnf(term: Term, cap: int) -> list[list[Compare]]:
             acc = nxt
         return acc
     raise TypeError(f"not in NNF: {term!r}")
-
-
-def clause_set_as_formula(clauses: ClauseSet) -> Term:
-    """View a clause set as an NNF term (for equivalence checks)."""
-    parts = []
-    for clause in clauses.clauses:
-        if not clause:
-            parts.append(FALSE)
-        elif len(clause) == 1:
-            parts.append(clause[0])
-        else:
-            parts.append(BoolOr(tuple(clause)))
-    if not parts:
-        return TRUE
-    if len(parts) == 1:
-        return parts[0]
-    return BoolAnd(tuple(parts))
 
 
 def clause_set_to_sexpr(clauses: ClauseSet) -> str:

@@ -1,14 +1,15 @@
 """Distance-based objective compilation and evaluation.
 
-A clause set compiles to a flat arithmetic tape plus, per clause, its
-compiled literals. The objective is the sum over clauses of the product
-of their literals' distances, and one rule gives a literal's distance: 0
-if its comparison holds, else θ(a, b), the operands' bit distance, plus 1
+A clause set compiles to one flat register tape with one output
+register, which holds the objective: the sum over clauses of the
+zero-propagating product of their literals' distances. Each distinct
+literal is one distance instruction, and one rule gives its value: 0 if
+its comparison holds, else θ(a, b), the operands' bit distance, plus 1
 when the relation it requires excludes equality. The value is therefore
 non-negative and exactly zero precisely on satisfying assignments; the
 independent Boolean evaluator (`semantic_eval`) is the correctness oracle
 for that claim and never touches the tape. `render_objective_source`
-writes the same program as C.
+writes the same tape as C, one definition per instruction.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ _NEG, _ABS = 8, 9
 _CMP = 10  # c = the _Literal
 _AND, _OR = 11, 12
 _SELECT = 13
+_DIST = 14  # c = the _Literal; 0.0 if it holds, else θ + its penalty
+_MULZ = 15  # zero-propagating product: 0.0 if either factor is 0.0
 
 
 # A failed literal is charged θ, plus 1 when the relation it requires
@@ -124,7 +127,8 @@ class _Compiler:
         self.template: list = []
         self.widths: list[int] = []  # 32 / 64 for FP regs, 0 for booleans
         self.tape: list[tuple] = []
-        self.memo: dict = {}
+        self.memo: dict = {}  # term -> its value or truth register
+        self.dists: dict = {}  # literal -> its distance register
         self.var_regs: list[tuple[int, int, bool]] = []  # (reg, x-index, is32)
 
     def new_reg(self, width: int, init=0.0) -> int:
@@ -176,6 +180,24 @@ class _Compiler:
         return _Literal(COMPARE[term.op], lhs, rhs, term.negated,
                         1.0 if strict else 0.0, term.lhs.sort.width, term.op)
 
+    def compile_dist(self, term: Compare) -> int:
+        reg = self.dists.get(term)
+        if reg is None:
+            lit = self.compile_literal(term)
+            reg = self.new_reg(64)
+            self.tape.append((_DIST, reg, lit.lhs_reg, lit.rhs_reg, lit))
+            self.dists[term] = reg
+        return reg
+
+    def chain(self, code: int, regs: list[int], width: int) -> int:
+        """Fold `regs` from the left with a binary opcode."""
+        acc = regs[0]
+        for nxt in regs[1:]:
+            reg = self.new_reg(width)
+            self.tape.append((code, reg, acc, nxt, 0))
+            acc = reg
+        return acc
+
     def compile_bool(self, term: Term) -> int:
         reg = self.memo.get(term)
         if reg is not None:
@@ -186,13 +208,7 @@ class _Compiler:
             self.tape.append((_CMP, reg, lit.lhs_reg, lit.rhs_reg, lit))
         elif isinstance(term, (BoolAnd, BoolOr)):
             code = _AND if isinstance(term, BoolAnd) else _OR
-            regs = [self.compile_bool(c) for c in term.children]
-            acc = regs[0]
-            for nxt in regs[1:]:
-                reg = self.new_reg(0)
-                self.tape.append((code, reg, acc, nxt, 0))
-                acc = reg
-            reg = acc
+            reg = self.chain(code, [self.compile_bool(c) for c in term.children], 0)
         else:
             raise TypeError(f"cannot compile Boolean term {term!r}")
         self.memo[term] = reg
@@ -200,17 +216,17 @@ class _Compiler:
 
 
 class ObjectiveProgram:
-    """Compiled objective: a register template, a tape, and clause structure.
+    """Compiled objective: a register template, a tape, and its output register.
 
     Immutable after compilation; `evaluate` may be called concurrently from
     many threads (each call owns its register scratch). The evaluation
     counter is the only shared mutable state.
     """
 
-    def __init__(self, template, tape, clauses, var_regs, varmap, widths):
+    def __init__(self, template, tape, out, var_regs, varmap, widths):
         self._template = template
         self._tape = tape
-        self._clauses = clauses  # list[list[_Literal]]
+        self._out = out  # the register that holds the objective
         self._var_regs = var_regs
         self.varmap = varmap  # list[(name, Sort)]
         self._widths = widths
@@ -226,10 +242,6 @@ class ObjectiveProgram:
     @property
     def dimension(self) -> int:
         return len(self.varmap)
-
-    @property
-    def clause_count(self) -> int:
-        return len(self._clauses)
 
     @property
     def eval_count(self) -> int:
@@ -251,8 +263,23 @@ class ObjectiveProgram:
             v = float(x[idx])
             regs[reg] = narrow32(v) if is32 else v
 
+        # the objective's own instructions come first: they are the most
+        # frequent ones on most tapes
         for code, dst, a, b, c in self._tape:
-            if code == _ADD32:
+            if code == _DIST:
+                va, vb = regs[a], regs[b]
+                if c.holds(va, vb) != c.negated:
+                    regs[dst] = 0.0
+                else:
+                    regs[dst] = _theta_val(va, vb, c.width) + c.penalty
+            elif code == _ADD64:
+                regs[dst] = regs[a] + regs[b]
+            elif code == _MULZ:
+                # a satisfied literal zeroes the product even once the
+                # other factors have overflowed: never 0 * inf
+                va, vb = regs[a], regs[b]
+                regs[dst] = 0.0 if va == 0.0 or vb == 0.0 else va * vb
+            elif code == _ADD32:
                 regs[dst] = narrow32(regs[a] + regs[b])
             elif code == _SUB32:
                 regs[dst] = narrow32(regs[a] - regs[b])
@@ -260,8 +287,6 @@ class ObjectiveProgram:
                 regs[dst] = narrow32(regs[a] * regs[b])
             elif code == _DIV32:
                 regs[dst] = narrow32(ieee_div(regs[a], regs[b]))
-            elif code == _ADD64:
-                regs[dst] = regs[a] + regs[b]
             elif code == _SUB64:
                 regs[dst] = regs[a] - regs[b]
             elif code == _MUL64:
@@ -281,23 +306,9 @@ class ObjectiveProgram:
             else:  # _SELECT
                 regs[dst] = regs[b] if regs[a] else regs[c]
 
-        # each literal costs 0 if it holds, else θ(a, b) + its penalty
-        total = 0.0
-        for clause in self._clauses:
-            prod = 1.0
-            for holds, lhs, rhs, negated, penalty, width, _ in clause:
-                va, vb = regs[lhs], regs[rhs]
-                if holds(va, vb) != negated:
-                    # a satisfied literal zeroes the whole product; breaking
-                    # here also forbids 0 * inf once products overflow
-                    prod = 0.0
-                    break
-                prod *= _theta_val(va, vb, width) + penalty
-            total += prod
-
         with self._count_lock:
             self._eval_count += 1
-        return total
+        return regs[self._out]
 
     def evaluate_many(self, X) -> np.ndarray:
         """Evaluate the rows of X in order, bit for bit as `evaluate` does.
@@ -319,7 +330,14 @@ class ObjectiveProgram:
                 regs[reg] = col.astype(np.float32) if is32 else col
 
             for code, dst, a, b, c in self._tape:
-                if code == _ADD32 or code == _ADD64:
+                if code == _DIST:
+                    va, vb = regs[a], regs[b]
+                    regs[dst] = np.where(c.holds(va, vb) != c.negated, 0.0,
+                                         _theta_many(va, vb, c.width) + c.penalty)
+                elif code == _MULZ:
+                    va, vb = regs[a], regs[b]
+                    regs[dst] = np.where((va == 0.0) | (vb == 0.0), 0.0, va * vb)
+                elif code == _ADD32 or code == _ADD64:
                     regs[dst] = regs[a] + regs[b]
                 elif code == _SUB32 or code == _SUB64:
                     regs[dst] = regs[a] - regs[b]
@@ -340,19 +358,8 @@ class ObjectiveProgram:
                 else:  # _SELECT
                     regs[dst] = np.where(regs[a], regs[b], regs[c])
 
-            total = np.zeros(len(X))
-            for clause in self._clauses:
-                prod = np.ones(len(X))
-                zero = np.zeros(len(X), dtype=bool)
-                for holds, lhs, rhs, negated, penalty, width, _ in clause:
-                    va, vb = regs[lhs], regs[rhs]
-                    sat = holds(va, vb) != negated
-                    # a satisfied literal multiplies by 1 and zeroes the
-                    # row below, so 0 * inf never arises
-                    dist = np.where(sat, 1.0, _theta_many(va, vb, width) + penalty)
-                    prod = prod * dist
-                    zero = zero | sat
-                total += np.where(zero, 0.0, prod)
+        # a constant objective is a scalar register
+        total = np.full(len(X), regs[self._out], dtype=np.float64)
 
         zeros = np.flatnonzero(total == 0.0)
         if len(zeros):
@@ -396,15 +403,18 @@ def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> Obj
     Boolean constant inside an `ite` condition is a `TypeError`; a
     variable missing from `varmap` is an `UnboundVariableError`. FP
     arithmetic over constants is computed on the tape, like any other.
-    Identical subterms share tape slots; evaluation semantics stay the
-    tree semantics of the source formula.
+    Identical subterms share tape slots, and each distinct literal has one
+    distance register; evaluation semantics stay the tree semantics of the
+    source formula.
     """
     var_index = {name: (i, sort) for i, (name, sort) in enumerate(varmap)}
     comp = _Compiler(var_index)
-    compiled_clauses = []
-    for clause in clauses.clauses:
-        compiled_clauses.append([comp.compile_literal(atom) for atom in clause])
-    return ObjectiveProgram(comp.template, comp.tape, compiled_clauses,
+    # an empty clause is an empty product, 1; no clauses is an empty sum, 0
+    products = [comp.chain(_MULZ, [comp.compile_dist(lit) for lit in clause], 64)
+                if clause else comp.new_reg(64, 1.0)
+                for clause in clauses.clauses]
+    out = comp.chain(_ADD64, products, 64) if products else comp.new_reg(64, 0.0)
+    return ObjectiveProgram(comp.template, comp.tape, out,
                             comp.var_regs, list(varmap), comp.widths)
 
 
@@ -590,7 +600,7 @@ def _c_float(v: float, is32: bool) -> str:
 
 
 def render_objective_source(program: ObjectiveProgram) -> str:
-    """Deterministic C rendering of the program, one definition per clause."""
+    """Deterministic C rendering of the program, one definition per instruction."""
     widths = program._widths
     lines = [_C_PREAMBLE, "double objective(const double *x) {"]
     var_regs = {reg: (idx, is32) for reg, idx, is32 in program._var_regs}
@@ -620,6 +630,11 @@ def render_objective_source(program: ObjectiveProgram) -> str:
         elif code == _ABS:
             f = "fabsf" if widths[dst] == 32 else "fabs"
             lines.append(f"{decl(dst)} = {f}(v{a});")
+        elif code == _DIST:
+            theta_call = f"theta{c.width}(v{a}, v{b})"
+            lines.append(f"{decl(dst)} = {_c_holds(c)} ? 0.0 : {theta_call} + {c.penalty!r};")
+        elif code == _MULZ:
+            lines.append(f"{decl(dst)} = mulz(v{a}, v{b});")
         elif code == _CMP:
             lines.append(f"{decl(dst)} = {_c_holds(c)};")
         elif code == _AND:
@@ -628,18 +643,6 @@ def render_objective_source(program: ObjectiveProgram) -> str:
             lines.append(f"{decl(dst)} = v{a} || v{b};")
         else:
             lines.append(f"{decl(dst)} = v{a} ? v{b} : v{c};")
-
-    clause_names = []
-    for i, clause in enumerate(program._clauses):
-        expr = None
-        for lit in clause:
-            theta_call = f"theta{lit.width}(v{lit.lhs_reg}, v{lit.rhs_reg})"
-            d = f"({_c_holds(lit)} ? 0.0 : {theta_call} + {lit.penalty!r})"
-            expr = d if expr is None else f"mulz({expr}, {d})"
-        name = f"c{i}"
-        clause_names.append(name)
-        lines.append(f"    const double {name} = {expr};")
-    total = " + ".join(clause_names) if clause_names else "0.0"
-    lines.append(f"    return {total};")
+    lines.append(f"    return v{program._out};")
     lines.append("}")
     return "\n".join(lines) + "\n"

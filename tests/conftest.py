@@ -9,9 +9,11 @@ import pytest
 
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
-from fpsat.normalizer import push_negations, simplify, to_cnf
+from fpsat.normalizer import ClauseSet, push_negations, simplify, to_cnf
 from fpsat.objective import compile_objective
 from fpsat.terms import (
+    FALSE,
+    TRUE,
     ArithOp,
     BoolAnd,
     BoolNot,
@@ -22,6 +24,7 @@ from fpsat.terms import (
     FPConst,
     FPVar,
     Ite,
+    Term,
 )
 
 # Structured operand encodings: +-0, +-min-subnormal, +-1, +-max-finite,
@@ -123,6 +126,23 @@ def random_assignment(rng: random.Random, varmap) -> dict[str, float]:
     return {
         name: random_fp_double(rng, sort.width) for name, sort in varmap
     }
+
+
+def clause_set_as_formula(clauses: ClauseSet) -> Term:
+    """View a clause set as an NNF term (for equivalence checks)."""
+    parts = []
+    for clause in clauses.clauses:
+        if not clause:
+            parts.append(FALSE)
+        elif len(clause) == 1:
+            parts.append(clause[0])
+        else:
+            parts.append(BoolOr(tuple(clause)))
+    if not parts:
+        return TRUE
+    if len(parts) == 1:
+        return parts[0]
+    return BoolAnd(tuple(parts))
 
 
 def build_program(formula, varmap):

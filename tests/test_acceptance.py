@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    clause_set_as_formula,
     random_assignment,
     random_formula,
     structured_values,
@@ -28,7 +29,7 @@ from test_rng import (
 from fpsat import build_problem, load_problem
 from fpsat.fp import FPValue
 from fpsat.harness import run_bench, run_combined, run_solve
-from fpsat.normalizer import clause_set_as_formula, push_negations, simplify, to_cnf
+from fpsat.normalizer import push_negations, simplify, to_cnf
 from fpsat.objective import atom_distance, compile_objective, semantic_eval, theta
 from fpsat.portfolio import PortfolioConfig, solve, verify_model
 from fpsat.rng import Xoshiro256Plus, splitmix64_next

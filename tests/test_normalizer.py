@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from conftest import random_assignment, random_formula
+from conftest import clause_set_as_formula, random_assignment, random_formula
 
 from fpsat import build_problem
 from fpsat.errors import CnfBlowupError
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.normalizer import (
-    clause_set_as_formula,
     clause_set_to_sexpr,
     push_negations,
     simplify,

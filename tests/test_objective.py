@@ -29,6 +29,7 @@ from fpsat.harness import corpus_dir
 from fpsat.normalizer import ClauseSet, push_negations, simplify, to_cnf
 from fpsat.parser import expand_definitions
 from fpsat.objective import (
+    _DIST,
     atom_distance,
     compile_objective,
     render_objective_source,
@@ -480,6 +481,66 @@ def test_pinned_corpus_objective(name):
     assert _pinned_values(program, X) == (PINNED_DIGESTS[name],) * 2
 
 
+def _f64(v: float) -> str:
+    return f"((_ to_fp 11 53) RNE {v})"
+
+
+# Clause shapes the corpus lacks: there every clause has one or two
+# literals, and no literal occurs in two clauses.
+_HEAD = "(set-logic QF_FP)\n"
+_XS = [f"x{i}" for i in range(20)]
+SHAPES = {
+    # 27 clauses of three literals, over 9 distinct literals
+    "or-of-ands": _HEAD
+    + "(declare-fun x () (_ FloatingPoint 11 53))\n"
+      "(declare-fun y () (_ FloatingPoint 11 53))\n"
+      "(declare-fun z () (_ FloatingPoint 8 24))\n"
+      "(declare-fun w () (_ FloatingPoint 8 24))\n"
+      f"(assert (or (and (fp.lt x y) (fp.leq y {_f64(2.0)}) (not (fp.eq z w)))\n"
+      f"            (and (fp.gt x {_f64(1.0)}) (fp.eq z ((_ to_fp 8 24) RNE 0.5)) (not (fp.lt y x)))\n"
+      f"            (and (fp.geq (fp.mul RNE x y) {_f64(4.0)}) (fp.lt w z) (fp.leq x y))))\n",
+    # the product of the first 20 distances overflows to inf on most
+    # points, and the last literal often holds
+    "overflow-then-satisfied": _HEAD
+    + "".join(f"(declare-fun {v} () (_ FloatingPoint 11 53))\n" for v in _XS)
+    + "(assert (or " + " ".join(f"(fp.eq {v} {_f64(1.0)})" for v in _XS)
+    + f" (fp.lt x0 {_f64(1.0)})))\n"
+      "(assert (fp.leq x1 x2))\n",
+    "assert-false": _HEAD
+    + "(declare-fun x () (_ FloatingPoint 8 24))\n(assert false)\n",
+    "constant-true": _HEAD
+    + "(declare-fun x () (_ FloatingPoint 11 53))\n"
+      "(declare-fun y () (_ FloatingPoint 8 24))\n"
+      f"(assert (fp.lt {_f64(1.0)} {_f64(2.0)}))\n",
+}
+SHAPE_DIGESTS = {
+    "or-of-ands":
+        "d24bd3882ecb3a07a93259f87dc8bb6dacfe5aff25697e29285768a255069e86",
+    "overflow-then-satisfied":
+        "4140755fcd9613cfb1488586a31a8087854fbf4a46dabbf30c1e638cf95066a0",
+    "assert-false":
+        "137d44cf0bf4287b3ea2b7e9c0c50954e0e7ee1bb560be0256e29bd59effe465",
+    "constant-true":
+        "cd99e0d7b38a723658d7bf5eb2e9bb3238a13d62a467a1e7b4608db065cdf744",
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_pinned_shape_objective(name):
+    program = build_problem(SHAPES[name]).program
+    X = _pinned_points(name, program.dimension)
+    assert _pinned_values(program, X) == (SHAPE_DIGESTS[name],) * 2
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_one_distance_per_distinct_literal(name):
+    problem = build_problem(SHAPES[name])
+    literals = {lit for clause in problem.clauses.clauses for lit in clause}
+    dists = [inst[4] for inst in problem.program._tape if inst[0] == _DIST]
+    assert len(dists) == len(literals)
+    assert len({(d.lhs_reg, d.rhs_reg, d.op, d.negated) for d in dists}) == len(dists)
+
+
 class TestSemanticEval:
     def test_listing1_truth(self, listing1_text):
         problem = build_problem(listing1_text)
@@ -510,8 +571,10 @@ class TestRenderSource:
         assert "double objective(const double *x)" in src
         assert "? 0.0 : theta32(" in src
         assert "d_geq" not in src
-        assert "const double c0" in src
-        assert "return c0;" in src
+        # listing1 is one unit clause: its literal's distance is the objective
+        out = program._out
+        assert f"const double v{out} = " in src
+        assert f"return v{out};" in src
 
     def test_deterministic(self, listing1_text):
         p1 = build_problem(listing1_text).program
@@ -525,13 +588,18 @@ class TestRenderSource:
             "(check-sat)"
         ).program
         src = render_objective_source(program)
-        assert "return 0.0;" in src
+        out = program._out
+        assert f"const double v{out} = 0x0.0p+0;" in src
+        assert f"return v{out};" in src
 
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
-    @pytest.mark.parametrize("name", CORPUS_NAMES + ["twelve-cases"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ["twelve-cases", "or-of-ands"])
     def test_compiled_source_agrees_with_tape(self, tmp_path, name):
         if name == "twelve-cases":
             program, satisfied = _twelve_case_program()
+        elif name in SHAPES:
+            program = build_problem(SHAPES[name]).program
+            satisfied = None
         else:
             program = load_problem(corpus_dir() / name).program
             satisfied = None
