@@ -1,7 +1,8 @@
 """Walk the full frontend pipeline on the bundled quadratic instance.
 
 Stages: SMT-LIB2 text -> typed script -> inlined formula -> NNF with
-negation flags -> clause set -> compiled objective program.
+negation flags -> compiled objective program. The NNF's clause set, which
+`--dump-cnf` prints, is shown along the way.
 """
 
 from fpsat import (
@@ -33,7 +34,7 @@ clauses = to_cnf(nnf)
 print("\nclause set (negation recorded as a flag, never by flipping):")
 print(clause_set_to_sexpr(clauses), end="")
 
-program = compile_objective(clauses, varmap)
+program = compile_objective(nnf, varmap)
 print(f"\ncompiled program: dimension={program.dimension} "
       f"clauses={len(clauses)}")
 

@@ -1,10 +1,11 @@
 """Floating-point satisfiability via a portfolio of global optimizers.
 
 Pipeline: parse an SMT-LIB2 script (inlining definitions as they are
-parsed), normalize to negation-flagged CNF, compile a non-negative
-distance objective whose exact zeros are the satisfying assignments,
-then race stochastic minimizers on it. A zero found is a verified model; otherwise the
-verdict is unknown.
+parsed), simplify and normalize to negation-flagged NNF, compile it to a
+non-negative distance objective whose exact zeros are the satisfying
+assignments (`and` a sum, `or` a zero-propagating product), then race
+stochastic minimizers on it. A zero found is a verified model; otherwise
+the verdict is unknown.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from . import errors
 from .errors import FpsatError
 from .fp import FP32, FP64, FPValue, Sort
 from .normalizer import (
-    ClauseSet,
     clause_set_to_sexpr,
     push_negations,
     simplify,
@@ -50,7 +50,7 @@ from .portfolio import (
     verify_model,
 )
 from .rng import Xoshiro256Plus, derive_seed, splitmix64_next
-from .terms import Script, Term, term_to_smt2
+from .terms import Compare, Script, Term, term_to_smt2
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "parse_script",
     "decode_fp_literal",
     "expand_definitions",
-    "ClauseSet",
     "push_negations",
     "to_cnf",
     "simplify",
@@ -108,7 +107,7 @@ class Problem:
     script: Script
     formula: Term
     varmap: list[tuple[str, Sort]]
-    clauses: ClauseSet
+    clauses: tuple[tuple[Compare, ...], ...]  # the NNF's CNF, for `--dump-cnf`
     program: ObjectiveProgram
 
 
@@ -124,7 +123,7 @@ def build_problem(text: str) -> Problem:
         simplified = simplify(formula)
         nnf = push_negations(simplified)
         clauses = to_cnf(nnf)
-        program = compile_objective(clauses, varmap)
+        program = compile_objective(nnf, varmap)
     except RecursionError:
         raise errors.InputError(
             f"input nests too deeply (Python recursion limit {sys.getrecursionlimit()})"

@@ -1,14 +1,13 @@
-"""Negation-free CNF over comparison literals.
+"""Simplification, negation normal form, and CNF over comparison literals.
 
 Negation is never eliminated by flipping comparison operators (that would
 be wrong for NaN); it is recorded as the `negated` flag of the `Compare`
 instead. The CNF is plain distributive, capped against pathological
-blowup.
+blowup; the objective is compiled from the NNF, and the CNF only serves
+`--dump-cnf`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import CnfBlowupError
 from .terms import (
@@ -29,7 +28,6 @@ from .terms import (
 )
 
 __all__ = [
-    "ClauseSet",
     "push_negations",
     "to_cnf",
     "simplify",
@@ -37,21 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_CLAUSE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class ClauseSet:
-    """Conjunction of disjunctions of comparison literals.
-
-    Constant formulas degenerate: no clauses means trivially true, an empty
-    clause means trivially false (its empty product contributes 1 to the
-    objective).
-    """
-
-    clauses: tuple[tuple[Compare, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.clauses)
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +101,12 @@ def _normalize_fp(term: Term, memo: dict) -> Term:
 # --------------------------------------------------------------------------
 
 
-def to_cnf(nnf: Term, clause_cap: int = DEFAULT_CLAUSE_CAP) -> ClauseSet:
-    """Distribute an NNF formula into clauses, deduplicating within clauses."""
+def to_cnf(nnf: Term, clause_cap: int = DEFAULT_CLAUSE_CAP) -> tuple[tuple[Compare, ...], ...]:
+    """Distribute an NNF formula into clauses, deduplicating within clauses.
+
+    Constant formulas degenerate: no clauses means trivially true, an
+    empty clause trivially false.
+    """
     clauses = _cnf(nnf, clause_cap)
     out = []
     for clause in clauses:
@@ -128,7 +115,7 @@ def to_cnf(nnf: Term, clause_cap: int = DEFAULT_CLAUSE_CAP) -> ClauseSet:
             if atom not in seen:
                 seen.append(atom)
         out.append(tuple(seen))
-    return ClauseSet(tuple(out))
+    return tuple(out)
 
 
 def _cnf(term: Term, cap: int) -> list[list[Compare]]:
@@ -163,16 +150,55 @@ def _cnf(term: Term, cap: int) -> list[list[Compare]]:
     raise TypeError(f"not in NNF: {term!r}")
 
 
-def clause_set_to_sexpr(clauses: ClauseSet) -> str:
-    """Debug rendering: one (clause ...) per line, literals with negation flags."""
+def clause_set_to_sexpr(clauses: tuple[tuple[Compare, ...], ...]) -> str:
+    """Debug rendering: one (clause ...) per line, literals with negation flags.
+
+    A compound FP subterm that occurs more than once in the dump is
+    printed once, as a `define-fun` line before the clauses, and by name
+    after that, so the dump stays linear in the clauses' distinct nodes.
+    The names start with `@`, which SMT-LIB reserves for solvers.
+    """
+    names: dict[Term, str] = {}
     lines = []
-    for clause in clauses.clauses:
+    for term in _shared_subterms(clauses):
+        body = term_to_smt2(term, names)
+        names[term] = f"@t{len(names)}"
+        lines.append(f"(define-fun {names[term]} () {term.sort} {body})")
+    for clause in clauses:
         atoms = []
         for a in clause:
-            inner = f"({a.op.value} {term_to_smt2(a.lhs)} {term_to_smt2(a.rhs)})"
+            inner = f"({a.op.value} {term_to_smt2(a.lhs, names)} {term_to_smt2(a.rhs, names)})"
             atoms.append(f"(not {inner})" if a.negated else inner)
         lines.append("(clause " + " ".join(atoms) + ")")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _shared_subterms(clauses) -> list[Term]:
+    """The compound FP subterms that a tree-shaped dump would print more
+    than once, each after the ones it contains."""
+    counts: dict[Term, int] = {}  # in post-order of first occurrences
+
+    def visit(term: Term) -> None:
+        if term in counts:
+            counts[term] += 1
+            return
+        if isinstance(term, Compare):
+            children = (term.lhs, term.rhs)
+        elif isinstance(term, Ite):
+            children = (term.cond, term.then, term.orelse)
+        elif isinstance(term, FPArith):
+            children = term.args
+        else:  # an `and`/`or` in an ite condition, or a leaf
+            children = getattr(term, "children", ())
+        for child in children:
+            visit(child)
+        if isinstance(term, (FPArith, Ite)):
+            counts[term] = 1
+
+    for clause in clauses:
+        for literal in clause:
+            visit(literal)
+    return [term for term, count in counts.items() if count > 1]
 
 
 # --------------------------------------------------------------------------

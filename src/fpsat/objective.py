@@ -1,15 +1,17 @@
 """Distance-based objective compilation and evaluation.
 
-A clause set compiles to one flat register tape with one output
-register, which holds the objective: the sum over clauses of the
-zero-propagating product of their literals' distances. Each distinct
-literal is one distance instruction, and one rule gives its value: 0 if
-its comparison holds, else θ(a, b), the operands' bit distance, plus 1
-when the relation it requires excludes equality. The value is therefore
-non-negative and exactly zero precisely on satisfying assignments; the
-independent Boolean evaluator (`semantic_eval`) is the correctness oracle
-for that claim and never touches the tape. `render_objective_source`
-writes the same tape as C, one definition per instruction.
+A formula in negation normal form compiles to one flat register tape
+with one output register, which holds the objective: XSat's representing
+function, a distance that is 0 exactly where the formula holds. Each
+distinct comparison is one distance instruction: 0 if it holds, else
+θ(a, b), the operands' bit distance, plus 1 when the relation it
+requires excludes equality. `and` sums its children's distances and `or`
+takes their zero-propagating product, so every nonzero distance is at
+least 1. An `ite` selects its then-branch where its condition's distance
+is 0. The independent Boolean evaluator (`semantic_eval`) is the
+correctness oracle for these claims and never touches the tape.
+`render_objective_source` writes the same tape as C, one definition per
+instruction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     UnboundVariableError,
 )
 from .fp import FPValue, Sort, float_to_bits, ieee_div, narrow32, ordered_bits
-from .normalizer import ClauseSet
 from .terms import (
     ArithOp,
     BoolAnd,
@@ -83,7 +84,7 @@ def atom_distance(op: CmpOp, negated: bool, a: FPValue, b: FPValue) -> float:
     if a.width != b.width:
         raise SortError("atom operands must share a width")
     literal = Compare(op, FPConst(a), FPConst(b), bool(negated))
-    return compile_objective(ClauseSet(((literal,),)), []).evaluate(())
+    return compile_objective(literal, []).evaluate(())
 
 
 # --------------------------------------------------------------------------
@@ -94,11 +95,9 @@ def atom_distance(op: CmpOp, negated: bool, a: FPValue, b: FPValue) -> float:
 _ADD32, _SUB32, _MUL32, _DIV32 = 0, 1, 2, 3
 _ADD64, _SUB64, _MUL64, _DIV64 = 4, 5, 6, 7
 _NEG, _ABS = 8, 9
-_CMP = 10  # c = the _Literal
-_AND, _OR = 11, 12
-_SELECT = 13
-_DIST = 14  # c = the _Literal; 0.0 if it holds, else θ + its penalty
-_MULZ = 15  # zero-propagating product: 0.0 if either factor is 0.0
+_SELECT = 10  # a = the condition's distance; b if it is 0.0, else c
+_DIST = 11  # c = the _Literal; 0.0 if it holds, else θ + its penalty
+_MULZ = 12  # zero-propagating product: 0.0 if either factor is 0.0
 
 
 # A failed literal is charged θ, plus 1 when the relation it requires
@@ -110,7 +109,7 @@ _STRICT = frozenset({CmpOp.LT, CmpOp.GT, CmpOp.NEQ})
 
 
 class _Literal(NamedTuple):
-    """A compiled comparison: an ite condition or a clause literal."""
+    """A compiled comparison, the operand of one distance instruction."""
 
     holds: Callable[[float, float], bool]  # COMPARE[op]
     lhs_reg: int
@@ -125,10 +124,9 @@ class _Compiler:
     def __init__(self, var_index: dict[str, tuple[int, Sort]]):
         self.var_index = var_index
         self.template: list = []
-        self.widths: list[int] = []  # 32 / 64 for FP regs, 0 for booleans
+        self.widths: list[int] = []  # 32 or 64
         self.tape: list[tuple] = []
-        self.memo: dict = {}  # term -> its value or truth register
-        self.dists: dict = {}  # literal -> its distance register
+        self.memo: dict = {}  # term -> its value or distance register
         self.var_regs: list[tuple[int, int, bool]] = []  # (reg, x-index, is32)
 
     def new_reg(self, width: int, init=0.0) -> int:
@@ -163,7 +161,7 @@ class _Compiler:
                 code = base if width == 32 else base + 4
                 self.tape.append((code, reg, args[0], args[1], 0))
         elif isinstance(term, Ite):
-            cond = self.compile_bool(term.cond)
+            cond = self.compile_dist(term.cond)
             then = self.compile_fp(term.then)
             orelse = self.compile_fp(term.orelse)
             reg = self.new_reg(width)
@@ -173,46 +171,38 @@ class _Compiler:
         self.memo[term] = reg
         return reg
 
-    def compile_literal(self, term: Compare) -> _Literal:
-        lhs = self.compile_fp(term.lhs)
-        rhs = self.compile_fp(term.rhs)
-        strict = (term.op in _STRICT) != term.negated
-        return _Literal(COMPARE[term.op], lhs, rhs, term.negated,
-                        1.0 if strict else 0.0, term.lhs.sort.width, term.op)
-
-    def compile_dist(self, term: Compare) -> int:
-        reg = self.dists.get(term)
-        if reg is None:
-            lit = self.compile_literal(term)
-            reg = self.new_reg(64)
-            self.tape.append((_DIST, reg, lit.lhs_reg, lit.rhs_reg, lit))
-            self.dists[term] = reg
-        return reg
-
-    def chain(self, code: int, regs: list[int], width: int) -> int:
-        """Fold `regs` from the left with a binary opcode."""
-        acc = regs[0]
-        for nxt in regs[1:]:
-            reg = self.new_reg(width)
-            self.tape.append((code, reg, acc, nxt, 0))
-            acc = reg
-        return acc
-
-    def compile_bool(self, term: Term) -> int:
+    def compile_dist(self, term: Term) -> int:
+        """The binary64 register of an NNF formula's distance."""
         reg = self.memo.get(term)
         if reg is not None:
             return reg
         if isinstance(term, Compare):
-            lit = self.compile_literal(term)
-            reg = self.new_reg(0)
-            self.tape.append((_CMP, reg, lit.lhs_reg, lit.rhs_reg, lit))
-        elif isinstance(term, (BoolAnd, BoolOr)):
-            code = _AND if isinstance(term, BoolAnd) else _OR
-            reg = self.chain(code, [self.compile_bool(c) for c in term.children], 0)
+            lhs = self.compile_fp(term.lhs)
+            rhs = self.compile_fp(term.rhs)
+            strict = (term.op in _STRICT) != term.negated
+            lit = _Literal(COMPARE[term.op], lhs, rhs, term.negated,
+                           1.0 if strict else 0.0, term.lhs.sort.width, term.op)
+            reg = self.new_reg(64)
+            self.tape.append((_DIST, reg, lhs, rhs, lit))
+        elif isinstance(term, BoolAnd):
+            reg = self.chain(_ADD64, [self.compile_dist(c) for c in term.children])
+        elif isinstance(term, BoolOr):
+            # a repeated child is one factor, as `to_cnf` dedups a clause
+            children = dict.fromkeys(term.children)
+            reg = self.chain(_MULZ, [self.compile_dist(c) for c in children])
         else:
             raise TypeError(f"cannot compile Boolean term {term!r}")
         self.memo[term] = reg
         return reg
+
+    def chain(self, code: int, regs: list[int]) -> int:
+        """Fold binary64 `regs` from the left with a binary opcode."""
+        acc = regs[0]
+        for nxt in regs[1:]:
+            reg = self.new_reg(64)
+            self.tape.append((code, reg, acc, nxt, 0))
+            acc = reg
+        return acc
 
 
 class ObjectiveProgram:
@@ -233,7 +223,7 @@ class ObjectiveProgram:
         # the template as numpy scalars of each register's width, so that
         # constant operands keep binary32 rounding in `evaluate_many`
         self._batch_template = [
-            np.float32(v) if w == 32 else np.float64(v) if w == 64 else np.bool_(v)
+            np.float32(v) if w == 32 else np.float64(v)
             for v, w in zip(template, widths)
         ]
         self._count_lock = threading.Lock()
@@ -251,7 +241,7 @@ class ObjectiveProgram:
         """Compute the objective at x (binary64 coordinates).
 
         Coordinates bound to binary32 variables are narrowed (RNE) before
-        substitution. The result is >= 0; +inf is possible on clause
+        substitution. The result is >= 0; +inf is possible on sums and
         products that overflow, NaN is not.
         """
         if len(x) != len(self.varmap):
@@ -275,7 +265,7 @@ class ObjectiveProgram:
             elif code == _ADD64:
                 regs[dst] = regs[a] + regs[b]
             elif code == _MULZ:
-                # a satisfied literal zeroes the product even once the
+                # a satisfied disjunct zeroes the product even once the
                 # other factors have overflowed: never 0 * inf
                 va, vb = regs[a], regs[b]
                 regs[dst] = 0.0 if va == 0.0 or vb == 0.0 else va * vb
@@ -297,14 +287,8 @@ class ObjectiveProgram:
                 regs[dst] = -regs[a]
             elif code == _ABS:
                 regs[dst] = abs(regs[a])
-            elif code == _CMP:
-                regs[dst] = c.holds(regs[a], regs[b]) != c.negated
-            elif code == _AND:
-                regs[dst] = regs[a] and regs[b]
-            elif code == _OR:
-                regs[dst] = regs[a] or regs[b]
             else:  # _SELECT
-                regs[dst] = regs[b] if regs[a] else regs[c]
+                regs[dst] = regs[b] if regs[a] == 0.0 else regs[c]
 
         with self._count_lock:
             self._eval_count += 1
@@ -349,14 +333,8 @@ class ObjectiveProgram:
                     regs[dst] = -regs[a]
                 elif code == _ABS:
                     regs[dst] = np.abs(regs[a])
-                elif code == _CMP:
-                    regs[dst] = c.holds(regs[a], regs[b]) != c.negated
-                elif code == _AND:
-                    regs[dst] = regs[a] & regs[b]
-                elif code == _OR:
-                    regs[dst] = regs[a] | regs[b]
                 else:  # _SELECT
-                    regs[dst] = np.where(regs[a], regs[b], regs[c])
+                    regs[dst] = np.where(regs[a] == 0.0, regs[b], regs[c])
 
         # a constant objective is a scalar register
         total = np.full(len(X), regs[self._out], dtype=np.float64)
@@ -394,26 +372,27 @@ _SIGN64_BIT = np.uint64(1 << 63)
 _MAG64 = np.uint64((1 << 63) - 1)
 
 
-def compile_objective(clauses: ClauseSet, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
-    """Compile a clause set over the given variable map into a program.
+def compile_objective(nnf: Term, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
+    """Compile an NNF formula over the given variable map into a program.
 
-    The input is in negation normal form, as `simplify` then
-    `push_negations` leave it: every literal, and every `ite` condition,
-    is built from `Compare` nodes with `and` and `or` only. A `not` or a
-    Boolean constant inside an `ite` condition is a `TypeError`; a
-    variable missing from `varmap` is an `UnboundVariableError`. FP
-    arithmetic over constants is computed on the tape, like any other.
-    Identical subterms share tape slots, and each distinct literal has one
-    distance register; evaluation semantics stay the tree semantics of the
-    source formula.
+    The input is what `simplify` then `push_negations` leave: a Boolean
+    constant, or a formula built from `Compare` nodes with `and` and `or`
+    only, and so is every `ite` condition inside it. A comparison's
+    distance is one instruction, an `and` a left-to-right sum of its
+    children's, an `or` a zero-propagating product of its distinct
+    children's; on a conjunction of clauses that is the sum over clauses
+    of their literals' products. A `not` or a Boolean constant below the
+    top is a `TypeError`; a variable missing from `varmap` is an
+    `UnboundVariableError`. FP arithmetic over constants is computed on
+    the tape, like any other. Identical subterms share one register;
+    evaluation semantics stay the tree semantics of the source formula.
     """
     var_index = {name: (i, sort) for i, (name, sort) in enumerate(varmap)}
     comp = _Compiler(var_index)
-    # an empty clause is an empty product, 1; no clauses is an empty sum, 0
-    products = [comp.chain(_MULZ, [comp.compile_dist(lit) for lit in clause], 64)
-                if clause else comp.new_reg(64, 1.0)
-                for clause in clauses.clauses]
-    out = comp.chain(_ADD64, products, 64) if products else comp.new_reg(64, 0.0)
+    if isinstance(nnf, BoolConst):
+        out = comp.new_reg(64, 0.0 if nnf.value else 1.0)
+    else:
+        out = comp.compile_dist(nnf)
     return ObjectiveProgram(comp.template, comp.tape, out,
                             comp.var_regs, list(varmap), comp.widths)
 
@@ -583,11 +562,6 @@ _C_CMP = {
 }
 
 
-def _c_holds(lit: _Literal) -> str:
-    expr = f"(v{lit.lhs_reg} {_C_CMP[lit.op]} v{lit.rhs_reg})"
-    return f"!{expr}" if lit.negated else expr
-
-
 def _c_float(v: float, is32: bool) -> str:
     if v != v:
         return "NAN"
@@ -607,7 +581,7 @@ def render_objective_source(program: ObjectiveProgram) -> str:
     tape_defined = {inst[1] for inst in program._tape}
 
     def decl(reg: int) -> str:
-        t = {0: "int", 32: "float", 64: "double"}[widths[reg]]
+        t = "float" if widths[reg] == 32 else "double"
         return f"    const {t} v{reg}"
 
     for reg, init in enumerate(program._template):
@@ -631,18 +605,13 @@ def render_objective_source(program: ObjectiveProgram) -> str:
             f = "fabsf" if widths[dst] == 32 else "fabs"
             lines.append(f"{decl(dst)} = {f}(v{a});")
         elif code == _DIST:
+            holds = f"{'!' if c.negated else ''}(v{a} {_C_CMP[c.op]} v{b})"
             theta_call = f"theta{c.width}(v{a}, v{b})"
-            lines.append(f"{decl(dst)} = {_c_holds(c)} ? 0.0 : {theta_call} + {c.penalty!r};")
+            lines.append(f"{decl(dst)} = {holds} ? 0.0 : {theta_call} + {c.penalty!r};")
         elif code == _MULZ:
             lines.append(f"{decl(dst)} = mulz(v{a}, v{b});")
-        elif code == _CMP:
-            lines.append(f"{decl(dst)} = {_c_holds(c)};")
-        elif code == _AND:
-            lines.append(f"{decl(dst)} = v{a} && v{b};")
-        elif code == _OR:
-            lines.append(f"{decl(dst)} = v{a} || v{b};")
         else:
-            lines.append(f"{decl(dst)} = v{a} ? v{b} : v{c};")
+            lines.append(f"{decl(dst)} = v{a} == 0.0 ? v{b} : v{c};")
     lines.append(f"    return v{program._out};")
     lines.append("}")
     return "\n".join(lines) + "\n"

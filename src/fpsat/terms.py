@@ -293,25 +293,28 @@ def fp_const_to_smt2(value: FPValue) -> str:
     return f"((_ to_fp {eb} {sb}) {value.hex_literal()})"
 
 
-def term_to_smt2(term: Term) -> str:
+def term_to_smt2(term: Term, names: dict[Term, str] | None = None) -> str:
     """Render a term back to SMT-LIB2 text; re-parsing yields an equal term.
 
     The one exception is IEEE inequality (NEQ), which has no SMT-LIB
     symbol (`distinct` is not identity of values): it prints as the
-    negated `fp.eq` and comes back as one.
+    negated `fp.eq` and comes back as one. A subterm found in `names`
+    prints as its name there.
     """
+    if names and term in names:
+        return names[term]
     if isinstance(term, BoolConst):
         return "true" if term.value else "false"
     if isinstance(term, BoolNot):
-        return f"(not {term_to_smt2(term.child)})"
+        return f"(not {term_to_smt2(term.child, names)})"
     if isinstance(term, BoolAnd):
-        return "(and " + " ".join(term_to_smt2(c) for c in term.children) + ")"
+        return "(and " + " ".join(term_to_smt2(c, names) for c in term.children) + ")"
     if isinstance(term, BoolOr):
-        return "(or " + " ".join(term_to_smt2(c) for c in term.children) + ")"
+        return "(or " + " ".join(term_to_smt2(c, names) for c in term.children) + ")"
     if isinstance(term, Compare):
         negated = term.negated != (term.op == CmpOp.NEQ)
         sym = _CMP_SYMBOL[CmpOp.EQ if term.op == CmpOp.NEQ else term.op]
-        text = f"({sym} {term_to_smt2(term.lhs)} {term_to_smt2(term.rhs)})"
+        text = f"({sym} {term_to_smt2(term.lhs, names)} {term_to_smt2(term.rhs, names)})"
         return f"(not {text})" if negated else text
     if isinstance(term, FPConst):
         return fp_const_to_smt2(term.value)
@@ -319,13 +322,13 @@ def term_to_smt2(term: Term) -> str:
         return term.name
     if isinstance(term, FPArith):
         sym = _ARITH_SYMBOL[term.op]
-        args = " ".join(term_to_smt2(a) for a in term.args)
+        args = " ".join(term_to_smt2(a, names) for a in term.args)
         if term.op in _ROUNDED:
             return f"({sym} RNE {args})"
         return f"({sym} {args})"
     if isinstance(term, Ite):
         return (
-            f"(ite {term_to_smt2(term.cond)} "
-            f"{term_to_smt2(term.then)} {term_to_smt2(term.orelse)})"
+            f"(ite {term_to_smt2(term.cond, names)} "
+            f"{term_to_smt2(term.then, names)} {term_to_smt2(term.orelse, names)})"
         )
     raise TypeError(f"unprintable term {term!r}")

@@ -9,7 +9,7 @@ import pytest
 
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
-from fpsat.normalizer import ClauseSet, push_negations, simplify, to_cnf
+from fpsat.normalizer import push_negations, simplify
 from fpsat.objective import compile_objective
 from fpsat.terms import (
     FALSE,
@@ -128,10 +128,10 @@ def random_assignment(rng: random.Random, varmap) -> dict[str, float]:
     }
 
 
-def clause_set_as_formula(clauses: ClauseSet) -> Term:
-    """View a clause set as an NNF term (for equivalence checks)."""
+def clause_set_as_formula(clauses) -> Term:
+    """View `to_cnf`'s clauses as an NNF term (for equivalence checks)."""
     parts = []
-    for clause in clauses.clauses:
+    for clause in clauses:
         if not clause:
             parts.append(FALSE)
         elif len(clause) == 1:
@@ -146,9 +146,8 @@ def clause_set_as_formula(clauses: ClauseSet) -> Term:
 
 
 def build_program(formula, varmap):
-    """formula -> simplify -> NNF -> CNF -> compiled program."""
-    clauses = to_cnf(push_negations(simplify(formula)))
-    return compile_objective(clauses, varmap), clauses
+    """formula -> simplify -> NNF -> compiled program."""
+    return compile_objective(push_negations(simplify(formula)), varmap)
 
 
 @pytest.fixture(scope="session")

@@ -133,9 +133,7 @@ def test_03_requirements_fuzz():
     counterexamples = 0
     for _ in range(100):
         formula, varmap = random_formula(rng, max_depth=5, max_vars=4)
-        program = compile_objective(
-            to_cnf(push_negations(simplify(formula))), varmap
-        )
+        program = compile_objective(push_negations(simplify(formula)), varmap)
         for _ in range(10_000):
             a = random_assignment(rng, varmap)
             x = [a[n] for n, _ in varmap]

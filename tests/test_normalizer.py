@@ -99,17 +99,17 @@ class TestToCnf:
         b = Compare(CmpOp.EQ, A32, C1)
         c = Compare(CmpOp.GT, B32, C2)
         cs = to_cnf(BoolOr((a, BoolAnd((b, c)))))
-        assert cs.clauses == ((a, b), (a, c))
+        assert cs == ((a, b), (a, c))
 
     def test_single_atom_unit_clause(self):
         a = Compare(CmpOp.LEQ, A32, B32, True)
         cs = to_cnf(a)
-        assert cs.clauses == ((a,),)
+        assert cs == ((a,),)
 
     def test_listing1_single_unit_clause(self, listing1_text):
         problem = build_problem(listing1_text)
         assert len(problem.clauses) == 1
-        (clause,) = problem.clauses.clauses
+        (clause,) = problem.clauses
         assert len(clause) == 1
         atom = clause[0]
         assert atom.op == CmpOp.GEQ and not atom.negated
@@ -118,19 +118,19 @@ class TestToCnf:
     def test_duplicate_literals_dedup(self):
         a = Compare(CmpOp.LT, A32, B32)
         cs = to_cnf(BoolOr((a, a)))
-        assert cs.clauses == ((a,),)
+        assert cs == ((a,),)
 
     def test_order_follows_source(self):
         a = Compare(CmpOp.LT, A32, B32)
         b = Compare(CmpOp.GT, A32, B32)
         cs = to_cnf(BoolAnd((b, a)))
-        assert cs.clauses == ((b,), (a,))
+        assert cs == ((b,), (a,))
 
     def test_constant_true_empty(self):
-        assert to_cnf(TRUE).clauses == ()
+        assert to_cnf(TRUE) == ()
 
     def test_constant_false_empty_clause(self):
-        assert to_cnf(FALSE).clauses == ((),)
+        assert to_cnf(FALSE) == ((),)
 
     def test_blowup_cap(self):
         # (a1 & b1) | (a2 & b2) | ... distributes exponentially

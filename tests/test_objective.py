@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fpsat import build_problem, load_problem
 from fpsat.errors import DimensionMismatchError, SortError, UnboundVariableError
 from fpsat.fp import FP32, FP64, FPValue, float_to_bits, ordered_bits
 from fpsat.harness import corpus_dir
-from fpsat.normalizer import ClauseSet, push_negations, simplify, to_cnf
+from fpsat.normalizer import push_negations, simplify
 from fpsat.parser import expand_definitions
 from fpsat.objective import (
     _DIST,
@@ -42,6 +43,7 @@ from fpsat.terms import (
     ArithOp,
     BoolAnd,
     BoolNot,
+    BoolOr,
     CmpOp,
     Compare,
     FPArith,
@@ -242,8 +244,7 @@ class TestCompileAndEvaluate:
         formula = simplify(Compare(CmpOp.GT, x, one))
         a1 = Compare(CmpOp.GT, x, one)
         a2 = Compare(CmpOp.GT, y, one)
-        cs = to_cnf(BoolAnd((a1, a2)))
-        program = compile_objective(cs, [("x", FP64), ("y", FP64)])
+        program = compile_objective(BoolAnd((a1, a2)), [("x", FP64), ("y", FP64)])
         d1 = atom_distance(CmpOp.GT, False, f64(0.0), f64(1.0))
         d2 = atom_distance(CmpOp.GT, False, f64(-1.0), f64(1.0))
         assert program.evaluate([0.0, -1.0]) == d1 + d2
@@ -251,8 +252,7 @@ class TestCompileAndEvaluate:
     def test_binary32_slot_narrowing(self):
         x = FPVar("x", FP32)
         two = FPConst(f32(2.0))
-        cs = to_cnf(Compare(CmpOp.EQ, x, two))
-        program = compile_objective(cs, [("x", FP32)])
+        program = compile_objective(Compare(CmpOp.EQ, x, two), [("x", FP32)])
         # any double narrowing to 2.0f is a zero of the objective
         assert program.evaluate([2.0 + 1e-9]) == 0.0
         assert program.evaluate([1e300]) != 0.0  # narrows to +inf
@@ -290,8 +290,7 @@ class TestCompileAndEvaluate:
         zero, one = FPConst(f64(0.0)), FPConst(f64(1.0))
         branch = Ite(Compare(CmpOp.LT, x, zero), FPArith(ArithOp.NEG, (x,)), x)
         formula = Compare(CmpOp.GEQ, branch, one)
-        cs = to_cnf(push_negations(formula))
-        program = compile_objective(cs, [("x", FP64)])
+        program = compile_objective(push_negations(formula), [("x", FP64)])
         assert program.evaluate([-1.0]) == 0.0
         assert program.evaluate([1.0]) == 0.0
         assert program.evaluate([0.5]) > 0.0
@@ -305,14 +304,14 @@ class TestCompileAndEvaluate:
         c = BoolNot(Compare(CmpOp.LT, x, zero)) if cond == "not" else TRUE
         formula = Compare(CmpOp.GEQ, Ite(c, x, zero), zero)
         with pytest.raises(TypeError):
-            compile_objective(ClauseSet(((formula,),)), [("x", FP64)])
+            compile_objective(formula, [("x", FP64)])
 
     def test_undeclared_variable_is_unbound(self):
         script = Script(assertions=[Compare(CmpOp.LT, FPVar("y", FP64), FPConst(f64(0.0)))])
         formula, varmap = expand_definitions(script)
         assert varmap == []
         with pytest.raises(UnboundVariableError, match="y"):
-            compile_objective(to_cnf(push_negations(simplify(formula))), varmap)
+            compile_objective(push_negations(simplify(formula)), varmap)
 
     def test_nonnegative_with_nan_inputs(self, listing1_text):
         program = build_problem(listing1_text).program
@@ -329,8 +328,8 @@ class TestCompileAndEvaluate:
             Compare(CmpOp.EQ, FPVar(nm, FP64), one) for nm in names
         )
         sat_atom = Compare(CmpOp.LT, FPVar("x0", FP64), one)
-        cs = ClauseSet((unsat_atoms + (sat_atom,),))
-        program = compile_objective(cs, [(nm, FP64) for nm in names])
+        clause = BoolOr(unsat_atoms + (sat_atom,))
+        program = compile_objective(clause, [(nm, FP64) for nm in names])
         x = [-1.7e308] * n  # each theta is ~1.3e19; their product is inf
         partial = 1.0
         for _ in range(n):
@@ -382,7 +381,7 @@ class TestEvaluateMany:
     def test_bitwise_equal_to_evaluate(self, seed, rows):
         rng = random.Random(seed)
         formula, varmap = random_formula(rng)
-        program, _ = build_program(formula, varmap)
+        program = build_program(formula, varmap)
         _assert_batch_matches(program, _points(rng, varmap, rows))
 
     @pytest.mark.parametrize("path", sorted(corpus_dir().glob("*.smt2")),
@@ -515,7 +514,7 @@ SHAPES = {
 }
 SHAPE_DIGESTS = {
     "or-of-ands":
-        "d24bd3882ecb3a07a93259f87dc8bb6dacfe5aff25697e29285768a255069e86",
+        "efc958f1d8e18ebbaca73e29a70d623696169e15c68df8d24e005fbdf731b2f7",
     "overflow-then-satisfied":
         "4140755fcd9613cfb1488586a31a8087854fbf4a46dabbf30c1e638cf95066a0",
     "assert-false":
@@ -527,18 +526,80 @@ SHAPE_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_pinned_shape_objective(name):
-    program = build_problem(SHAPES[name]).program
+    problem = build_problem(SHAPES[name])
+    program = problem.program
     X = _pinned_points(name, program.dimension)
     assert _pinned_values(program, X) == (SHAPE_DIGESTS[name],) * 2
+    # the zero set is the formula's, and every nonzero value is at least 1
+    names = [name for name, _ in problem.varmap]
+    for x in X:
+        g = program.evaluate(x)
+        assert (g == 0.0) == semantic_eval(problem.formula, dict(zip(names, x))), x
+        assert g == 0.0 or g >= 1.0, x
 
 
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_one_distance_per_distinct_literal(name):
     problem = build_problem(SHAPES[name])
-    literals = {lit for clause in problem.clauses.clauses for lit in clause}
+    literals = {lit for clause in problem.clauses for lit in clause}
     dists = [inst[4] for inst in problem.program._tape if inst[0] == _DIST]
     assert len(dists) == len(literals)
     assert len({(d.lhs_reg, d.rhs_reg, d.op, d.negated) for d in dists}) == len(dists)
+
+
+def _or_of_ands(k: int):
+    """An `or` of k three-literal `and`s over three binary64 variables, whose
+    CNF has 3^k clauses; also its variable map and one model per `and`."""
+    x, y, z = (FPVar(n, FP64) for n in "xyz")
+    disjuncts, models = [], []
+    for i in range(k):
+        lo, hi = FPConst(f64(i)), FPConst(f64(i + 0.5))
+        negated = i % 2 == 1
+        disjuncts.append(BoolAnd((
+            Compare(CmpOp.GEQ, x, lo),
+            Compare(CmpOp.LT, x, hi),
+            Compare(CmpOp.LT, y, FPArith(ArithOp.ADD, (z, lo)), negated),
+        )))
+        models.append([i + 0.25, i + 1.0 if negated else -1.0, 0.0])
+    return BoolOr(tuple(disjuncts)), [(n, FP64) for n in "xyz"], models
+
+
+def test_or_of_ands_compiles_linearly():
+    formula, varmap, models = _or_of_ands(20)
+    t0 = time.perf_counter()
+    program = compile_objective(push_negations(simplify(formula)), varmap)
+    assert time.perf_counter() - t0 < 0.1
+    # each `and` adds the same number of instructions
+    l5, l10 = (len(compile_objective(push_negations(simplify(_or_of_ands(k)[0])),
+                                     varmap)._tape) for k in (5, 10))
+    assert len(program._tape) - l10 == 2 * (l10 - l5)
+
+    rng = random.Random(20)
+    points = models + [[m[0], m[1] + rng.choice((-1.0, 1.0)), m[2]] for m in models]
+    points += [[random_fp_double(rng, 64) for _ in varmap] for _ in range(300)]
+    points += [[rng.uniform(-1.0, 21.0) for _ in varmap] for _ in range(300)]
+    zeros = 0
+    for x in points:
+        g = program.evaluate(x)
+        assert (g == 0.0) == semantic_eval(formula, dict(zip("xyz", x))), x
+        assert g == 0.0 or g >= 1.0, x
+        zeros += g == 0.0
+    assert zeros >= len(models)
+    _assert_batch_matches(program, np.array(points))
+
+
+def test_ite_condition_shares_the_literal_distance():
+    # `x < 0` is a clause literal and the ite's condition: one distance
+    x = FPVar("x", FP64)
+    zero, one = FPConst(f64(0.0)), FPConst(f64(1.0))
+    negative = Compare(CmpOp.LT, x, zero)
+    formula = BoolAnd((negative, Compare(
+        CmpOp.GEQ, Ite(negative, FPArith(ArithOp.NEG, (x,)), x), one)))
+    program = compile_objective(push_negations(simplify(formula)), [("x", FP64)])
+    assert sum(inst[0] == _DIST for inst in program._tape) == 2
+    for v in (-2.0, -1.0, -0.5, -0.0, 0.0, 1.0, 2.0, math.nan, -math.inf):
+        g = program.evaluate([v])
+        assert (g == 0.0) == semantic_eval(formula, {"x": v}), v
 
 
 class TestSemanticEval:
@@ -639,8 +700,7 @@ def _twelve_case_program():
                     pair for pair in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
                     if COMPARE[op](*pair) != neg
                 ))
-    clauses = to_cnf(BoolAnd(tuple(atoms)))
-    return compile_objective(clauses, varmap), satisfied
+    return compile_objective(BoolAnd(tuple(atoms)), varmap), satisfied
 
 
 def _compile_c(program, tmp_path):
@@ -666,7 +726,7 @@ class TestRequirementsSmoke:
         rng = random.Random(1234)
         for _ in range(40):
             formula, varmap = random_formula(rng)
-            program, _ = build_program(formula, varmap)
+            program = build_program(formula, varmap)
             for _ in range(200):
                 a = random_assignment(rng, varmap)
                 x = [a[n] for n, _ in varmap]
@@ -685,7 +745,7 @@ class TestRequirementsSmoke:
         for path in sorted(corpus_dir().glob("*.smt2")):
             problem = load_problem(path)
             varmap = problem.varmap
-            program, _ = build_program(problem.formula, varmap)
+            program = build_program(problem.formula, varmap)
             for _ in range(100_000):
                 a = random_assignment(rng, varmap)
                 x = [a[n] for n, _ in varmap]

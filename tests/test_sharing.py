@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from fpsat import build_problem, parser
+from fpsat import build_problem, clause_set_to_sexpr, parser
 from fpsat.fp import FP64
 from fpsat.normalizer import push_negations, simplify
 from fpsat.objective import render_objective_source, semantic_eval
@@ -157,3 +157,12 @@ class TestLinearity:
         assert time.perf_counter() - t0 < 1.0
         assert holds == (problem.program.evaluate([0.0, 0.0][:problem.program.dimension])
                          == 0.0)
+
+    def test_cnf_dump_prints_shared_subterms_once(self):
+        # tree-shaped, the depth-40 literal would print 2^40 leaves
+        assert len(clause_set_to_sexpr(build_problem(let_chain(40)).clauses)) < 10_000
+        assert clause_set_to_sexpr(build_problem(let_chain(2)).clauses) == (
+            "(define-fun @t0 () (_ FloatingPoint 11 53) (fp.add RNE x y))\n"
+            "(define-fun @t1 () (_ FloatingPoint 11 53) (fp.add RNE @t0 @t0))\n"
+            "(clause (leq (fp.add RNE @t1 @t1) ((_ to_fp 11 53) #x3ff0000000000000)))\n"
+        )
