@@ -86,8 +86,13 @@ class DimensionMismatchError(FpsatError):
 
 
 class InstanceCrashError(FpsatError):
-    """An optimizer instance of the portfolio raised; the original exception
-    is the `__cause__`."""
+    """An optimizer instance of the portfolio raised, or the worker process
+    that ran it died. `traceback` holds the instance's traceback text,
+    wherever it ran ("" for a worker that died)."""
+
+    def __init__(self, message: str, traceback: str = ""):
+        super().__init__(message)
+        self.traceback = traceback
 
 
 class VerificationFailureError(FpsatError):

@@ -79,6 +79,7 @@ class SolveReport:
                     "best_value": s.best_value
                     if math.isfinite(s.best_value) else None,
                     "wall_time_s": s.wall_time,
+                    "evals_per_s": s.evals / s.wall_time if s.wall_time > 0 else None,
                     "terminated_by": s.terminated_by,
                 }
                 for s in o.stats

@@ -210,7 +210,8 @@ class ObjectiveProgram:
 
     Immutable after compilation; `evaluate` may be called concurrently from
     many threads (each call owns its register scratch). The evaluation
-    counter is the only shared mutable state.
+    counter is the only shared mutable state. A program pickles, so that
+    a race can send it to its worker processes.
     """
 
     def __init__(self, template, tape, out, var_regs, varmap, widths):
@@ -220,14 +221,18 @@ class ObjectiveProgram:
         self._var_regs = var_regs
         self.varmap = varmap  # list[(name, Sort)]
         self._widths = widths
+        self._eval_count = 0
+        self._derive()
+
+    def _derive(self) -> None:
+        """The state that is not pickled, because it is rebuilt faster."""
         # the template as numpy scalars of each register's width, so that
         # constant operands keep binary32 rounding in `evaluate_many`
         self._batch_template = [
             np.float32(v) if w == 32 else np.float64(v)
-            for v, w in zip(template, widths)
+            for v, w in zip(self._template, self._widths)
         ]
         self._count_lock = threading.Lock()
-        self._eval_count = 0
 
     @property
     def dimension(self) -> int:
@@ -236,6 +241,21 @@ class ObjectiveProgram:
     @property
     def eval_count(self) -> int:
         return self._eval_count
+
+    def count_evals(self, n: int) -> None:
+        """Add n evaluations made by a copy of this program, such as the
+        one a race's worker process unpickles."""
+        with self._count_lock:
+            self._eval_count += n
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_batch_template"], state["_count_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._derive()
 
     def evaluate(self, x) -> float:
         """Compute the objective at x (binary64 coordinates).

@@ -1,15 +1,27 @@
 """Race N optimizer instances on one objective; first exact zero wins.
 
-Shared state is limited to the immutable program, a stop event, a
-first-writer result slot, and per-instance counters. A winning zero is
-claimed at the evaluation that produced it; every other instance then
-performs at most one further evaluation, or one batch of them, before
-observing the stop token.
+The instances are spread over k = min(N, usable cores) processes:
+instance i runs in slot i mod k. Slot 0 is the calling process, and
+slots 1..k-1 are persistent forked workers (`workers.py`), reused across
+races and forked only by a race that its first instance has not decided
+within its first time slice. Every slot runs its instances as threads.
+Shared state is limited to the immutable program (each worker gets a
+pickled copy), a stop flag (one byte of shared memory when workers take
+part), and per-slot records of stats, the first zero and the first
+crash. A winning zero is claimed
+at the evaluation that produced it and sets the flag; every other
+instance then performs at most one further evaluation, or one batch of
+them, before observing it. The winner is the zero with the earliest
+stamp, and it is verified in the calling process. Fixed-seed
+trajectories do not depend on where an instance runs.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
 import threading
 import time
 from dataclasses import dataclass, field
@@ -29,6 +41,7 @@ from .optimizers import (
 )
 from .rng import Xoshiro256Plus, derive_seed
 from .terms import Term
+from .workers import WorkerError, shared_pool
 
 __all__ = [
     "PortfolioConfig",
@@ -47,6 +60,9 @@ _MINIMIZERS = {
     "isres": isres_minimize,
 }
 ALGORITHMS = tuple(_MINIMIZERS)
+
+# how often a race with workers forwards an external stop event to them
+_FORWARD_S = 0.005
 
 
 @dataclass
@@ -154,8 +170,9 @@ def solve(formula: Term, program: ObjectiveProgram,
     budget that is not an integer >= 1, bounds that are not finite with
     lo < hi) before anything is evaluated; VerificationFailureError if a
     zero-valued point fails the semantic check (that would be an encoding
-    bug, never hidden), and InstanceCrashError, naming the instance, if
-    an instance raised.
+    bug, never hidden), and InstanceCrashError, naming the instance and
+    carrying its traceback text, if an instance raised or the worker
+    process running it died.
     """
     if config is None:
         config = PortfolioConfig()
@@ -187,72 +204,237 @@ def solve(formula: Term, program: ObjectiveProgram,
     return SolveOutcome("sat", model, (alg, idx), stats, None, elapsed)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _race(program, algs, config, opt_cfg, stop, t_start):
-    """One thread per instance; returns the winner (instance index,
-    algorithm, zero point) or None, the instances' stats, and why the race
-    ended without a winner."""
-    if stop is None:
-        stop = threading.Event()
-    claim_lock = threading.Lock()
-    winner_slot: list = [None]
-    dim = program.dimension
-    f_many = getattr(program, "evaluate_many", None)
-    stats: list = [None] * len(algs)  # each instance fills its own entry
-    crashes: list = []  # (instance index, algorithm, exception)
+    """Returns the winner (instance index, algorithm, zero point) or None,
+    the instances' stats, and why the race ended without a winner.
 
-    def claim(idx: int, alg: str, x: np.ndarray) -> None:
-        with claim_lock:
-            if winner_slot[0] is None:
-                winner_slot[0] = (idx, alg, x)
-        stop.set()
-
-    def worker(idx: int, alg: str) -> None:
-        t0 = time.perf_counter()
-        try:
-            rng = Xoshiro256Plus(derive_seed(config.seed, idx))
-            x0 = random_start(dim, rng, config.start_range)
-            minimize = _MINIMIZERS[alg]
-            outcome = minimize(
-                program.evaluate, x0, opt_cfg, rng, stop=stop,
-                on_zero=lambda x, idx=idx, alg=alg: claim(idx, alg, x),
-                f_many=f_many,
-            )
-            stats[idx] = InstanceStats(
-                alg, idx, outcome.evals_used, outcome.best_value,
-                time.perf_counter() - t0, outcome.terminated_by.value,
-            )
-        except Exception as exc:  # raised after join
-            crashes.append((idx, alg, exc))
-            stop.set()  # a crashed instance ends the race
-
-    threads = [
-        threading.Thread(target=worker, args=(i, alg), daemon=True)
-        for i, alg in enumerate(algs)
-    ]
-    for t in threads:
-        t.start()
-
+    Places the instances on k = min(instances, usable cores) processes:
+    instance i runs in slot i mod k. Slot 0 is this process; slots 1..k-1
+    are the shared pool's workers, which only a compiled program that
+    pickles, and one race at a time, can use (otherwise every share runs
+    here). A fork costs milliseconds, so a race that lacks workers first
+    lets its first instance run alone: this thread resumes once that
+    instance yields the interpreter lock, at the end of its first time
+    slice or at its own end, and pickles the program and forks only if
+    the race is still undecided.
+    """
+    k = min(len(algs), _usable_cores())
+    pool = None
+    if k > 1 and isinstance(program, ObjectiveProgram):
+        pool = shared_pool()
+        if not pool.hold():
+            pool = None
+    if pool is None:
+        k = 1
+        flag = stop if stop is not None else threading.Event()
+    else:
+        flag = pool.stop
+        flag.clear()
+    forward = stop if flag is not stop else None  # polled, then set on the flag
+    indexed = list(enumerate(algs))
+    shares = [indexed[slot::k] for slot in range(k)]
+    deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
     timed_out = False
-    if config.wall_timeout is not None:
-        deadline = t_start + config.wall_timeout
-        for t in threads:
-            t.join(max(0.0, deadline - time.perf_counter()))
-        if any(t.is_alive() for t in threads):
-            timed_out = True
-            stop.set()
-    for t in threads:
-        t.join()
+
+    def wait_s():
+        """How long to block before the deadline or the next forwarding
+        poll; None once the flag is set."""
+        nonlocal timed_out
+        if forward is not None and forward.is_set():
+            flag.set()
+        if flag.is_set():
+            return None
+        timeout = None
+        if deadline is not None:
+            timeout = deadline - time.perf_counter()
+            if timeout <= 0:
+                timed_out = True
+                flag.set()
+                return None
+        if forward is not None:
+            timeout = min(timeout or _FORWARD_S, _FORWARD_S)
+        return timeout
+
+    results = []  # (stats, zero, crash) of each slot
+    pending = {}  # worker -> its share
+    local = _Share(program, config, opt_cfg, flag)
+    try:
+        head = 1 if pool is not None and pool.running() < k - 1 else 0
+        local.start(shares[0][:head])
+        wait_s()
+        blob = _pickled(program) if pool is not None and not flag.is_set() else None
+        workers = pool.workers(k - 1) if blob is not None else []
+        for slot, share in enumerate(shares[1:]):
+            if slot >= len(workers):
+                # decided already (each instance ends at its first poll),
+                # or the program does not pickle, or no worker could be
+                # forked: run the share here
+                local.start(share)
+                continue
+            try:
+                workers[slot].submit(_run_share, blob, share, config, opt_cfg)
+            except WorkerError as exc:
+                results.append(_lost_share(share, exc))
+                flag.set()
+            else:
+                pending[workers[slot]] = share
+        local.start(shares[0][head:])
+        while pending:
+            ready, _, _ = select.select(list(pending), [], [], wait_s())
+            for worker in ready:
+                share = pending.pop(worker)
+                try:
+                    result = worker.result()
+                except WorkerError as exc:
+                    results.append(_lost_share(share, exc))
+                    flag.set()
+                else:
+                    if result is None:  # the worker could not unpickle it
+                        local.start(share)
+                        continue
+                    # evaluations made on the worker's copy of the program
+                    program.count_evals(sum(s.evals for s in result[0]))
+                    results.append(result)
+        for t in local.threads:
+            while t.is_alive():
+                t.join(wait_s())
+    except BaseException:  # interrupted: stop everything before leaving
+        flag.set()
+        for worker in pending:
+            worker.kill()
+        local.join()
+        raise
+    finally:
+        if pool is not None:
+            pool.release()
+    results.append(local.result())
+
+    stats = [None] * len(algs)  # each instance fills its own entry
+    zeros, crashes = [], []
+    for share_stats, zero, crash in results:
+        for s in share_stats:
+            stats[s.index] = s
+        if zero is not None:
+            zeros.append(zero)
+        if crash is not None:
+            crashes.append(crash)
 
     if crashes:
-        idx, alg, exc = crashes[0]
-        raise InstanceCrashError(
-            f"instance {idx} ({alg}) crashed: {type(exc).__name__}: {exc}"
-        ) from exc
+        _, idx, alg, summary, tb = min(crashes)
+        raise InstanceCrashError(f"instance {idx} ({alg}) crashed: {summary}", tb)
+    winner = None
+    if zeros:
+        _, idx, alg, x = min(zeros, key=lambda z: z[0])
+        winner = (idx, alg, x)
 
     if timed_out:
         reason = "wall-timeout"
-    elif stop.is_set():
+    elif flag.is_set():
         reason = "cancelled"
     else:
         reason = "budget-exhausted"
-    return winner_slot[0], stats, reason
+    return winner, stats, reason
+
+
+def _pickled(program) -> bytes | None:
+    """The program as a worker receives it; None if it does not pickle
+    (a subclass defined in a function does not)."""
+    try:
+        return pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+
+
+def _lost_share(share, exc: WorkerError):
+    """A share whose worker returned nothing: a crash of its first instance."""
+    idx, alg = share[0]
+    return [], None, (time.perf_counter(), idx, alg, str(exc), exc.traceback)
+
+
+class _Share:
+    """One slot's instances in this process, polling `stop`.
+
+    Records each instance's stats, the slot's first zero (stamp, index,
+    algorithm, point) and first crash (stamp, index, algorithm, summary,
+    traceback text). Stamps are `time.perf_counter()`, one clock for all
+    processes of a race.
+    """
+
+    def __init__(self, program, config, opt_cfg, stop):
+        self.program = program
+        self.f_many = getattr(program, "evaluate_many", None)
+        self.config = config
+        self.opt_cfg = opt_cfg
+        self.stop = stop
+        self.stats = []
+        self.zero = None
+        self.crash = None
+        self._lock = threading.Lock()
+        self.threads = []
+
+    def start(self, share) -> None:
+        """Run each (index, algorithm) of `share` in a thread of its own."""
+        for idx, alg in share:
+            t = threading.Thread(target=self.run, args=(idx, alg), daemon=True)
+            t.start()
+            self.threads.append(t)
+
+    def _claim(self, idx: int, alg: str, x: np.ndarray) -> None:
+        with self._lock:
+            if self.zero is None:
+                self.zero = (time.perf_counter(), idx, alg, x)
+        self.stop.set()
+
+    def run(self, idx: int, alg: str) -> None:
+        t0 = time.perf_counter()
+        try:
+            rng = Xoshiro256Plus(derive_seed(self.config.seed, idx))
+            x0 = random_start(self.program.dimension, rng, self.config.start_range)
+            outcome = _MINIMIZERS[alg](
+                self.program.evaluate, x0, self.opt_cfg, rng, stop=self.stop,
+                on_zero=lambda x: self._claim(idx, alg, x), f_many=self.f_many,
+            )
+            self.stats.append(InstanceStats(
+                alg, idx, outcome.evals_used, outcome.best_value,
+                time.perf_counter() - t0, outcome.terminated_by.value,
+            ))
+        except Exception as exc:  # raised by the race once every slot ended
+            import traceback  # slow to import; needed only on a crash
+
+            with self._lock:
+                if self.crash is None:
+                    self.crash = (time.perf_counter(), idx, alg,
+                                  f"{type(exc).__name__}: {exc}",
+                                  traceback.format_exc())
+            self.stop.set()  # a crashed instance ends the race
+
+    def join(self) -> None:
+        for t in self.threads:
+            t.join()
+
+    def result(self):
+        return self.stats, self.zero, self.crash
+
+
+def _run_share(blob, share, config, opt_cfg, *, stop):
+    """A worker's job: run `share` of the pickled program to its end;
+    returns its stats, first zero and first crash. Returns None if this
+    process cannot unpickle the program (say, its class was defined in
+    `__main__` after the fork), and the caller runs the share itself."""
+    try:
+        program = pickle.loads(blob)
+    except Exception:
+        return None
+    local = _Share(program, config, opt_cfg, stop)
+    local.start(share)
+    local.join()
+    return local.result()

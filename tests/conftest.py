@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 
@@ -10,7 +11,8 @@ import pytest
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
 from fpsat.normalizer import push_negations, simplify
-from fpsat.objective import compile_objective
+from fpsat.objective import ObjectiveProgram, compile_objective
+from fpsat.optimizers import _CRS2_POP_PER_DIM
 from fpsat.terms import (
     FALSE,
     TRUE,
@@ -148,6 +150,25 @@ def clause_set_as_formula(clauses) -> Term:
 def build_program(formula, varmap):
     """formula -> simplify -> NNF -> compiled program."""
     return compile_objective(push_negations(simplify(formula)), varmap)
+
+
+class CrashingProgram(ObjectiveProgram):
+    """A program whose `evaluate_many` raises RuntimeError("boom in
+    process <pid>") on a batch of more rows than CRS2's initial
+    population, which only ISRES evaluates (its population and
+    generations have 20 (n + 1) rows). It is defined at module level, so
+    it pickles and crashes ISRES in whichever process runs it."""
+
+    @classmethod
+    def of(cls, program: ObjectiveProgram) -> "CrashingProgram":
+        crashing = cls.__new__(cls)
+        crashing.__setstate__(program.__getstate__())
+        return crashing
+
+    def evaluate_many(self, X):
+        if len(X) > _CRS2_POP_PER_DIM * (self.dimension + 1):
+            raise RuntimeError(f"boom in process {os.getpid()}")
+        return super().evaluate_many(X)
 
 
 @pytest.fixture(scope="session")

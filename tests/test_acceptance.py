@@ -5,6 +5,7 @@ are pinned here; nothing is deferred to later calibration.
 """
 
 import io
+import os
 import random
 import stat
 import sys
@@ -26,7 +27,7 @@ from test_rng import (
     XOSHIRO256P_TRACES,
 )
 
-from fpsat import build_problem, load_problem
+from fpsat import build_problem, load_problem, portfolio
 from fpsat.fp import FPValue
 from fpsat.harness import run_bench, run_combined, run_solve
 from fpsat.normalizer import push_negations, simplify, to_cnf
@@ -248,8 +249,10 @@ def test_06_portfolio_contracts(corpus_path):
                "post-win cancellation <= 1 evaluation")
 
 
-def test_07_determinism(corpus_path):
-    """Single-instance fixed-seed runs are bit-identical across 5 reps."""
+def test_07_determinism(corpus_path, monkeypatch):
+    """Single-instance fixed-seed runs are bit-identical across 5 reps, and
+    every instance of a race runs the same trajectory wherever it is
+    placed: in the calling process, or in a worker process."""
     for name, algorithm in (("listing1.smt2", "bh"),
                             ("disjunction.smt2", "crs2"),
                             ("infeasible_irreflexive.smt2", "isres")):
@@ -263,8 +266,23 @@ def test_07_determinism(corpus_path):
                 if out.model else None
             results.append((out.verdict, model_bits, out.total_evals))
         assert len(set(results)) == 1, (name, results)
+
+    # usable cores 1: all in this process; 2: CRS2 in a worker; 3: each
+    # instance in its own process
+    placements = (1, 2, 3) if hasattr(os, "fork") else (1,)
+    for name in UNSAT_INSTANCES:
+        problem = load_problem(corpus_path / name)
+        per_placement = []
+        for cores in placements:
+            monkeypatch.setattr(portfolio, "_usable_cores", lambda cores=cores: cores)
+            out = solve(problem.formula, problem.program,
+                        PortfolioConfig(max_evals=3_000, seed=0xD5))
+            per_placement.append([(s.evals, s.best_value, s.terminated_by)
+                                  for s in out.stats])
+        assert all(p == per_placement[0] for p in per_placement), (name, per_placement)
     _passed(7, "verdict, model bits, and eval counts identical across "
-               "5 repetitions for each algorithm")
+               "5 repetitions for each algorithm, and per-instance trajectories "
+               "identical across placements")
 
 
 def test_08_table_shapes_at_desk_scale(corpus_path, tmp_path):

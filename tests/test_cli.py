@@ -31,6 +31,28 @@ class TestSolveCommand:
         assert payload["verdict"] == "unknown"
         assert payload["unknown_reason"] == "budget-exhausted"
 
+    def test_stats_json_instance_rates(self, corpus_path, tmp_path, capsys):
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        main(["solve", str(corpus_path / "infeasible_box.smt2"),
+              "--stats-json", "--max-evals", "1000"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1],
+                             parse_constant=strict)
+        for inst in payload["instances"]:
+            assert inst["evals_per_s"] == pytest.approx(
+                inst["evals"] / inst["wall_time_s"])
+        # a constant formula is decided by one evaluation outside any
+        # race, in no measured time: its rate is null, not Infinity
+        const = tmp_path / "const.smt2"
+        const.write_text("(set-logic QF_FP)(assert (fp.lt ((_ to_fp 8 24) RNE 1.0) "
+                         "((_ to_fp 8 24) RNE 2.0)))(check-sat)")
+        main(["solve", str(const), "--stats-json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1],
+                             parse_constant=strict)
+        [inst] = payload["instances"]
+        assert (inst["wall_time_s"], inst["evals_per_s"]) == (0.0, None)
+
     def test_unknown_exit_one(self, corpus_path, capsys):
         code = main(["solve", str(corpus_path / "infeasible_cycle.smt2"),
                      "--max-evals", "1000"])

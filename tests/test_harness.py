@@ -11,6 +11,9 @@ import time
 
 import pytest
 
+from conftest import CrashingProgram
+
+from fpsat import harness, load_problem
 from fpsat.harness import (
     BenchRecord,
     BenchReport,
@@ -19,7 +22,6 @@ from fpsat.harness import (
     run_combined,
     run_solve,
 )
-from fpsat import portfolio
 from fpsat.errors import InstanceCrashError
 from fpsat.parser import parse_script
 from fpsat.portfolio import PortfolioConfig
@@ -41,11 +43,13 @@ def fast_config(**kw):
 
 @pytest.fixture
 def crashing_isres(monkeypatch):
-    """Make every ISRES instance raise at once."""
-    def crash(*args, **kwargs):
-        raise RuntimeError("boom")
+    """Make every ISRES instance raise at its first batch, wherever it runs."""
+    def load(path):
+        problem = load_problem(path)
+        problem.program = CrashingProgram.of(problem.program)
+        return problem
 
-    monkeypatch.setitem(portfolio._MINIMIZERS, "isres", crash)
+    monkeypatch.setattr(harness, "load_problem", load)
 
 
 class TestRunSolve:
