@@ -13,7 +13,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from fpsat import build_problem, render_objective_source
+from fpsat import build_problem, kernels, render_objective_source
 from fpsat.harness import corpus_dir
 
 problem = build_problem((corpus_dir() / "listing1.smt2").read_text())
@@ -31,7 +31,7 @@ with tempfile.TemporaryDirectory() as tmp:
     so_path = Path(tmp) / "objective.so"
     c_path.write_text(source)
     subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-o", str(so_path), str(c_path)],
+        ["gcc", *kernels.KERNEL_CFLAGS, "-o", str(so_path), str(c_path)],
         check=True,
     )
     lib = ctypes.CDLL(str(so_path))
@@ -48,3 +48,4 @@ with tempfile.TemporaryDirectory() as tmp:
         same = c_val == py_val or (c_val != c_val and py_val != py_val)
         agree += same
     print(f"compiled C vs in-process tape: {agree}/10000 inputs bit-identical")
+    print(f"(the in-process tape ran on the {kernels.status()['path']} path)")

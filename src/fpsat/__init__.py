@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from . import errors
+from . import errors, kernels
 from .errors import FpsatError
 from .fp import FP32, FP64, FPValue, Sort
 from .normalizer import (
@@ -51,6 +51,9 @@ from .portfolio import (
 )
 from .rng import Xoshiro256Plus, derive_seed, splitmix64_next
 from .terms import Compare, Script, Term, term_to_smt2
+
+# open the native kernels before any race forks a worker
+kernels.load()
 
 __version__ = "0.1.0"
 

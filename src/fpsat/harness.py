@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import load_problem
+from . import kernels, load_problem
 from .errors import FpsatError
 from .normalizer import clause_set_to_sexpr
 from .portfolio import ALGORITHMS, PortfolioConfig, SolveOutcome, solve
@@ -62,7 +62,8 @@ class SolveReport:
 
     def stats_json(self) -> str:
         if self.outcome is None:
-            return json.dumps({"verdict": self.verdict, "message": self.message})
+            return json.dumps({"verdict": self.verdict, "message": self.message,
+                               "kernels": kernels.status()})
         o = self.outcome
         return json.dumps({
             "verdict": o.verdict,
@@ -84,6 +85,7 @@ class SolveReport:
                 }
                 for s in o.stats
             ],
+            "kernels": kernels.status(),
         })
 
 

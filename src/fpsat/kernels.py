@@ -1,0 +1,197 @@
+"""Native kernels: `_kernels.c`, compiled once per install, called through ctypes.
+
+`load()` runs at `import fpsat`, before any race forks a worker. It
+opens the library cached in `fpsat/__pycache__/` under a name keyed by
+the source and `KERNEL_CFLAGS`, and compiles it there with `gcc` first
+if it is missing (to a temporary file, then an atomic rename, so
+concurrent first imports leave one file). The library is then checked
+bit for bit against the Python reference paths on fixed inputs. A
+missing compiler, an unwritable cache, a load error or a failed check
+leaves `lib` None, and every caller takes its Python path; `reason` says
+why. Nothing here raises.
+
+The library is opened with `ctypes.PyDLL`, so a call keeps the
+interpreter lock: each takes about a microsecond, and releasing the lock
+that often would only interleave the race's threads. Tests force the
+Python path by setting `lib` to None.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import struct
+import zlib
+from pathlib import Path
+
+__all__ = ["KERNEL_CFLAGS", "SOURCE", "lib", "reason", "load", "status", "cache_file"]
+
+# gcc flags for the kernels and for `render_objective_source`'s output:
+# no contraction of a * b + c into a fused multiply-add, no fast math and
+# no -march, so that every operation rounds as the Python path's does
+KERNEL_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+
+lib = None  # the loaded kernels, or None: the Python path
+reason: str | None = None  # why `lib` is None after `load()`
+
+_state_p = ctypes.POINTER(ctypes.c_uint64)
+_SIGNATURES = {
+    "fpsat_eval": (ctypes.c_double, [ctypes.c_char_p, ctypes.c_char_p]),
+    "fpsat_eval_many": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_void_p,
+                                       ctypes.c_int, ctypes.c_void_p]),
+    "fpsat_doubles": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
+    "fpsat_gauss": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
+}
+
+
+class _Unavailable(Exception):
+    """Why the native kernels cannot be used."""
+
+
+def status() -> dict:
+    """Which path evaluates objectives and draws random numbers, and why."""
+    return {"path": "python" if lib is None else "native", "reason": reason}
+
+
+def load(cache_dir=None) -> None:
+    """Open (compiling first if needed) and check the kernels; on any
+    failure select the Python path and record why. `cache_dir` defaults
+    to `fpsat/__pycache__/`."""
+    global lib, reason
+    lib = None
+    try:
+        candidate = _open_or_build(cache_file(cache_dir))
+        _self_check(candidate)
+    except Exception as exc:  # any failure selects the Python path
+        reason = str(exc) if isinstance(exc, _Unavailable) else f"{type(exc).__name__}: {exc}"
+        return
+    lib, reason = candidate, None
+
+
+def cache_file(cache_dir=None) -> Path:
+    """The cached library for this source and these flags."""
+    cache = Path(cache_dir) if cache_dir is not None else SOURCE.parent / "__pycache__"
+    key = zlib.crc32(SOURCE.read_bytes() + " ".join(KERNEL_CFLAGS).encode())
+    return cache / f"_kernels-{key:08x}.so"
+
+
+def _open_or_build(path: Path):
+    if path.exists():
+        try:
+            if _intact(path):
+                return _open(path)
+        except OSError:
+            pass
+        path.unlink(missing_ok=True)  # truncated or foreign: build a fresh one
+    _build(path)
+    try:
+        return _open(path)
+    except OSError as exc:
+        raise _Unavailable(f"cannot load {path.name}: {exc}") from None
+
+
+def _intact(path: Path) -> bool:
+    """False if an ELF64 library ends before its segments or section
+    headers do: the dynamic loader would map the missing pages and fault
+    on them, killing the process, instead of failing."""
+    data = path.read_bytes()
+    if data[:6] != b"\x7fELF\x02\x01":  # not little-endian ELF64: left to the loader
+        return True
+    if len(data) < 64:
+        return False
+    phoff, shoff = struct.unpack_from("<QQ", data, 32)
+    phentsize, phnum, shentsize, shnum = struct.unpack_from("<HHHH", data, 54)
+    if max(phoff + phentsize * phnum, shoff + shentsize * shnum) > len(data):
+        return False
+    for i in range(phnum):
+        offset, size = struct.unpack_from("<8xQ16xQ", data, phoff + i * phentsize)
+        if offset + size > len(data):
+            return False
+    return True
+
+
+def _open(path: Path):
+    handle = ctypes.PyDLL(str(path))
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(handle, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return handle
+
+
+def _build(path: Path) -> None:
+    """Compile the source to `path` through a temporary file in its
+    directory and an atomic rename."""
+    import shutil  # imported here: a warm start compiles nothing
+    import subprocess
+    import tempfile
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise _Unavailable("no gcc on PATH")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + "-", suffix=".tmp")
+    except OSError as exc:
+        raise _Unavailable(f"cache directory not writable: {exc}") from None
+    os.close(fd)
+    try:
+        proc = subprocess.run([gcc, *KERNEL_CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            last = proc.stderr.strip().splitlines()[-1:] or ["no message"]
+            raise _Unavailable(f"gcc failed: {last[0]}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _self_check(candidate) -> None:
+    """Compare the candidate with the Python paths, which `load` has
+    selected meanwhile, on fixed inputs: a program with all 13 opcodes
+    at special values of both widths, and a stream of uniform and
+    Gaussian draws."""
+    import numpy as np
+
+    from .objective import _kernel_check_program
+    from .optimizers import _gauss_rows
+    from .rng import Xoshiro256Plus
+
+    program, X = _kernel_check_program(), _check_points()
+    want = np.array([program.evaluate(x) for x in X])
+    got = np.array([candidate.fpsat_eval(program._image, x.tobytes()) for x in X])
+    out = np.empty(len(X))
+    k = candidate.fpsat_eval_many(program._image, X.ctypes.data, len(X), out.ctypes.data)
+    first_zero = np.flatnonzero(want == 0.0)[:1]
+    if (got.tobytes() != want.tobytes() or k != (first_zero[0] + 1 if len(first_zero) else len(X))
+            or out[:k].tobytes() != want[:k].tobytes()):
+        raise _Unavailable("self-check failed: objective values")
+
+    ref, nat = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
+    uniform, gauss = np.empty(9), np.empty(8)
+    candidate.fpsat_doubles(nat._s, uniform.ctypes.data, 9)
+    candidate.fpsat_gauss(nat._s, gauss.ctypes.data, 8)
+    if (uniform.tobytes() != np.array(ref.doubles(9)).tobytes()
+            or gauss.tobytes() != _gauss_rows(ref, 2, 4).tobytes()
+            or nat.state() != ref.state()):
+        raise _Unavailable("self-check failed: random draws")
+
+
+def _check_points():
+    """Special and ordinary values of both widths for the check program's
+    (x, y, u, w)."""
+    import numpy as np
+
+    inf, nan = float("inf"), float("nan")
+    return np.array([
+        (1.0, 3.0, 1.0, 3.0),
+        (0.0, -0.0, -0.0, 0.0),
+        (nan, 1.0, inf, -inf),
+        (3.4028235e38, 3.5e38, 1.7e308, 1.7e308),
+        (-2.5, 0.1, -1e-300, 1e300),
+        (1e-45, 5e-324, 5e-324, -5e-324),
+        (0.0, 0.0, 0.0, 0.0),
+        (inf, -inf, nan, 2.0),
+    ])

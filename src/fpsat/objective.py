@@ -10,23 +10,30 @@ takes their zero-propagating product, so every nonzero distance is at
 least 1. An `ite` selects its then-branch where its condition's distance
 is 0. The independent Boolean evaluator (`semantic_eval`) is the
 correctness oracle for these claims and never touches the tape.
+`compile_objective` also packs the tape into one immutable `bytes` image,
+which the native kernels (`kernels.py`, `_kernels.c`) interpret bit for
+bit as `evaluate` does; the Python tape is the reference and the fallback.
 `render_objective_source` writes the same tape as C, one definition per
 instruction.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 import threading
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DimensionMismatchError,
     SortError,
     UnboundVariableError,
 )
-from .fp import FPValue, Sort, float_to_bits, ieee_div, narrow32, ordered_bits
+from .fp import FP32, FP64, FPValue, Sort, float_to_bits, ieee_div, narrow32, ordered_bits
 from .terms import (
     ArithOp,
     BoolAnd,
@@ -99,6 +106,10 @@ _SELECT = 10  # a = the condition's distance; b if it is 0.0, else c
 _DIST = 11  # c = the _Literal; 0.0 if it holds, else θ + its penalty
 _MULZ = 12  # zero-propagating product: 0.0 if either factor is 0.0
 
+# a literal's comparison in the native image (the enum in _kernels.c)
+_CMP_CODE = {CmpOp.LT: 0, CmpOp.LEQ: 1, CmpOp.GT: 2, CmpOp.GEQ: 3,
+             CmpOp.EQ: 4, CmpOp.NEQ: 5}
+
 
 # A failed literal is charged θ, plus 1 when the relation it requires
 # excludes equality: strict comparisons do, and negation swaps strict and
@@ -134,6 +145,18 @@ class _Compiler:
         self.widths.append(width)
         return len(self.template) - 1
 
+    def emit(self, code: int, width: int, a: int, b: int = 0, c=0) -> int:
+        """Append one instruction writing a new register; returns it."""
+        reg = self.new_reg(width)
+        self.tape.append((code, reg, a, b, c))
+        return reg
+
+    def dist(self, op: CmpOp, lhs: int, rhs: int, negated: bool, width: int) -> int:
+        """The distance instruction of one comparison of two registers."""
+        strict = (op in _STRICT) != negated
+        lit = _Literal(COMPARE[op], lhs, rhs, negated, 1.0 if strict else 0.0, width, op)
+        return self.emit(_DIST, 64, lhs, rhs, lit)
+
     def compile_fp(self, term: Term) -> int:
         reg = self.memo.get(term)
         if reg is not None:
@@ -150,22 +173,20 @@ class _Compiler:
             self.var_regs.append((reg, idx, sort.width == 32))
         elif isinstance(term, FPArith):
             args = [self.compile_fp(a) for a in term.args]
-            reg = self.new_reg(width)
             if term.op == ArithOp.NEG:
-                self.tape.append((_NEG, reg, args[0], 0, 0))
+                reg = self.emit(_NEG, width, args[0])
             elif term.op == ArithOp.ABS:
-                self.tape.append((_ABS, reg, args[0], 0, 0))
+                reg = self.emit(_ABS, width, args[0])
             else:
                 base = {ArithOp.ADD: _ADD32, ArithOp.SUB: _SUB32,
                         ArithOp.MUL: _MUL32, ArithOp.DIV: _DIV32}[term.op]
                 code = base if width == 32 else base + 4
-                self.tape.append((code, reg, args[0], args[1], 0))
+                reg = self.emit(code, width, args[0], args[1])
         elif isinstance(term, Ite):
             cond = self.compile_dist(term.cond)
             then = self.compile_fp(term.then)
             orelse = self.compile_fp(term.orelse)
-            reg = self.new_reg(width)
-            self.tape.append((_SELECT, reg, cond, then, orelse))
+            reg = self.emit(_SELECT, width, cond, then, orelse)
         else:
             raise TypeError(f"cannot compile FP term {term!r}")
         self.memo[term] = reg
@@ -179,11 +200,7 @@ class _Compiler:
         if isinstance(term, Compare):
             lhs = self.compile_fp(term.lhs)
             rhs = self.compile_fp(term.rhs)
-            strict = (term.op in _STRICT) != term.negated
-            lit = _Literal(COMPARE[term.op], lhs, rhs, term.negated,
-                           1.0 if strict else 0.0, term.lhs.sort.width, term.op)
-            reg = self.new_reg(64)
-            self.tape.append((_DIST, reg, lhs, rhs, lit))
+            reg = self.dist(term.op, lhs, rhs, term.negated, term.lhs.sort.width)
         elif isinstance(term, BoolAnd):
             reg = self.chain(_ADD64, [self.compile_dist(c) for c in term.children])
         elif isinstance(term, BoolOr):
@@ -199,9 +216,7 @@ class _Compiler:
         """Fold binary64 `regs` from the left with a binary opcode."""
         acc = regs[0]
         for nxt in regs[1:]:
-            reg = self.new_reg(64)
-            self.tape.append((code, reg, acc, nxt, 0))
-            acc = reg
+            acc = self.emit(code, 64, acc, nxt)
         return acc
 
 
@@ -211,28 +226,33 @@ class ObjectiveProgram:
     Immutable after compilation; `evaluate` may be called concurrently from
     many threads (each call owns its register scratch). The evaluation
     counter is the only shared mutable state. A program pickles, so that
-    a race can send it to its worker processes.
+    a race can send it to its worker processes; its native image is
+    plain bytes and travels with it.
     """
 
-    def __init__(self, template, tape, out, var_regs, varmap, widths):
+    def __init__(self, template, tape, out, var_regs, varmap, widths, image):
         self._template = template
         self._tape = tape
         self._out = out  # the register that holds the objective
         self._var_regs = var_regs
         self.varmap = varmap  # list[(name, Sort)]
         self._widths = widths
+        self._image = image  # the tape as `_kernels.c` reads it
         self._eval_count = 0
         self._derive()
 
     def _derive(self) -> None:
         """The state that is not pickled, because it is rebuilt faster."""
-        # the template as numpy scalars of each register's width, so that
-        # constant operands keep binary32 rounding in `evaluate_many`
-        self._batch_template = [
-            np.float32(v) if w == 32 else np.float64(v)
-            for v, w in zip(self._template, self._widths)
-        ]
+        self._pack = _packer(len(self.varmap))
         self._count_lock = threading.Lock()
+
+    @functools.cached_property
+    def _batch_template(self) -> list:
+        """The template as numpy scalars of each register's width, so that
+        constant operands keep binary32 rounding in `_evaluate_columns`;
+        built on first use, as only the Python batch path reads it."""
+        return [np.float32(v) if w == 32 else np.float64(v)
+                for v, w in zip(self._template, self._widths)]
 
     @property
     def dimension(self) -> int:
@@ -250,7 +270,8 @@ class ObjectiveProgram:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_batch_template"], state["_count_lock"]
+        del state["_pack"], state["_count_lock"]
+        state.pop("_batch_template", None)
         return state
 
     def __setstate__(self, state):
@@ -268,6 +289,28 @@ class ObjectiveProgram:
             raise DimensionMismatchError(
                 f"expected {len(self.varmap)} coordinates, got {len(x)}"
             )
+        lib = kernels.lib
+        packed = None
+        if lib is not None:
+            if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+                packed = x.tobytes()
+            else:
+                try:
+                    packed = self._pack(*x)
+                except struct.error:  # coordinates only `float()` accepts
+                    pass
+        if packed is None:
+            value = self._evaluate_tape(x)
+        else:
+            value = lib.fpsat_eval(self._image, packed)
+            if value < 0.0:
+                raise MemoryError("no memory for the objective's registers")
+        with self._count_lock:
+            self._eval_count += 1
+        return value
+
+    def _evaluate_tape(self, x) -> float:
+        """`evaluate` in Python, without counting: the reference."""
         regs = self._template.copy()
         for reg, idx, is32 in self._var_regs:
             v = float(x[idx])
@@ -309,24 +352,38 @@ class ObjectiveProgram:
                 regs[dst] = abs(regs[a])
             else:  # _SELECT
                 regs[dst] = regs[b] if regs[a] == 0.0 else regs[c]
-
-        with self._count_lock:
-            self._eval_count += 1
         return regs[self._out]
 
     def evaluate_many(self, X) -> np.ndarray:
         """Evaluate the rows of X in order, bit for bit as `evaluate` does.
 
-        The tape runs once over whole columns: binary32 registers are
-        float32 arrays (correctly rounded like `narrow32` after each
-        operation), binary64 registers float64 arrays. Returns the values
-        up to and including the first zero; only those rows are counted.
+        Returns the values up to and including the first zero; only those
+        rows are counted. The native kernels run the rows one by one; the
+        Python path runs the tape once over whole columns (`_evaluate_columns`).
         """
-        X = np.asarray(X, dtype=float)
+        X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.varmap):
             raise DimensionMismatchError(
                 f"expected rows of {len(self.varmap)} coordinates, got shape {X.shape}"
             )
+        lib = kernels.lib
+        if lib is None:
+            total = self._evaluate_columns(X)
+        else:
+            total = np.empty(len(X))
+            k = lib.fpsat_eval_many(self._image, X.ctypes.data, len(X), total.ctypes.data)
+            if k < 0:
+                raise MemoryError("no memory for the objective's registers")
+            total = total[:k]
+        with self._count_lock:
+            self._eval_count += len(total)
+        return total
+
+    def _evaluate_columns(self, X: np.ndarray) -> np.ndarray:
+        """The tape over whole columns: binary32 registers are float32
+        arrays (correctly rounded like `narrow32` after each operation),
+        binary64 registers float64 arrays. Values up to the first zero;
+        nothing is counted."""
         with np.errstate(all="ignore"):
             regs = list(self._batch_template)
             for reg, idx, is32 in self._var_regs:
@@ -362,9 +419,13 @@ class ObjectiveProgram:
         zeros = np.flatnonzero(total == 0.0)
         if len(zeros):
             total = total[:zeros[0] + 1]
-        with self._count_lock:
-            self._eval_count += len(total)
         return total
+
+
+@functools.lru_cache(maxsize=None)
+def _packer(n: int):
+    """Packs n coordinates as binary64 bytes, the native kernels' input."""
+    return struct.Struct(f"{n}d").pack
 
 
 def _theta_many(a, b, width: int) -> np.ndarray:
@@ -387,6 +448,7 @@ def _theta_many(a, b, width: int) -> np.ndarray:
     return np.where((a != a) | (b != b), 1.0, np.where(a == b, 0.0, dist))
 
 
+_F64 = np.dtype(np.float64)
 _SIGN64 = np.uint64(63)
 _SIGN64_BIT = np.uint64(1 << 63)
 _MAG64 = np.uint64((1 << 63) - 1)
@@ -413,8 +475,54 @@ def compile_objective(nnf: Term, varmap: list[tuple[str, Sort]]) -> ObjectivePro
         out = comp.new_reg(64, 0.0 if nnf.value else 1.0)
     else:
         out = comp.compile_dist(nnf)
-    return ObjectiveProgram(comp.template, comp.tape, out,
-                            comp.var_regs, list(varmap), comp.widths)
+    image = _native_image(comp.template, comp.tape, comp.var_regs, out, len(varmap))
+    return ObjectiveProgram(comp.template, comp.tape, out, comp.var_regs,
+                            list(varmap), comp.widths, image)
+
+
+def _kernel_check_program() -> ObjectiveProgram:
+    """A fixed program over x, y (binary32) and u, w (binary64) whose
+    tape has every opcode, each comparison at one of the widths, plain
+    and negated distances and a constant at each width: the native
+    kernels' load check runs it on both paths. Built on the compiler's
+    registers directly, which costs far less than terms at start-up."""
+    comp = _Compiler({})
+    dists = []
+    for first, width, ops in ((0, 32, (CmpOp.LT, CmpOp.LEQ, CmpOp.EQ)),
+                              (2, 64, (CmpOp.GT, CmpOp.GEQ, CmpOp.NEQ))):
+        a, b, k = comp.new_reg(width), comp.new_reg(width), comp.new_reg(width, 1.5)
+        comp.var_regs += [(a, first, width == 32), (b, first + 1, width == 32)]
+        base = _ADD32 if width == 32 else _ADD64
+        add, sub, mul, div = (comp.emit(base + i, width, a, k if i == 2 else b)
+                              for i in range(4))
+        cond = comp.dist(ops[0], add, mul, False, width)
+        pick = comp.emit(_SELECT, width, cond, add, sub)
+        dists += [cond, comp.dist(ops[1], div, comp.emit(_NEG, width, a), True, width),
+                  comp.dist(ops[2], comp.emit(_ABS, width, b), pick, False, width)]
+    out = comp.chain(_ADD64, dists + [comp.chain(_MULZ, dists)])
+    varmap = [("x", FP32), ("y", FP32), ("u", FP64), ("w", FP64)]
+    return ObjectiveProgram(comp.template, comp.tape, out, comp.var_regs, varmap,
+                            comp.widths, _native_image(comp.template, comp.tape,
+                                                       comp.var_regs, out, 4))
+
+
+def _native_image(template, tape, var_regs, out: int, dim: int) -> bytes:
+    """The program as `_kernels.c` reads it: header, template, penalties,
+    tape, variable slots and literals, packed without padding. A distance
+    instruction's operand c is its literal's index."""
+    code = list(chain.from_iterable(tape))
+    penalties, literals = [], []
+    for i, (op, _, _, _, lit) in enumerate(tape):
+        if op == _DIST:
+            code[5 * i + 4] = len(penalties)
+            penalties.append(lit.penalty)
+            literals += (_CMP_CODE[lit.op], lit.negated, lit.width)
+    slots = list(chain.from_iterable(var_regs))
+    n, n_lits = len(template), len(penalties)
+    return struct.pack(
+        f"=8i{n}d{n_lits}d{len(code)}i{len(slots)}i{len(literals)}i",
+        n, len(tape), len(var_regs), n_lits, out, dim, 0, 0,
+        *template, *penalties, *code, *slots, *literals)
 
 
 # --------------------------------------------------------------------------
@@ -533,44 +641,23 @@ def _sem_bool(term: Term, env, memo) -> bool:
 
 _C_PREAMBLE = """\
 /* Auto-generated objective program. Compile, e.g.:
- *   gcc -O2 -shared -fPIC -o objective.so objective.c
+ *   gcc {flags} -o objective.so objective.c
  * The entry point is: double objective(const double *x);
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-static double theta32(float a, float b) {
-    if (isnan(a) || isnan(b)) return 1.0;
-    if (a == b) return 0.0;
-    uint32_t ua, ub;
-    memcpy(&ua, &a, 4); memcpy(&ub, &b, 4);
-    int64_t oa = (ua >> 31) ? -(int64_t)(ua & 0x7fffffffu) : (int64_t)ua;
-    int64_t ob = (ub >> 31) ? -(int64_t)(ub & 0x7fffffffu) : (int64_t)ub;
-    int64_t d = oa > ob ? oa - ob : ob - oa;
-    return (double)d;
-}
-
-static double theta64(double a, double b) {
-    if (isnan(a) || isnan(b)) return 1.0;
-    if (a == b) return 0.0;
-    uint64_t ua, ub;
-    memcpy(&ua, &a, 8); memcpy(&ub, &b, 8);
-    /* offset-binary so the unsigned difference is the ordered distance */
-    uint64_t oa = (ua >> 63) ? (0x8000000000000000ull - (ua & 0x7fffffffffffffffull))
-                             : (0x8000000000000000ull + ua);
-    uint64_t ob = (ub >> 63) ? (0x8000000000000000ull - (ub & 0x7fffffffffffffffull))
-                             : (0x8000000000000000ull + ub);
-    uint64_t d = oa > ob ? oa - ob : ob - oa;
-    return (double)d;
-}
-
-/* zero-propagating product: a satisfied literal zeroes its clause even if
- * other distances have overflowed to infinity */
-static double mulz(double acc, double d) {
-    return (acc == 0.0 || d == 0.0) ? 0.0 : acc * d;
-}
 """
+
+
+def _distance_rule() -> str:
+    """theta32, theta64 and mulz: the C text of the distance rule, which
+    the native kernels define."""
+    text = kernels.SOURCE.read_text(encoding="utf-8")
+    begin, end = "/* BEGIN distance rule */\n", "/* END distance rule */\n"
+    return text[text.index(begin) + len(begin):text.index(end)]
+
 
 _C_CMP = {
     CmpOp.LT: "<",
@@ -596,7 +683,8 @@ def _c_float(v: float, is32: bool) -> str:
 def render_objective_source(program: ObjectiveProgram) -> str:
     """Deterministic C rendering of the program, one definition per instruction."""
     widths = program._widths
-    lines = [_C_PREAMBLE, "double objective(const double *x) {"]
+    preamble = _C_PREAMBLE.format(flags=" ".join(kernels.KERNEL_CFLAGS))
+    lines = [preamble + _distance_rule(), "double objective(const double *x) {"]
     var_regs = {reg: (idx, is32) for reg, idx, is32 in program._var_regs}
     tape_defined = {inst[1] for inst in program._tape}
 

@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import kernels
 from .rng import Xoshiro256Plus
 
 __all__ = [
@@ -184,7 +185,13 @@ def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
     order. Box-Muller: each pair of doubles gives a cosine then a sine
     deviate; 1 - u lies in (0, 1], so the log is finite. The
     transcendental functions are the `math` module's, whose bits numpy's
-    vectorized versions do not always reproduce."""
+    vectorized versions do not always reproduce; the native kernels call
+    the same libm functions."""
+    lib = kernels.lib
+    if lib is not None:
+        z = np.empty((rows, width))
+        lib.fpsat_gauss(rng._s, z.ctypes.data, rows * width)
+        return z
     d = rng.doubles(rows * width)
     r = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in d[0::2]]))
     angle = [_TWO_PI * u for u in d[1::2]]

@@ -7,6 +7,10 @@ decorrelated streams; xoshiro256+ drives all stochastic search.
 
 from __future__ import annotations
 
+import ctypes
+
+from . import kernels
+
 __all__ = ["splitmix64_next", "derive_seed", "Xoshiro256Plus"]
 
 _M64 = (1 << 64) - 1
@@ -32,31 +36,37 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class Xoshiro256Plus:
-    """xoshiro256+ with a 256-bit state, seeded via splitmix64 expansion."""
+    """xoshiro256+ with a 256-bit state, seeded via splitmix64 expansion.
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+    The state is one `uint64[4]` buffer that the native kernels advance in
+    place (`kernels.py`); without them the same draws are made in Python.
+    """
+
+    __slots__ = ("_s",)
 
     def __init__(self, seed: int):
         state = seed & _M64
-        self.s0, state = splitmix64_next(state)
-        self.s1, state = splitmix64_next(state)
-        self.s2, state = splitmix64_next(state)
-        self.s3, state = splitmix64_next(state)
-        if self.s0 == self.s1 == self.s2 == self.s3 == 0:
+        words = []
+        for _ in range(4):
+            out, state = splitmix64_next(state)
+            words.append(out)
+        if not any(words):
             # all-zero state is invalid; cannot happen via splitmix64
             # expansion of any seed, but guard the invariant anyway
-            self.s0 = 1
+            words[0] = 1
+        self._s = (ctypes.c_uint64 * 4)(*words)
 
     def next_u64(self) -> int:
-        result = (self.s0 + self.s3) & _M64
-        t = (self.s1 << 17) & _M64
-        self.s2 ^= self.s0
-        self.s3 ^= self.s1
-        self.s1 ^= self.s2
-        self.s0 ^= self.s3
-        self.s2 ^= t
-        s3 = self.s3
-        self.s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+        s = self._s  # indexed word by word: unpacking a ctypes array is slower
+        s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
+        result = (s0 + s3) & _M64
+        t = (s1 << 17) & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s[1] = s1 ^ s2
+        s[0] = s0 ^ s3
+        s[2] = s2 ^ t
+        s[3] = ((s3 << 45) | (s3 >> 19)) & _M64
         return result
 
     def next_double(self) -> float:
@@ -65,7 +75,13 @@ class Xoshiro256Plus:
 
     def doubles(self, k: int) -> list[float]:
         """The next k `next_double()` values, drawn in one loop."""
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        lib = kernels.lib
+        if lib is not None:
+            out = (ctypes.c_double * k)()
+            lib.fpsat_doubles(self._s, out, k)
+            return out[:]
+        s = self._s
+        s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
         out = [0.0] * k
         for i in range(k):
             out[i] = (((s0 + s3) & _M64) >> 11) * _INV_2_53
@@ -76,11 +92,12 @@ class Xoshiro256Plus:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        s[0], s[1], s[2], s[3] = s0, s1, s2, s3
         return out
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + self.next_double() * (hi - lo)
 
     def state(self) -> tuple[int, int, int, int]:
-        return (self.s0, self.s1, self.s2, self.s3)
+        s = self._s
+        return (s[0], s[1], s[2], s[3])

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from fpsat import kernels
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
 from fpsat.normalizer import push_negations, simplify
@@ -169,6 +170,24 @@ class CrashingProgram(ObjectiveProgram):
         if len(X) > _CRS2_POP_PER_DIM * (self.dimension + 1):
             raise RuntimeError(f"boom in process {os.getpid()}")
         return super().evaluate_many(X)
+
+
+def pytest_addoption(parser):
+    parser.addoption("--kernels", choices=("loaded", "python"), default="loaded",
+                     help="run on the native kernels if they loaded (default), "
+                          "or force the Python path by clearing their handle")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_path(request):
+    """The path every test runs on: the loaded native kernels, or, with
+    `--kernels=python`, the Python path, forced by clearing the kernels'
+    handle for the whole session."""
+    loaded, reason = kernels.lib, kernels.reason
+    if request.config.getoption("--kernels") == "python" and loaded is not None:
+        kernels.lib, kernels.reason = None, "cleared by --kernels=python"
+    yield "python" if kernels.lib is None else "native"
+    kernels.lib, kernels.reason = loaded, reason
 
 
 @pytest.fixture(scope="session")

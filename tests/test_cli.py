@@ -53,6 +53,26 @@ class TestSolveCommand:
         [inst] = payload["instances"]
         assert (inst["wall_time_s"], inst["evals_per_s"]) == (0.0, None)
 
+    def test_stats_json_reports_kernels(self, corpus_path, capsys, monkeypatch):
+        from fpsat import kernels
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code = main(["solve", str(corpus_path / "listing1.smt2"), "--stats-json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, lines[0]) == (0, "sat")
+        payload = json.loads(lines[-1], parse_constant=strict)
+        assert payload["kernels"] == kernels.status()
+        assert payload["kernels"]["path"] in ("native", "python")
+        # forced onto the Python path: the same verdict, and it says so
+        monkeypatch.setattr(kernels, "lib", None)
+        monkeypatch.setattr(kernels, "reason", "forced")
+        code = main(["solve", str(corpus_path / "listing1.smt2"), "--stats-json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, lines[0]) == (0, "sat")
+        assert json.loads(lines[-1])["kernels"] == {"path": "python", "reason": "forced"}
+
     def test_unknown_exit_one(self, corpus_path, capsys):
         code = main(["solve", str(corpus_path / "infeasible_cycle.smt2"),
                      "--max-evals", "1000"])

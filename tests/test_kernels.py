@@ -1,0 +1,217 @@
+"""Native kernels: bit identity with the Python paths, and the fallback."""
+
+import os
+import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_program, random_formula, random_fp_double
+
+from fpsat import kernels
+from fpsat.fp import FP32, FP64, narrow32
+from fpsat.harness import corpus_dir
+from fpsat.objective import compile_objective
+from fpsat.optimizers import _gauss_rows
+from fpsat.rng import Xoshiro256Plus
+from fpsat.terms import ArithOp, BoolAnd, BoolOr, CmpOp, Compare, FPArith, FPVar
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+native = pytest.mark.skipif(kernels.lib is None,
+                            reason=f"native kernels unavailable: {kernels.reason}")
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+
+
+def on_python_path(fn, *args):
+    """fn(*args) with the Python path forced."""
+    loaded = kernels.lib
+    kernels.lib = None
+    try:
+        return fn(*args)
+    finally:
+        kernels.lib = loaded
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@native
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_objective_matches_python(seed):
+    rng = random.Random(seed)
+    formula, varmap = random_formula(rng)
+    program = build_program(formula, varmap)
+    widths = [sort.width for _, sort in varmap]
+    # special and random encodings of each variable's width, and binary64
+    # values in binary32 slots, which the kernels must narrow
+    X = np.array([[random_fp_double(rng, rng.choice((w, 64))) for w in widths]
+                  for _ in range(100)]).reshape(100, len(widths))
+    want = [on_python_path(program.evaluate, x) for x in X]
+    assert _bits([program.evaluate(x) for x in X]) == _bits(want)
+    assert _bits([program.evaluate(x.tolist()) for x in X]) == _bits(want)
+    # batches end at their first zero, on both paths
+    got_many = program.evaluate_many(X)
+    assert _bits(got_many) == _bits(on_python_path(program.evaluate_many, X))
+    assert _bits(got_many) == _bits(want[:len(got_many)])
+
+
+@native
+@pytest.mark.parametrize("sort", [FP32, FP64], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("op", [ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV],
+                         ids=lambda op: op.name)
+def test_each_operation_rounds_as_python(op, sort):
+    # θ(result, x) shows a result rounded to the wrong width, and the
+    # strict comparisons one left unrounded in a binary32 register, which
+    # θ's own narrowing of its operands would hide
+    x, y = FPVar("x", sort), FPVar("y", sort)
+    result = FPArith(op, (x, y))
+    program = compile_objective(
+        BoolAnd((Compare(CmpOp.EQ, result, x),
+                 BoolOr((Compare(CmpOp.LT, result, x), Compare(CmpOp.GT, result, x))))),
+        [("x", sort), ("y", sort)])
+    tiny = 2.0 ** -30 if sort is FP32 else 2.0 ** -60
+    points = [(1.0, tiny), (1.0, -tiny), (1.0, 1.0 + 2 * tiny), (3.0, 1.0 + 4 * tiny),
+              (1e30, 1e-30), (-7.0, 3.0), (0.1, 0.3), (1.0, 0.0), (0.0, -0.0)]
+    for x_, y_ in points:
+        if sort is FP32:
+            x_, y_ = narrow32(x_), narrow32(y_)
+        got = program.evaluate([x_, y_])
+        assert _bits([got]) == _bits([on_python_path(program.evaluate, [x_, y_])]), (x_, y_)
+
+
+@native
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), ks=st.lists(st.integers(0, 2000), max_size=4),
+       rows=st.integers(0, 40), half_width=st.integers(1, 6))
+def test_random_draws_match_python(seed, ks, rows, half_width):
+    nat, ref = Xoshiro256Plus(seed), Xoshiro256Plus(seed)
+    for k in ks:
+        assert _bits(nat.doubles(k)) == _bits(on_python_path(ref.doubles, k))
+        assert nat.next_u64() == ref.next_u64()
+        assert nat.state() == ref.state()
+    got = _gauss_rows(nat, rows, 2 * half_width)
+    want = on_python_path(_gauss_rows, ref, rows, 2 * half_width)
+    assert got.shape == want.shape == (rows, 2 * half_width)
+    assert got.tobytes() == want.tobytes()
+    assert nat.state() == ref.state()
+
+
+def test_status_names_the_path():
+    status = kernels.status()
+    assert status["path"] in ("native", "python")
+    assert (status["path"] == "native") == (status["reason"] is None)
+
+
+def test_kernel_path_is_the_one_asked_for(kernel_path, request):
+    assert (kernel_path == "python") == (kernels.lib is None)
+    if request.config.getoption("--kernels") == "python":
+        assert kernel_path == "python"
+
+
+# --------------------------------------------------------------------------
+# Fallback: each test loads into a temporary cache, and restores the
+# kernels the suite loaded at import
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def reload(monkeypatch):
+    monkeypatch.setattr(kernels, "lib", kernels.lib)
+    monkeypatch.setattr(kernels, "reason", kernels.reason)
+    return kernels.load
+
+
+@needs_gcc
+def test_cold_cache_builds_one_file(reload, tmp_path):
+    reload(tmp_path)
+    assert kernels.status() == {"path": "native", "reason": None}
+    assert [p.name for p in tmp_path.iterdir()] == [kernels.cache_file(tmp_path).name]
+
+
+@needs_gcc
+def test_truncated_library_is_rebuilt(reload, tmp_path):
+    # truncated copy of a fresh build: overwriting a loaded library in
+    # place would pull the code from under this process
+    whole = tmp_path / "whole.so"
+    subprocess.run(["gcc", *kernels.KERNEL_CFLAGS, "-o", str(whole), str(kernels.SOURCE),
+                    "-lm"], check=True)
+    cached = kernels.cache_file(tmp_path / "cache")
+    cached.parent.mkdir()
+    cached.write_bytes(whole.read_bytes()[:1000])
+    reload(cached.parent)
+    assert kernels.status() == {"path": "native", "reason": None}
+    assert cached.stat().st_size == whole.stat().st_size
+
+
+@needs_gcc
+@pytest.mark.parametrize("wrong", [
+    ("0x1.0p-53", "0x1.0p-52"),  # uniform draws doubled
+    ("return (double)d;", "return (double)d + 1.0;"),  # bit distances off by one
+], ids=["draws", "distances"])
+def test_library_failing_the_self_check_is_not_used(reload, tmp_path, wrong):
+    source = kernels.SOURCE.read_text().replace(*wrong)
+    c_file = tmp_path / "wrong.c"
+    c_file.write_text(source)
+    subprocess.run(["gcc", *kernels.KERNEL_CFLAGS, "-o", str(kernels.cache_file(tmp_path)),
+                    str(c_file), "-lm"], check=True)
+    reload(tmp_path)
+    assert kernels.status()["path"] == "python"
+    assert "self-check failed" in kernels.status()["reason"]
+
+
+def test_unwritable_cache_selects_python(reload, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a file where the cache directory should be
+    reload(blocker / "cache")
+    assert kernels.status()["path"] == "python"
+    assert kernels.status()["reason"]
+
+
+_CHILD = """
+import sys
+import fpsat
+from fpsat import kernels
+kernels.load(sys.argv[1])
+print(kernels.status()["path"], kernels.status()["reason"])
+if len(sys.argv) > 2:
+    p = fpsat.load_problem(sys.argv[2])
+    print(fpsat.solve(p.formula, p.program, fpsat.PortfolioConfig(seed=1)).verdict)
+"""
+
+
+def _child(args, path=None):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.Popen([sys.executable, "-c", _CHILD, *map(str, args)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_without_gcc_solves_on_python_path(tmp_path):
+    bin_dir = tmp_path / "bin"  # a PATH with python and no compiler
+    bin_dir.mkdir()
+    (bin_dir / "python3").symlink_to(sys.executable)
+    proc = _child([tmp_path / "cache", corpus_dir() / "listing1.smt2"], path=str(bin_dir))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["python no gcc on PATH", "sat"]
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+@needs_gcc
+def test_concurrent_cold_imports_share_one_file(tmp_path):
+    procs = [_child([tmp_path]) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.split() == ["native", "None"]
+    assert [p.name for p in tmp_path.iterdir()] == [kernels.cache_file(tmp_path).name]

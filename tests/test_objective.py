@@ -28,6 +28,7 @@ from fpsat import build_problem, load_problem
 from fpsat.errors import DimensionMismatchError, SortError, UnboundVariableError
 from fpsat.fp import FP32, FP64, FPValue, float_to_bits, ordered_bits
 from fpsat.harness import corpus_dir
+from fpsat.kernels import KERNEL_CFLAGS
 from fpsat.normalizer import push_negations, simplify
 from fpsat.parser import expand_definitions
 from fpsat.objective import (
@@ -718,7 +719,7 @@ def _compile_c(program, tmp_path):
     so_file = tmp_path / "obj.so"
     c_file.write_text(render_objective_source(program))
     subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-o", str(so_file), str(c_file)],
+        ["gcc", *KERNEL_CFLAGS, "-o", str(so_file), str(c_file)],
         check=True,
     )
     lib = ctypes.CDLL(str(so_file))
