@@ -181,7 +181,8 @@ def _self_check(candidate) -> None:
 
 def _check_points():
     """Special and ordinary values of both widths for the check program's
-    (x, y, u, w)."""
+    (x, y, u, w). At the last point, each binary32 result rounds to the
+    constant that the check program compares it with."""
     import numpy as np
 
     inf, nan = float("inf"), float("nan")
@@ -194,4 +195,5 @@ def _check_points():
         (1e-45, 5e-324, 5e-324, -5e-324),
         (0.0, 0.0, 0.0, 0.0),
         (inf, -inf, nan, 2.0),
+        (1.0000001192092896, 5.0, nan, 5.0),
     ])

@@ -12,7 +12,9 @@ is 0. The independent Boolean evaluator (`semantic_eval`) is the
 correctness oracle for these claims and never touches the tape.
 `compile_objective` also packs the tape into one immutable `bytes` image,
 which the native kernels (`kernels.py`, `_kernels.c`) interpret bit for
-bit as `evaluate` does; the Python tape is the reference and the fallback.
+bit as `evaluate` does. The Python interpreter of the tape
+(`_evaluate_tape`) is the reference and the fallback: without the
+kernels, `evaluate` and `evaluate_many` both run it, one point at a time.
 `render_objective_source` writes the same tape as C, one definition per
 instruction.
 """
@@ -246,14 +248,6 @@ class ObjectiveProgram:
         self._pack = _packer(len(self.varmap))
         self._count_lock = threading.Lock()
 
-    @functools.cached_property
-    def _batch_template(self) -> list:
-        """The template as numpy scalars of each register's width, so that
-        constant operands keep binary32 rounding in `_evaluate_columns`;
-        built on first use, as only the Python batch path reads it."""
-        return [np.float32(v) if w == 32 else np.float64(v)
-                for v, w in zip(self._template, self._widths)]
-
     @property
     def dimension(self) -> int:
         return len(self.varmap)
@@ -271,7 +265,6 @@ class ObjectiveProgram:
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_pack"], state["_count_lock"]
-        state.pop("_batch_template", None)
         return state
 
     def __setstate__(self, state):
@@ -358,8 +351,8 @@ class ObjectiveProgram:
         """Evaluate the rows of X in order, bit for bit as `evaluate` does.
 
         Returns the values up to and including the first zero; only those
-        rows are counted. The native kernels run the rows one by one; the
-        Python path runs the tape once over whole columns (`_evaluate_columns`).
+        rows are counted. Both paths run the rows one by one: the native
+        kernels in one call, the Python path through `_evaluate_tape`.
         """
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.varmap):
@@ -368,7 +361,12 @@ class ObjectiveProgram:
             )
         lib = kernels.lib
         if lib is None:
-            total = self._evaluate_columns(X)
+            values = []
+            for row in X.tolist():
+                values.append(self._evaluate_tape(row))
+                if values[-1] == 0.0:
+                    break
+            total = np.array(values, dtype=float)
         else:
             total = np.empty(len(X))
             k = lib.fpsat_eval_many(self._image, X.ctypes.data, len(X), total.ctypes.data)
@@ -379,48 +377,6 @@ class ObjectiveProgram:
             self._eval_count += len(total)
         return total
 
-    def _evaluate_columns(self, X: np.ndarray) -> np.ndarray:
-        """The tape over whole columns: binary32 registers are float32
-        arrays (correctly rounded like `narrow32` after each operation),
-        binary64 registers float64 arrays. Values up to the first zero;
-        nothing is counted."""
-        with np.errstate(all="ignore"):
-            regs = list(self._batch_template)
-            for reg, idx, is32 in self._var_regs:
-                col = X[:, idx]
-                regs[reg] = col.astype(np.float32) if is32 else col
-
-            for code, dst, a, b, c in self._tape:
-                if code == _DIST:
-                    va, vb = regs[a], regs[b]
-                    regs[dst] = np.where(c.holds(va, vb) != c.negated, 0.0,
-                                         _theta_many(va, vb, c.width) + c.penalty)
-                elif code == _MULZ:
-                    va, vb = regs[a], regs[b]
-                    regs[dst] = np.where((va == 0.0) | (vb == 0.0), 0.0, va * vb)
-                elif code == _ADD32 or code == _ADD64:
-                    regs[dst] = regs[a] + regs[b]
-                elif code == _SUB32 or code == _SUB64:
-                    regs[dst] = regs[a] - regs[b]
-                elif code == _MUL32 or code == _MUL64:
-                    regs[dst] = regs[a] * regs[b]
-                elif code == _DIV32 or code == _DIV64:
-                    regs[dst] = regs[a] / regs[b]
-                elif code == _NEG:
-                    regs[dst] = -regs[a]
-                elif code == _ABS:
-                    regs[dst] = np.abs(regs[a])
-                else:  # _SELECT
-                    regs[dst] = np.where(regs[a] == 0.0, regs[b], regs[c])
-
-        # a constant objective is a scalar register
-        total = np.full(len(X), regs[self._out], dtype=np.float64)
-
-        zeros = np.flatnonzero(total == 0.0)
-        if len(zeros):
-            total = total[:zeros[0] + 1]
-        return total
-
 
 @functools.lru_cache(maxsize=None)
 def _packer(n: int):
@@ -428,30 +384,7 @@ def _packer(n: int):
     return struct.Struct(f"{n}d").pack
 
 
-def _theta_many(a, b, width: int) -> np.ndarray:
-    """`_theta_val` over arrays: 1 for NaN operands, 0 if IEEE-equal, else
-    the distance of the operands' ordered encodings."""
-    if width == 32:
-        ia = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
-        ib = np.asarray(b, dtype=np.float32).view(np.int32).astype(np.int64)
-        oa = np.where(ia < 0, -(ia & 0x7FFFFFFF), ia)
-        ob = np.where(ib < 0, -(ib & 0x7FFFFFFF), ib)
-        dist = np.abs(oa - ob).astype(np.float64)
-    else:
-        # offset binary, as theta64 in the C rendering: a signed int64
-        # difference of ordered encodings can overflow
-        ua = np.asarray(a, dtype=np.float64).view(np.uint64)
-        ub = np.asarray(b, dtype=np.float64).view(np.uint64)
-        oa = np.where(ua >> _SIGN64, _SIGN64_BIT - (ua & _MAG64), _SIGN64_BIT + ua)
-        ob = np.where(ub >> _SIGN64, _SIGN64_BIT - (ub & _MAG64), _SIGN64_BIT + ub)
-        dist = np.where(oa > ob, oa - ob, ob - oa).astype(np.float64)
-    return np.where((a != a) | (b != b), 1.0, np.where(a == b, 0.0, dist))
-
-
 _F64 = np.dtype(np.float64)
-_SIGN64 = np.uint64(63)
-_SIGN64_BIT = np.uint64(1 << 63)
-_MAG64 = np.uint64((1 << 63) - 1)
 
 
 def compile_objective(nnf: Term, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
@@ -483,8 +416,9 @@ def compile_objective(nnf: Term, varmap: list[tuple[str, Sort]]) -> ObjectivePro
 def _kernel_check_program() -> ObjectiveProgram:
     """A fixed program over x, y (binary32) and u, w (binary64) whose
     tape has every opcode, each comparison at one of the widths, plain
-    and negated distances and a constant at each width: the native
-    kernels' load check runs it on both paths. Built on the compiler's
+    and negated distances, constants at each width and each arithmetic
+    result at a rounding boundary: the native kernels' load check runs
+    it on both paths. Built on the compiler's
     registers directly, which costs far less than terms at start-up."""
     comp = _Compiler({})
     dists = []
@@ -499,6 +433,10 @@ def _kernel_check_program() -> ObjectiveProgram:
         pick = comp.emit(_SELECT, width, cond, add, sub)
         dists += [cond, comp.dist(ops[1], div, comp.emit(_NEG, width, a), True, width),
                   comp.dist(ops[2], comp.emit(_ABS, width, b), pick, False, width)]
+        # each result against the binary32 value it rounds to at the point
+        # (1 + 2^-23, 5): a result left unrounded makes its `!=` hold
+        for r, v in zip((add, sub, mul, div), (6.0, -4.0, 1.500000238418579, 0.20000001788139343)):
+            dists.append(comp.dist(CmpOp.NEQ, r, comp.new_reg(width, v), False, width))
     out = comp.chain(_ADD64, dists + [comp.chain(_MULZ, dists)])
     varmap = [("x", FP32), ("y", FP32), ("u", FP64), ("w", FP64)]
     return ObjectiveProgram(comp.template, comp.tape, out, comp.var_regs, varmap,

@@ -201,6 +201,14 @@ def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
     return z.reshape(rows, width)
 
 
+def _exp(v: np.ndarray) -> np.ndarray:
+    """`math.exp` of each value of v, in a new array: numpy's vectorized
+    `exp` differs from libm's in the last bit on some inputs and CPUs.
+    ISRES's arguments are bounded as its deviates are, so it cannot
+    overflow."""
+    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
 # --------------------------------------------------------------------------
 # Powell direction-set minimization
 # --------------------------------------------------------------------------
@@ -516,7 +524,7 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
             z_sigma = z[:, 2:2 + n]
             z_step = z[:, 2 + even_n:2 + even_n + n]
             which = np.arange(mu - 1, lam) % mu
-            s = psig[which] * np.exp(taup * g_all + tau * z_sigma)
+            s = psig[which] * _exp(taup * g_all + tau * z_sigma)
             s = np.minimum(s, hi - lo)
             sigmas[mu - 1:] = s
             pop[mu - 1:] = parents[which] + s * z_step

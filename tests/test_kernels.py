@@ -156,9 +156,16 @@ def test_truncated_library_is_rebuilt(reload, tmp_path):
 @pytest.mark.parametrize("wrong", [
     ("0x1.0p-53", "0x1.0p-52"),  # uniform draws doubled
     ("return (double)d;", "return (double)d + 1.0;"),  # bit distances off by one
-], ids=["draws", "distances"])
+    # binary32 results left unrounded
+    ("*d = (float)(a + b);", "*d = a + b;"),
+    ("*d = (float)(a - b);", "*d = a - b;"),
+    ("*d = (float)(a * b);", "*d = a * b;"),
+    ("*d = (float)(a / b);", "*d = a / b;"),
+], ids=["draws", "distances", "add32", "sub32", "mul32", "div32"])
 def test_library_failing_the_self_check_is_not_used(reload, tmp_path, wrong):
-    source = kernels.SOURCE.read_text().replace(*wrong)
+    source = kernels.SOURCE.read_text()
+    assert wrong[0] in source
+    source = source.replace(*wrong)
     c_file = tmp_path / "wrong.c"
     c_file.write_text(source)
     subprocess.run(["gcc", *kernels.KERNEL_CFLAGS, "-o", str(kernels.cache_file(tmp_path)),

@@ -348,7 +348,7 @@ GOLDEN = {
         "0affa8cedfaf832809f7a9a26db0d1a35ad9330648b869482cee23d0c04caf23",
         3000, "0x1.fc00000000000p+29", "5095d3e6fc95ce3f"),
     ("infeasible_box.smt2", "isres"): (
-        "d4bde5f0e44e6e12003ab3889406b2a86c0028795e3559264ca2f5474f4fdbd6",
+        "213fe2ffd9d4490aa96c7506bee2c465cec85a4dd1b99d61a64b2e62824a45cf",
         3000, "0x1.fc00000000000p+29", "5095d3e6fc95ce3f"),
     ("listing1.smt2", "bh"): (
         "f03254f1f19885ffb1048d7df98a709f5090806f007517ac8d8de39feaad53a0",
@@ -357,8 +357,8 @@ GOLDEN = {
         "6cd5efa975ba5b54a060ea5b76d8d103c50e925a51721fb4e2b3cc340064f936",
         449, "0x0.0p+0", "20ad0cb1010000c0"),
     ("listing1.smt2", "isres"): (
-        "c3d5e1b6decf005e9bdddcd745341748e4bb955150683a7661c087fa4634ac64",
-        1321, "0x0.0p+0", "e70881b58affffbf"),
+        "5d58162329524c3fd54c3a74b1221434e7f0b02f5f4a0e02a531a10be0d34579",
+        1321, "0x0.0p+0", "7d0981b58affffbf"),
 }
 MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
 
