@@ -10,9 +10,13 @@ missing compiler, an unwritable cache, a load error or a failed check
 leaves `lib` None, and every caller takes its Python path; `reason` says
 why. Nothing here raises.
 
-The library is opened with `ctypes.PyDLL`, so a call keeps the
+The per-point entries (`fpsat_eval`, `fpsat_eval_many`, `fpsat_doubles`,
+`fpsat_gauss`) are bound through `ctypes.PyDLL`, so they keep the
 interpreter lock: each takes about a microsecond, and releasing the lock
-that often would only interleave the race's threads. Tests force the
+that often would only interleave the race's threads. The whole runs of
+basin hopping and CRS2 (`fpsat_bh`, `fpsat_crs2`) are bound through a
+second, `ctypes.CDLL` handle on the same library, so they release the
+lock for the whole run. All six are attributes of `lib`. Tests force the
 Python path by setting `lib` to None.
 """
 
@@ -37,13 +41,22 @@ lib = None  # the loaded kernels, or None: the Python path
 reason: str | None = None  # why `lib` is None after `load()`
 
 _state_p = ctypes.POINTER(ctypes.c_uint64)
+_double_p = ctypes.POINTER(ctypes.c_double)
+_int64_p = ctypes.POINTER(ctypes.c_int64)
 _SIGNATURES = {
     "fpsat_eval": (ctypes.c_double, [ctypes.c_char_p, ctypes.c_char_p]),
     "fpsat_eval_many": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_void_p,
                                        ctypes.c_int, ctypes.c_void_p]),
     "fpsat_doubles": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
     "fpsat_gauss": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
+    # image, x0, state, max_evals, [lo, hi,] stop byte, best, evals, points
+    "fpsat_bh": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
+                                ctypes.c_void_p, _double_p, _int64_p, ctypes.c_void_p]),
+    "fpsat_crs2": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
+                                  ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                                  _double_p, _int64_p, ctypes.c_void_p]),
 }
+_WHOLE_RUNS = ("fpsat_bh", "fpsat_crs2")  # called without the interpreter lock
 
 
 class _Unavailable(Exception):
@@ -114,9 +127,11 @@ def _intact(path: Path) -> bool:
 
 def _open(path: Path):
     handle = ctypes.PyDLL(str(path))
+    unlocked = ctypes.CDLL(str(path))
     for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(handle, name)
+        fn = getattr(unlocked if name in _WHOLE_RUNS else handle, name)
         fn.restype, fn.argtypes = restype, argtypes
+        setattr(handle, name, fn)
     return handle
 
 
@@ -151,12 +166,13 @@ def _build(path: Path) -> None:
 def _self_check(candidate) -> None:
     """Compare the candidate with the Python paths, which `load` has
     selected meanwhile, on fixed inputs: a program with all 13 opcodes
-    at special values of both widths, and a stream of uniform and
-    Gaussian draws."""
+    at special values of both widths, a stream of uniform and Gaussian
+    draws, and short whole runs of basin hopping and CRS2 on that
+    program."""
     import numpy as np
 
     from .objective import _kernel_check_program
-    from .optimizers import _gauss_rows
+    from .optimizers import _gauss_rows, _whole_run
     from .rng import Xoshiro256Plus
 
     program, X = _kernel_check_program(), _check_points()
@@ -177,6 +193,40 @@ def _self_check(candidate) -> None:
             or gauss.tobytes() != _gauss_rows(ref, 2, 4).tobytes()
             or nat.state() != ref.state()):
         raise _Unavailable("self-check failed: random draws")
+
+    for entry, row, budget, seed, box, digest in _RUN_CHECKS:
+        rng = Xoshiro256Plus(0)
+        rng._s[:] = (0, 0, 0, 0) if seed is None else Xoshiro256Plus(seed).state()
+        out = _whole_run(getattr(candidate, entry), program._image, X[row], budget, rng,
+                         None, box)
+        if _run_digest(out, rng) != digest:
+            raise _Unavailable("self-check failed: whole runs")
+
+
+# Short whole runs on the check program from rows of `_check_points`:
+# (entry, row, budget, generator seed, CRS2's box, `_run_digest` of the
+# Python minimizer's run). A Python run of these costs about 1 ms, more
+# than the rest of the check, so the digests are pinned here, and
+# tests/test_kernels.py recomputes them from the Python minimizers.
+# - a descent from an ordinary point;
+# - basin hopping from a point with a NaN coordinate, where every line
+#   search is rejected and each hop is one evaluation, on the all-zero
+#   generator state (seed None), whose draws are all 0.0: a Metropolis
+#   test with p = 0 then shows whether it is strict;
+# - CRS2 past its initial population of 50.
+_RUN_CHECKS = (
+    ("fpsat_bh", 0, 40, 7, (), 0xABE97D8F),
+    ("fpsat_bh", 8, 20, None, (), 0x9F68A2E3),
+    ("fpsat_crs2", 0, 60, 7, (-4.0, 4.0), 0xB566AD25),
+)
+
+
+def _run_digest(outcome, rng) -> int:
+    """CRC-32 of a run's outcome and of its generator's final state."""
+    best = b"" if outcome.best_x is None else outcome.best_x.tobytes()
+    return zlib.crc32(struct.pack("<qd4Q", outcome.evals_used, outcome.best_value,
+                                  *rng.state())
+                      + outcome.terminated_by.value.encode() + best)
 
 
 def _check_points():

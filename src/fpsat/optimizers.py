@@ -15,12 +15,25 @@ is at most one evaluation or one batch of at most 20 (n + 1) rows, and
 budgets are never exceeded. Objectives receive each point as a sequence of floats
 (an ndarray, or a list in the CRS2 steady state).
 
+Basin hopping and CRS2 also exist as whole runs in the native kernels
+(`fpsat_bh`, `fpsat_crs2`): one C call per run, without the interpreter
+lock, bit for bit with the Python code here, which stays the reference
+and the fallback. A run takes that path when the kernels are loaded,
+`f` is `ObjectiveProgram.evaluate` itself bound to a program, CRS2's
+`f_many` is None or that program's own `evaluate_many`, and `stop` is
+None or a `workers.StopFlag`; see `_native_program`. A native run polls
+the stop byte before every evaluation, and adds its evaluations to the
+program's count when it ends. Signal handlers, KeyboardInterrupt
+included, run only once it returns: without a `StopFlag` to set, a
+native run ends only at its budget or its first zero.
+
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +42,9 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
+from .objective import ObjectiveProgram
 from .rng import Xoshiro256Plus
+from .workers import StopFlag
 
 __all__ = [
     "TerminationReason",
@@ -139,6 +154,60 @@ class _Run:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
 
 
+# the stock methods, captured here: a subclass's override, or a rebinding
+# of the class attribute (a tracer's wrapper), keeps the Python path
+_EVALUATE = ObjectiveProgram.evaluate
+_EVALUATE_MANY = ObjectiveProgram.evaluate_many
+# the native entries' results, by code
+_NATIVE_REASONS = (TerminationReason.ZERO_FOUND, TerminationReason.BUDGET_EXHAUSTED,
+                   TerminationReason.CANCELLED)
+_INT64_MAX = 2**63 - 1
+
+
+def _native_program(f, x0, stop, f_many=None):
+    """The program whose whole run the native kernels can make in place
+    of the Python code, or None: see the module docstring."""
+    if kernels.lib is None or getattr(f, "__func__", None) is not _EVALUATE:
+        return None
+    program = f.__self__
+    if f_many is not None and (getattr(f_many, "__func__", None) is not _EVALUATE_MANY
+                               or f_many.__self__ is not program):
+        return None
+    if stop is not None and not isinstance(stop, StopFlag):
+        return None
+    return program if x0.ndim == 1 and len(x0) == program.dimension else None
+
+
+def _whole_run(entry, image: bytes, x0: np.ndarray, max_evals: int, rng: Xoshiro256Plus,
+               stop: StopFlag | None, box=(), points: np.ndarray | None = None) -> OptOutcome:
+    """One run of a native entry (`fpsat_bh`, or `fpsat_crs2` with its
+    box) on a program image, advancing `rng`; `points`, if given, is a
+    C-contiguous float array of at least max_evals rows that receives
+    every evaluated point. Counts nothing."""
+    n = len(x0)
+    best = (ctypes.c_double * (n + 1))()  # best_x, then best_value
+    evals = ctypes.c_int64()
+    # plain bytes and ctypes arrays: numpy's `.ctypes` costs microseconds
+    code = entry(image, np.asarray(x0, dtype=float).tobytes(), rng._s,
+                 min(max_evals, _INT64_MAX), *box, None if stop is None else stop.address,
+                 best, ctypes.byref(evals), None if points is None else points.ctypes.data)
+    if code < 0:
+        raise MemoryError("no memory for a native run")
+    if evals.value == 0:
+        return OptOutcome(None, math.inf, 0, _NATIVE_REASONS[code])
+    return OptOutcome(np.array(best[:n]), best[n], evals.value, _NATIVE_REASONS[code])
+
+
+def _native(entry, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutcome:
+    """`_whole_run` on a program, with `_Run`'s side effects: the
+    evaluations are counted, and a zero goes to `on_zero`."""
+    out = _whole_run(entry, program._image, x0, max_evals, rng, stop, box)
+    program.count_evals(out.evals_used)
+    if out.terminated_by is TerminationReason.ZERO_FOUND and on_zero is not None:
+        on_zero(out.best_x.copy())
+    return out
+
+
 def _budget(max_evals) -> int:
     """The evaluation budget, which must be an integer >= 1."""
     if not isinstance(max_evals, numbers.Integral) or max_evals < 1:
@@ -199,6 +268,15 @@ def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
     z[:, 0] = r * np.array([math.cos(a) for a in angle])
     z[:, 1] = r * np.array([math.sin(a) for a in angle])
     return z.reshape(rows, width)
+
+
+def _square(v: float) -> float:
+    """v ** 2, and +inf where it overflows, as C's `pow` gives, instead
+    of Python's OverflowError."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _exp(v: np.ndarray) -> np.ndarray:
@@ -355,8 +433,8 @@ def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
             f_ext = run(x_ext)
             if f_ext < f_start and math.isfinite(f_ext):
                 t = 2.0 * (f_start - 2.0 * fx + f_ext)
-                t *= (f_start - fx - biggest_dec) ** 2
-                t -= biggest_dec * (f_start - f_ext) ** 2
+                t *= _square(f_start - fx - biggest_dec)
+                t -= biggest_dec * _square(f_start - f_ext)
                 if t < 0.0:
                     x, fx = _line_min(run, x, d_new, fx)
                     directions[biggest_idx] = directions[-1]
@@ -391,6 +469,10 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
     n = len(x0)
+    program = _native_program(f, x0, stop)
+    if program is not None:
+        return _native(kernels.lib.fpsat_bh, program, x0, _budget(cfg.max_evals), rng,
+                       on_zero, stop)
     run = _Run(f, cfg.max_evals, stop, on_zero)
     max_iters = _POWELL_ITERS_PER_DIM * n
     try:
@@ -426,6 +508,10 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     if n < 1:
         raise ValueError("dimension must be >= 1")
     lo, hi = _bounds(cfg.bounds)
+    program = _native_program(f, x0, stop, f_many)
+    if program is not None:
+        return _native(kernels.lib.fpsat_crs2, program, x0, _budget(cfg.max_evals), rng,
+                       on_zero, stop, (lo, hi))
     pop_size = _CRS2_POP_PER_DIM * (n + 1)
     run = _Run(f, cfg.max_evals, stop, on_zero, f_many)
     try:

@@ -4,14 +4,16 @@ The instances are spread over k = min(N, usable cores) processes:
 instance i runs in slot i mod k. Slot 0 is the calling process, and
 slots 1..k-1 are persistent forked workers (`workers.py`), reused across
 races and forked only by a race that its first instance has not decided
-within its first time slice. Every slot runs its instances as threads.
-Shared state is limited to the immutable program (each worker gets a
-pickled copy), a stop flag (one byte of shared memory when workers take
-part), and per-slot records of stats, the first zero and the first
-crash. A winning zero is claimed
-at the evaluation that produced it and sets the flag; every other
-instance then performs at most one further evaluation, or one batch of
-them, before observing it. The winner is the zero with the earliest
+within one interpreter switch interval. Every slot runs its instances as
+threads (one that starts after the race is decided ends at its first
+poll, in the starting thread); the native whole runs of BH and CRS2 run
+without the interpreter lock. Shared state is limited to the immutable
+program (each worker gets a pickled copy), a stop flag (one byte of
+shared memory, in every placement, which the native runs poll too), and
+per-slot records of stats, the first zero and the first crash. A
+winning zero is claimed at the evaluation that produced it and sets the
+flag; every other instance then performs at most one further
+evaluation, or one batch of them, before observing it. The winner is the zero with the earliest
 stamp, and it is verified in the calling process. Fixed-seed
 trajectories do not depend on where an instance runs.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import os
 import pickle
 import select
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,7 +44,7 @@ from .optimizers import (
 )
 from .rng import Xoshiro256Plus, derive_seed
 from .terms import Term
-from .workers import WorkerError, shared_pool
+from .workers import StopFlag, WorkerError, shared_pool
 
 __all__ = [
     "PortfolioConfig",
@@ -61,7 +64,7 @@ _MINIMIZERS = {
 }
 ALGORITHMS = tuple(_MINIMIZERS)
 
-# how often a race with workers forwards an external stop event to them
+# how often a race forwards an external stop event to its stop flag
 _FORWARD_S = 0.005
 
 
@@ -222,10 +225,11 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
     are the shared pool's workers, which only a compiled program that
     pickles, and one race at a time, can use (otherwise every share runs
     here). A fork costs milliseconds, so a race that lacks workers first
-    lets its first instance run alone: this thread resumes once that
-    instance yields the interpreter lock, at the end of its first time
-    slice or at its own end, and pickles the program and forks only if
-    the race is still undecided.
+    lets its first instance run alone: this thread joins it for up to one
+    interpreter switch interval (`sys.getswitchinterval()`), and pickles
+    the program and forks only if the race is still undecided. A race
+    stops on one byte flag in every placement, the pool's or its own, and
+    an external `stop` is polled and forwarded to it.
     """
     k = min(len(algs), _usable_cores())
     pool = None
@@ -235,11 +239,10 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
             pool = None
     if pool is None:
         k = 1
-        flag = stop if stop is not None else threading.Event()
+        flag = StopFlag()
     else:
         flag = pool.stop
         flag.clear()
-    forward = stop if flag is not stop else None  # polled, then set on the flag
     indexed = list(enumerate(algs))
     shares = [indexed[slot::k] for slot in range(k)]
     deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
@@ -249,7 +252,7 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
         """How long to block before the deadline or the next forwarding
         poll; None once the flag is set."""
         nonlocal timed_out
-        if forward is not None and forward.is_set():
+        if stop is not None and stop.is_set():
             flag.set()
         if flag.is_set():
             return None
@@ -260,7 +263,7 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
                 timed_out = True
                 flag.set()
                 return None
-        if forward is not None:
+        if stop is not None:
             timeout = min(timeout or _FORWARD_S, _FORWARD_S)
         return timeout
 
@@ -270,6 +273,8 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
     try:
         head = 1 if pool is not None and pool.running() < k - 1 else 0
         local.start(shares[0][:head])
+        if head:
+            local.threads[0].join(sys.getswitchinterval())
         wait_s()
         blob = _pickled(program) if pool is not None and not flag.is_set() else None
         workers = pool.workers(k - 1) if blob is not None else []
@@ -382,8 +387,13 @@ class _Share:
         self.threads = []
 
     def start(self, share) -> None:
-        """Run each (index, algorithm) of `share` in a thread of its own."""
+        """Run each (index, algorithm) of `share` in a thread of its own;
+        in this thread once `stop` is set, since the instance then ends
+        at its first poll, sooner than a thread starts."""
         for idx, alg in share:
+            if self.stop.is_set():
+                self.run(idx, alg)
+                continue
             t = threading.Thread(target=self.run, args=(idx, alg), daemon=True)
             t.start()
             self.threads.append(t)
@@ -408,6 +418,9 @@ class _Share:
                 time.perf_counter() - t0, outcome.terminated_by.value,
             ))
         except Exception as exc:  # raised by the race once every slot ended
+            # a crashed instance ends the race: at once, since native runs
+            # make thousands of evaluations in the time the traceback takes
+            self.stop.set()
             import traceback  # slow to import; needed only on a crash
 
             with self._lock:
@@ -415,7 +428,6 @@ class _Share:
                     self.crash = (time.perf_counter(), idx, alg,
                                   f"{type(exc).__name__}: {exc}",
                                   traceback.format_exc())
-            self.stop.set()  # a crashed instance ends the race
 
     def join(self) -> None:
         for t in self.threads:

@@ -16,6 +16,7 @@ the parent process dies.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import mmap
 import os
 import pickle
@@ -34,10 +35,12 @@ _HEADER = 8  # bytes of the little-endian payload length
 
 class StopFlag:
     """`threading.Event`'s `is_set`/`set`/`clear` on one byte of shared
-    memory, seen by every process forked after the flag was made."""
+    memory, seen by every process forked after the flag was made. The
+    native kernels' whole runs read the byte at `address`."""
 
     def __init__(self):
         self._byte = mmap.mmap(-1, 1)
+        self.address = ctypes.addressof(ctypes.c_char.from_buffer(self._byte))
 
     def is_set(self) -> bool:
         return self._byte[0] != 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import struct
+import time
 
 import pytest
 
@@ -155,7 +156,8 @@ def build_program(formula, varmap):
 
 class CrashingProgram(ObjectiveProgram):
     """A program whose `evaluate_many` raises RuntimeError("boom in
-    process <pid>") on a batch of more rows than CRS2's initial
+    process <pid> at <time.monotonic()>", a clock that every process of
+    the host shares) on a batch of more rows than CRS2's initial
     population, which only ISRES evaluates (its population and
     generations have 20 (n + 1) rows). It is defined at module level, so
     it pickles and crashes ISRES in whichever process runs it."""
@@ -168,7 +170,7 @@ class CrashingProgram(ObjectiveProgram):
 
     def evaluate_many(self, X):
         if len(X) > _CRS2_POP_PER_DIM * (self.dimension + 1):
-            raise RuntimeError(f"boom in process {os.getpid()}")
+            raise RuntimeError(f"boom in process {os.getpid()} at {time.monotonic()!r}")
         return super().evaluate_many(X)
 
 

@@ -9,16 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_program, random_formula, random_fp_double
 
-from fpsat import kernels
+from fpsat import build_problem, kernels
 from fpsat.fp import FP32, FP64, narrow32
 from fpsat.harness import corpus_dir
-from fpsat.objective import compile_objective
-from fpsat.optimizers import _gauss_rows
+from fpsat.objective import _kernel_check_program, compile_objective
+from fpsat.optimizers import (
+    OptimizerConfig,
+    _gauss_rows,
+    _native_program,
+    basin_hopping,
+    crs2_minimize,
+)
+from fpsat.portfolio import random_start
 from fpsat.rng import Xoshiro256Plus
 from fpsat.terms import ArithOp, BoolAnd, BoolOr, CmpOp, Compare, FPArith, FPVar
 
@@ -105,6 +112,107 @@ def test_random_draws_match_python(seed, ks, rows, half_width):
     assert nat.state() == ref.state()
 
 
+# Programs for the whole runs: the corpus, one whose every start point is
+# a zero, one that holds on x > 0.6 only, which CRS2's start points miss
+# and its initial population hits, and an `or` of eleven distances whose
+# product is about 1e210, so that Powell's extrapolation test squares
+# differences past the binary64 range
+_WHOLE_RUN_TEXTS = {
+    **{path.name: path.read_text() for path in sorted(corpus_dir().glob("*.smt2"))},
+    "zero-at-start": "(declare-fun x () Float64)(assert (fp.eq x x))",
+    "zero-in-population": (
+        "(declare-fun x () Float64)(declare-fun y () Float32)"
+        "(assert (fp.gt x ((_ to_fp 11 53) RNE 0.6)))"),
+    "overflowing-or": (
+        "(declare-fun x () Float64)(declare-fun y () Float64)(assert (or "
+        + " ".join(f"(fp.lt x ((_ to_fp 11 53) RNE (- {k}.0e300)))" for k in range(1, 11))
+        + " (fp.lt y ((_ to_fp 11 53) RNE (- 1.0e300)))))"),
+}
+_WHOLE_RUN_PROGRAMS = {}
+
+
+def _whole_run_program(source):
+    """A named program of `_WHOLE_RUN_TEXTS`, or the program of
+    `random_formula` at an integer seed; None without variables."""
+    if source not in _WHOLE_RUN_PROGRAMS:
+        if isinstance(source, str):
+            program = build_problem(_WHOLE_RUN_TEXTS[source]).program
+        else:
+            program = build_program(*random_formula(random.Random(source)))
+        _WHOLE_RUN_PROGRAMS[source] = program if program.dimension else None
+    return _WHOLE_RUN_PROGRAMS[source]
+
+
+def _minimize(alg, program, native, budget, bounds, seed, batched):
+    """A run of `alg` from a random start; native, or through a wrapper
+    of the program's methods, which keeps the Python minimizer. Returns
+    every observable of the run."""
+    rng = Xoshiro256Plus(seed)
+    x0 = random_start(program.dimension, rng)
+    if native:
+        f, f_many = program.evaluate, program.evaluate_many
+        assert _native_program(f, x0, None, f_many) is program
+    else:
+        def f(x):
+            return program.evaluate(x)
+
+        def f_many(X):
+            return program.evaluate_many(X)
+    zeros = []
+    before = program.eval_count
+    minimize = basin_hopping if alg == "bh" else crs2_minimize
+    out = minimize(f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
+                   on_zero=lambda x: zeros.append(x.tobytes()),
+                   f_many=f_many if batched else None)
+    return (out.evals_used, out.terminated_by,
+            None if out.best_x is None else out.best_x.tobytes(),
+            _bits([out.best_value]), rng.state(), program.eval_count - before, zeros)
+
+
+@native
+@settings(max_examples=150, deadline=None)
+@given(source=st.one_of(st.sampled_from(sorted(_WHOLE_RUN_TEXTS)), st.integers(0, 2**32 - 1)),
+       alg=st.sampled_from(["bh", "crs2"]),
+       budget=st.one_of(st.sampled_from([1, 2, 19, 20, 21, 50, 1_000, 3_000]),
+                        st.integers(1, 3_000)),
+       bounds=st.sampled_from([(-1e9, 1e9), (-1.0, 1.0)]),
+       seed=st.integers(0, 2**64 - 1), batched=st.booleans())
+@example(source="zero-at-start", alg="crs2", budget=3_000, bounds=(-1.0, 1.0), seed=1,
+         batched=True)
+@example(source="zero-in-population", alg="crs2", budget=3_000, bounds=(-1.0, 1.0), seed=1,
+         batched=True)
+@example(source="infeasible_box.smt2", alg="crs2", budget=7, bounds=(-1e9, 1e9), seed=1,
+         batched=True)
+@example(source="infeasible_cycle.smt2", alg="crs2", budget=3_000, bounds=(-1.0, 1.0),
+         seed=2, batched=False)
+@example(source="infeasible_cycle.smt2", alg="bh", budget=3_000, bounds=(-1e9, 1e9), seed=2,
+         batched=False)
+@example(source="overflowing-or", alg="bh", budget=3_000, bounds=(-1e9, 1e9), seed=1,
+         batched=False)
+def test_whole_runs_match_python(source, alg, budget, bounds, seed, batched):
+    # the small budgets cut CRS2's initial population of 10 (n + 1)
+    if kernels.lib is None:  # cleared by --kernels=python after collection
+        pytest.skip("the native kernels are not in use")
+    program = _whole_run_program(source)
+    if program is None:
+        return
+    got = _minimize(alg, program, True, budget, bounds, seed, batched)
+    assert got == _minimize(alg, program, False, budget, bounds, seed, batched)
+
+
+@pytest.mark.parametrize("check", kernels._RUN_CHECKS, ids=["bh", "bh-metropolis", "crs2"])
+def test_self_check_runs_are_the_python_runs(check):
+    # the load check's pinned digests are what the Python minimizers give
+    entry, row, budget, seed, box, digest = check
+    program = _kernel_check_program()
+    rng = Xoshiro256Plus(0)
+    rng._s[:] = (0, 0, 0, 0) if seed is None else Xoshiro256Plus(seed).state()
+    minimize = basin_hopping if entry == "fpsat_bh" else crs2_minimize
+    out = on_python_path(minimize, program.evaluate, kernels._check_points()[row],
+                         OptimizerConfig(budget, box or (-1e9, 1e9)), rng)
+    assert kernels._run_digest(out, rng) == digest
+
+
 def test_status_names_the_path():
     status = kernels.status()
     assert status["path"] in ("native", "python")
@@ -161,7 +269,11 @@ def test_truncated_library_is_rebuilt(reload, tmp_path):
     ("*d = (float)(a - b);", "*d = a - b;"),
     ("*d = (float)(a * b);", "*d = a * b;"),
     ("*d = (float)(a / b);", "*d = a / b;"),
-], ids=["draws", "distances", "add32", "sub32", "mul32", "div32"])
+    # whole runs: a Metropolis test that accepts at p = 0, and CRS2's
+    # centroid divided by n + 1
+    ("accept = next_double(c->s) < p;", "accept = next_double(c->s) <= p;"),
+    ("total[j] / (double)n", "total[j] / (double)(n + 1)"),
+], ids=["draws", "distances", "add32", "sub32", "mul32", "div32", "metropolis", "centroid"])
 def test_library_failing_the_self_check_is_not_used(reload, tmp_path, wrong):
     source = kernels.SOURCE.read_text()
     assert wrong[0] in source

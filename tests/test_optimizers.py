@@ -3,21 +3,35 @@
 import hashlib
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from fpsat import build_problem
+from fpsat import build_problem, kernels
 from fpsat.harness import corpus_dir
+from fpsat.objective import ObjectiveProgram
 from fpsat.optimizers import (
     OptimizerConfig,
     TerminationReason,
+    _native_program,
+    _whole_run,
     basin_hopping,
     crs2_minimize,
     isres_minimize,
     powell_minimize,
 )
 from fpsat.rng import Xoshiro256Plus
+from fpsat.workers import StopFlag
+
+
+@pytest.fixture
+def native_lib():
+    """The loaded native kernels; skips on the Python path, which
+    `--kernels=python` selects only once the tests are collected."""
+    if kernels.lib is None:
+        pytest.skip(f"native kernels not in use: {kernels.reason}")
+    return kernels.lib
 
 
 def sphere(x):
@@ -82,6 +96,17 @@ class TestPowell:
         assert out.best_value < 1e-8
         for p in calls.points:
             assert np.isfinite(p).all()
+
+    def test_huge_decreases_do_not_overflow(self):
+        # the extrapolation test squares differences of values; past about
+        # 1.3e154 a Python float's ** 2 raises OverflowError, which the
+        # descent takes as +inf, the value of C's pow
+        def f(x):
+            a, b = x
+            return float(1e200 * ((a - 3.0) ** 2 + (b + 2.0) ** 2 + 1.5 * a * b + 1.0))
+
+        out = powell_minimize(f, [0.0, 0.0], OptimizerConfig(max_evals=2_000))
+        assert out.terminated_by == TerminationReason.CONVERGED
 
     def test_2d_quadratic(self):
         cfg = OptimizerConfig(max_evals=20_000)
@@ -315,6 +340,57 @@ class TestCommonContracts:
         assert len(rows) == 1
         assert out.evals_used == 1 + rows[0]
 
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize])
+    def test_stop_flag_ends_a_long_run(self, minimize, corpus_path):
+        # natively, without the interpreter lock, the run polls the byte
+        # before every evaluation: it ends within 50 ms of the flag
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        stop = StopFlag()
+        result = {}
+
+        def run():
+            result["out"] = minimize(program.evaluate, np.array([0.1]),
+                                     OptimizerConfig(max_evals=10**9), Xoshiro256Plus(5),
+                                     stop=stop, f_many=program.evaluate_many)
+            result["ended"] = time.perf_counter()
+
+        before = program.eval_count
+        t = threading.Thread(target=run)
+        t.start()
+        time.sleep(0.1)
+        stop.set()
+        stopped = time.perf_counter()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert result["ended"] - stopped < 0.05
+        out = result["out"]
+        assert out.terminated_by == TerminationReason.CANCELLED
+        assert out.evals_used > 0
+        assert program.eval_count - before == out.evals_used
+
+    def test_native_path_only_for_the_stock_program(self, corpus_path, native_lib):
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        other = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+
+        class Override(ObjectiveProgram):
+            def evaluate(self, x):
+                return super().evaluate(x)
+
+        subclassed = Override.__new__(Override)
+        subclassed.__setstate__(program.__getstate__())
+        x0 = np.array([0.1])
+        assert _native_program(program.evaluate, x0, None) is program
+        assert _native_program(program.evaluate, x0, StopFlag(),
+                               program.evaluate_many) is program
+        for f, stop, f_many, start in [
+                (lambda x: program.evaluate(x), None, None, x0),  # a wrapper
+                (subclassed.evaluate, None, None, x0),  # an override
+                (program.evaluate, threading.Event(), None, x0),  # not a byte flag
+                (program.evaluate, None, other.evaluate_many, x0),  # another program's
+                (program.evaluate, None, None, np.array([0.1, 0.2])),  # wrong dimension
+        ]:
+            assert _native_program(f, start, stop, f_many) is None
+
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):
         program = build_problem(listing1_text).program
@@ -361,6 +437,31 @@ GOLDEN = {
         1321, "0x0.0p+0", "7d0981b58affffbf"),
 }
 MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
+
+
+@pytest.mark.parametrize("name,alg", [k for k in GOLDEN if k[1] != "isres"],
+                         ids=[f"{n}-{a}" for n, a in GOLDEN if a != "isres"])
+def test_golden_trajectory_native(name, alg, native_lib):
+    # the native whole run, its points from the entry's buffer; the
+    # minimizer's own dispatch makes the same run and counts it
+    program = build_problem((corpus_dir() / name).read_text()).program
+    entry = {"bh": native_lib.fpsat_bh, "crs2": native_lib.fpsat_crs2}[alg]
+    rng, rng2 = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
+    x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
+    rng2._s[:] = rng.state()
+    points = np.empty((3_000, program.dimension))
+    box = (-1e9, 1e9) if alg == "crs2" else ()
+    out = _whole_run(entry, program._image, x0, 3_000, rng, None, box, points)
+    got = (hashlib.sha256(points[:out.evals_used].tobytes()).hexdigest(), out.evals_used,
+           out.best_value.hex(), out.best_x.tobytes().hex())
+    assert got == GOLDEN[(name, alg)]
+    before = program.eval_count
+    assert _native_program(program.evaluate, x0, None, program.evaluate_many) is program
+    again = MINIMIZERS[alg](program.evaluate, x0, OptimizerConfig(max_evals=3_000), rng2,
+                            f_many=program.evaluate_many)
+    assert (again.evals_used, again.best_value, again.best_x.tobytes(), rng2.state()) == (
+        out.evals_used, out.best_value, out.best_x.tobytes(), rng.state())
+    assert program.eval_count - before == out.evals_used
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from conftest import CrashingProgram
 
 import fpsat
-from fpsat import build_problem, portfolio, workers
+from fpsat import build_problem, kernels, portfolio, workers
 from fpsat.errors import InstanceCrashError, VerificationFailureError
 from fpsat.fp import FP32, FP64
 from fpsat.objective import ObjectiveProgram, semantic_eval
@@ -300,11 +301,9 @@ class TestSolve:
             t = threading.Thread(target=run)
             t.start()
             if running:
-                deadline = time.perf_counter() + 10
-                while (problem.program.eval_count == 0
-                       and time.perf_counter() < deadline):
-                    time.sleep(0.01)
-                time.sleep(0.2)  # every instance is running
+                # every instance is running; a native run counts its
+                # evaluations only when it ends, so the count cannot tell
+                time.sleep(0.5)
             stop.set()
             stopped = time.perf_counter()
             t.join(timeout=30)
@@ -321,6 +320,45 @@ class TestSolve:
 
     def test_external_stop_at_the_start_cancels(self, monkeypatch):
         self._cancelled_race(monkeypatch, running=False)
+
+    def test_wall_timeout_ends_a_native_run(self):
+        # basin hopping alone runs natively, without the interpreter lock,
+        # and still sees the deadline the calling thread sets on its flag
+        problem = build_problem(_INFEASIBLE)
+        cfg = small_config(instances=[("bh", 1)], max_evals=10**9, wall_timeout=0.3)
+        t0 = time.perf_counter()
+        out = solve(problem.formula, problem.program, cfg)
+        assert time.perf_counter() - t0 < 1.0
+        assert out.unknown_reason == "wall-timeout"
+        assert [s.terminated_by for s in out.stats] == ["cancelled"]
+        assert problem.program.eval_count == out.total_evals > 0
+
+    @needs_fork
+    def test_external_stop_ends_a_native_run_in_a_worker(self, monkeypatch):
+        # two cores: CRS2, instance 1, runs natively in the worker; the
+        # race ends within 50 ms of the stop
+        monkeypatch.setattr(portfolio, "_usable_cores", lambda: 2)
+        problem = build_problem(_INFEASIBLE)
+        cfg = small_config(instances=[("bh", 1), ("crs2", 1)], max_evals=10**9)
+        stop = threading.Event()
+        result = {}
+
+        def run():
+            result["out"] = solve(problem.formula, problem.program, cfg, stop=stop)
+            result["ended"] = time.perf_counter()
+
+        t = threading.Thread(target=run)
+        t.start()
+        time.sleep(0.3)  # both instances are running
+        stop.set()
+        stopped = time.perf_counter()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert result["ended"] - stopped < 0.05
+        out = result["out"]
+        assert [s.terminated_by for s in out.stats] == ["cancelled"] * 2
+        assert all(s.evals > 0 for s in out.stats)
+        assert problem.program.eval_count == out.total_evals
 
     def test_verification_failure_surfaces(self, listing1_text):
         problem = build_problem(listing1_text)
@@ -509,33 +547,50 @@ class TestCrashedInstance:
     @staticmethod
     def _crash_stops_the_race(corpus_path, monkeypatch, instances):
         """ISRES raises at its first batch; the others must stop at once
-        instead of burning their whole budgets, in each placement."""
+        instead of burning their whole budgets, in each placement. The
+        Python minimizers make 20,000 evaluations in about 0.1 s, so on
+        the Python path each instance gets that budget and the count must
+        stay below it. The native runs of BH and CRS2 make as many in a
+        few milliseconds, so there each gets 10^7, and ISRES must crash
+        within 0.1 s of the call and the race end within 0.1 s of the
+        crash."""
         problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
         program = CrashingProgram.of(problem.program)
-        cfg = small_config(instances=instances, max_evals=20_000, seed=3)
+        native = kernels.lib is not None
+        budget = 10**7 if native else 20_000
+        cfg = small_config(instances=instances, max_evals=budget, seed=3)
         idx = [alg for alg, _ in instances].index("isres")
         for cores in placements(monkeypatch):
-            before = program.eval_count
+            before, entered = program.eval_count, time.monotonic()
             with pytest.raises(InstanceCrashError) as exc:
                 solve(problem.formula, program, cfg)
+            ended = time.monotonic()
             assert (f"instance {idx} (isres) crashed: RuntimeError: boom"
                     in str(exc.value))
             # the traceback of the instance, from whichever process ran it
             assert "isres_minimize" in exc.value.traceback
             assert 'raise RuntimeError(f"boom in process' in exc.value.traceback
-            # far below the 40,000 evaluations the other two instances own
-            assert program.eval_count - before < 20_000, cores
+            if native:
+                crashed = float(re.search(r"boom in process \d+ at (\S+)",
+                                          str(exc.value)).group(1))
+                assert crashed - entered < 0.1, cores
+                assert ended - crashed < 0.1, cores
+            else:
+                # below the 40,000 evaluations the other two instances own
+                assert program.eval_count - before < 20_000, cores
 
     def test_crash_stops_the_race(self, corpus_path, monkeypatch):
         self._crash_stops_the_race(corpus_path, monkeypatch,
                                    [("isres", 1), ("bh", 1), ("crs2", 1)])
 
-    @pytest.mark.xfail(strict=False, reason=(
-        "a thread started third in the calling process can wait 100 ms or "
-        "more for the interpreter lock while the others run (CHANGES.md, "
-        "FOUND: Thread.start latency in _Share.start)"))
-    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path,
-                                                      monkeypatch):
+    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path, monkeypatch,
+                                                      request):
+        if kernels.lib is None:
+            request.applymarker(pytest.mark.xfail(strict=False, reason=(
+                "on the Python path a thread started third in the calling "
+                "process can wait 100 ms or more for the interpreter lock "
+                "while the others run (CHANGES.md, FOUND: Thread.start "
+                "latency in _Share.start)")))
         self._crash_stops_the_race(corpus_path, monkeypatch,
                                    [("bh", 1), ("crs2", 1), ("isres", 1)])
 
@@ -615,6 +670,26 @@ class TestWorkers:
         verdict, *pids = proc.stdout.split()
         assert verdict == "sat" and pids
         _assert_gone([int(pid) for pid in pids], within_s=0.0)
+
+    def test_fresh_solve_of_listing1_forks_no_worker(self, corpus_path):
+        # BH decides listing1 in 7 evaluations, natively and without the
+        # interpreter lock: well inside the head start the caller gives
+        # it before forking, even in a fresh interpreter
+        src = Path(fpsat.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import fpsat\n"
+            "from fpsat import portfolio, workers\n"
+            "portfolio._usable_cores = lambda: 2\n"
+            f"p = fpsat.load_problem({str(corpus_path / 'listing1.smt2')!r})\n"
+            "out = fpsat.solve(p.formula, p.program, fpsat.PortfolioConfig(seed=1))\n"
+            "print(out.verdict, out.winner[0], len(workers.shared_pool()._workers))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["sat", "bh", "0"]
 
     def test_workers_exit_when_their_parent_dies(self, corpus_path):
         # a parent killed in the middle of its only race, the first job of
