@@ -52,7 +52,7 @@ from .portfolio import (
 from .rng import Xoshiro256Plus, derive_seed, splitmix64_next
 from .terms import Compare, Script, Term, term_to_smt2
 
-# open the native kernels before any race forks a worker
+# open the native kernels once, before the first evaluation
 kernels.load()
 
 __version__ = "0.1.0"
@@ -135,6 +135,16 @@ def build_problem(text: str) -> Problem:
 
 
 def load_problem(path) -> Problem:
-    """Read a file and build its problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_problem(fh.read())
+    """Read a UTF-8 file and build its problem. Bytes that are not UTF-8
+    are an `InputError` at their line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        line_start = head.rfind(b"\n") + 1
+        pos = errors.SourcePosition(head.count(b"\n") + 1,
+                                    len(head[line_start:].decode("utf-8")) + 1)
+        raise errors.InputError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                                f"({exc.reason})", pos) from None
+    return build_problem(text)

@@ -58,6 +58,8 @@ def _portfolio_config(parser: argparse.ArgumentParser, args,
         parser.error("--bounds LO HI needs LO < HI")
     if not all(map(math.isfinite, args.start_range)):
         parser.error("--start-range LO HI must be finite")
+    if args.timeout is not None and not 0 <= args.timeout < math.inf:
+        parser.error("--timeout must be finite and >= 0")
     return PortfolioConfig(
         instances=instances,
         max_evals=args.max_evals,

@@ -86,9 +86,8 @@ class DimensionMismatchError(FpsatError):
 
 
 class InstanceCrashError(FpsatError):
-    """An optimizer instance of the portfolio raised, or the worker process
-    that ran it died. `traceback` holds the instance's traceback text,
-    wherever it ran ("" for a worker that died)."""
+    """An optimizer instance of the portfolio raised. `traceback` holds the
+    instance's traceback text."""
 
     def __init__(self, message: str, traceback: str = ""):
         super().__init__(message)

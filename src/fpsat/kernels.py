@@ -1,10 +1,10 @@
 """Native kernels: `_kernels.c`, compiled once per install, called through ctypes.
 
-`load()` runs at `import fpsat`, before any race forks a worker. It
-opens the library cached in `fpsat/__pycache__/` under a name keyed by
-the source and `KERNEL_CFLAGS`, and compiles it there with `gcc` first
-if it is missing (to a temporary file, then an atomic rename, so
-concurrent first imports leave one file). The library is then checked
+`load()` runs once, at `import fpsat`. It opens the library cached in
+`fpsat/__pycache__/` under a name keyed by the source and
+`KERNEL_CFLAGS`, and compiles it there with `gcc` first if it is
+missing (to a temporary file, then an atomic rename, so concurrent
+first imports leave one file). The library is then checked
 bit for bit against the Python reference paths on fixed inputs. A
 missing compiler, an unwritable cache, a load error or a failed check
 leaves `lib` None, and every caller takes its Python path; `reason` says

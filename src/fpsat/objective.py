@@ -227,9 +227,7 @@ class ObjectiveProgram:
 
     Immutable after compilation; `evaluate` may be called concurrently from
     many threads (each call owns its register scratch). The evaluation
-    counter is the only shared mutable state. A program pickles, so that
-    a race can send it to its worker processes; its native image is
-    plain bytes and travels with it.
+    counter is the only shared mutable state.
     """
 
     def __init__(self, template, tape, out, var_regs, varmap, widths, image):
@@ -241,10 +239,6 @@ class ObjectiveProgram:
         self._widths = widths
         self._image = image  # the tape as `_kernels.c` reads it
         self._eval_count = 0
-        self._derive()
-
-    def _derive(self) -> None:
-        """The state that is not pickled, because it is rebuilt faster."""
         self._pack = _packer(len(self.varmap))
         self._count_lock = threading.Lock()
 
@@ -257,19 +251,10 @@ class ObjectiveProgram:
         return self._eval_count
 
     def count_evals(self, n: int) -> None:
-        """Add n evaluations made by a copy of this program, such as the
-        one a race's worker process unpickles."""
+        """Add n evaluations made outside `evaluate` and `evaluate_many`,
+        such as a native whole run's."""
         with self._count_lock:
             self._eval_count += n
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_pack"], state["_count_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._derive()
 
     def evaluate(self, x) -> float:
         """Compute the objective at x (binary64 coordinates).

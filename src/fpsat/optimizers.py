@@ -21,11 +21,12 @@ lock, bit for bit with the Python code here, which stays the reference
 and the fallback. A run takes that path when the kernels are loaded,
 `f` is `ObjectiveProgram.evaluate` itself bound to a program, CRS2's
 `f_many` is None or that program's own `evaluate_many`, and `stop` is
-None or a `workers.StopFlag`; see `_native_program`. A native run polls
-the stop byte before every evaluation, and adds its evaluations to the
-program's count when it ends. Signal handlers, KeyboardInterrupt
-included, run only once it returns: without a `StopFlag` to set, a
-native run ends only at its budget or its first zero.
+None or a `StopFlag`, the one-byte flag that a race's threads share;
+see `_native_program`. A native run polls the stop byte before every
+evaluation, and adds its evaluations to the program's count when it
+ends. Signal handlers, KeyboardInterrupt included, run only once it
+returns: without a `StopFlag` to set, a native run ends only at its
+budget or its first zero.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -44,9 +45,9 @@ import numpy as np
 from . import kernels
 from .objective import ObjectiveProgram
 from .rng import Xoshiro256Plus
-from .workers import StopFlag
 
 __all__ = [
+    "StopFlag",
     "TerminationReason",
     "OptOutcome",
     "OptimizerConfig",
@@ -83,6 +84,24 @@ class OptOutcome:
     best_value: float
     evals_used: int
     terminated_by: TerminationReason
+
+
+class StopFlag:
+    """`threading.Event`'s `is_set`/`set`/`clear` on one byte, which the
+    native whole runs read at `address`."""
+
+    def __init__(self):
+        self._byte = (ctypes.c_ubyte * 1)()
+        self.address = ctypes.addressof(self._byte)
+
+    def is_set(self) -> bool:
+        return self._byte[0] != 0
+
+    def set(self) -> None:
+        self._byte[0] = 1
+
+    def clear(self) -> None:
+        self._byte[0] = 0
 
 
 class _Stop(Exception):

@@ -1,29 +1,27 @@
 """Race N optimizer instances on one objective; first exact zero wins.
 
-The instances are spread over k = min(N, usable cores) processes:
-instance i runs in slot i mod k. Slot 0 is the calling process, and
-slots 1..k-1 are persistent forked workers (`workers.py`), reused across
-races and forked only by a race that its first instance has not decided
-within one interpreter switch interval. Every slot runs its instances as
-threads (one that starts after the race is decided ends at its first
-poll, in the starting thread); the native whole runs of BH and CRS2 run
-without the interpreter lock. Shared state is limited to the immutable
-program (each worker gets a pickled copy), a stop flag (one byte of
-shared memory, in every placement, which the native runs poll too), and
-per-slot records of stats, the first zero and the first crash. A
-winning zero is claimed at the evaluation that produced it and sets the
-flag; every other instance then performs at most one further
-evaluation, or one batch of them, before observing it. The winner is the zero with the earliest
-stamp, and it is verified in the calling process. Fixed-seed
-trajectories do not depend on where an instance runs.
+Every instance runs in a thread of the calling process. Instance 0 runs
+alone first: the caller joins it for up to one interpreter switch
+interval before it starts the others, which decides an easy input
+without starting another thread, and an instance that starts after the
+race is decided ends at its first poll, in the starting thread. The
+native whole runs of BH and CRS2 release the interpreter lock, so a
+race uses several cores; on the Python fallback it runs on one. Shared
+state is limited to the immutable program, a stop flag (one byte, which
+the native runs poll too), and the race's records of stats, the first
+zero and the first crash. A winning zero is claimed at the evaluation
+that produced it and sets the flag; every other instance then performs
+at most one further evaluation, or one batch of them, before observing
+it. The first zero claimed wins, and it is verified in the calling
+thread. An instance's fixed-seed trajectory is the one it runs alone,
+up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import select
+import math
+import numbers
 import sys
 import threading
 import time
@@ -36,6 +34,7 @@ from .fp import FPValue, Sort
 from .objective import ObjectiveProgram, semantic_eval
 from .optimizers import (
     OptimizerConfig,
+    StopFlag,
     _bounds,
     _budget,
     basin_hopping,
@@ -44,7 +43,6 @@ from .optimizers import (
 )
 from .rng import Xoshiro256Plus, derive_seed
 from .terms import Term
-from .workers import StopFlag, WorkerError, shared_pool
 
 __all__ = [
     "PortfolioConfig",
@@ -86,8 +84,9 @@ class PortfolioConfig:
         for name, count in self.instances:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-            if count < 0:
-                raise ValueError(f"instance count of {name} must be >= 0")
+            if not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"instance count of {name} must be an integer >= 0, "
+                                 f"got {count!r}")
             out.extend([name] * count)
         if not out:
             raise ValueError("portfolio needs at least one instance")
@@ -169,17 +168,24 @@ def solve(formula: Term, program: ObjectiveProgram,
     race, and its zero takes the same path to a verified model. An
     externally supplied `stop` event cancels the whole race (combined
     mode uses this). Raises ValueError on an invalid configuration (an
-    unknown algorithm or a negative count, a non-finite start range, a
-    budget that is not an integer >= 1, bounds that are not finite with
-    lo < hi) before anything is evaluated; VerificationFailureError if a
-    zero-valued point fails the semantic check (that would be an encoding
-    bug, never hidden), and InstanceCrashError, naming the instance and
-    carrying its traceback text, if an instance raised or the worker
-    process running it died.
+    unknown algorithm or a count that is not an integer >= 0, a seed that
+    is not an integer, a non-finite start range, a budget that is not an
+    integer >= 1, bounds that are not finite with lo < hi, a wall timeout
+    that is neither None nor finite and >= 0) before anything is
+    evaluated; VerificationFailureError if a zero-valued point fails the
+    semantic check (that would be an encoding bug, never hidden), and
+    InstanceCrashError, naming the instance and carrying its traceback
+    text, if an instance raised.
     """
     if config is None:
         config = PortfolioConfig()
     algs = config.expanded()
+    if not isinstance(config.seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {config.seed!r}")
+    timeout = config.wall_timeout
+    if timeout is not None and not (isinstance(timeout, numbers.Real)
+                                    and 0 <= timeout < math.inf):
+        raise ValueError(f"wall_timeout must be None or finite and >= 0, got {timeout!r}")
     if not np.isfinite(np.asarray(config.start_range, dtype=float)).all():
         raise ValueError("start_range must be finite")
     opt_cfg = OptimizerConfig(max_evals=_budget(config.max_evals),
@@ -207,44 +213,17 @@ def solve(formula: Term, program: ObjectiveProgram,
     return SolveOutcome("sat", model, (alg, idx), stats, None, elapsed)
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork workers."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _race(program, algs, config, opt_cfg, stop, t_start):
     """Returns the winner (instance index, algorithm, zero point) or None,
     the instances' stats, and why the race ended without a winner.
 
-    Places the instances on k = min(instances, usable cores) processes:
-    instance i runs in slot i mod k. Slot 0 is this process; slots 1..k-1
-    are the shared pool's workers, which only a compiled program that
-    pickles, and one race at a time, can use (otherwise every share runs
-    here). A fork costs milliseconds, so a race that lacks workers first
-    lets its first instance run alone: this thread joins it for up to one
-    interpreter switch interval (`sys.getswitchinterval()`), and pickles
-    the program and forks only if the race is still undecided. A race
-    stops on one byte flag in every placement, the pool's or its own, and
-    an external `stop` is polled and forwarded to it.
+    Instance 0 starts first, and this thread joins it for up to one
+    interpreter switch interval (`sys.getswitchinterval()`) before it
+    starts the rest: a thread start costs more than many an easy race,
+    and a native run decides one without the lock. The race stops on one
+    byte flag; an external `stop` is polled and forwarded to it.
     """
-    k = min(len(algs), _usable_cores())
-    pool = None
-    if k > 1 and isinstance(program, ObjectiveProgram):
-        pool = shared_pool()
-        if not pool.hold():
-            pool = None
-    if pool is None:
-        k = 1
-        flag = StopFlag()
-    else:
-        flag = pool.stop
-        flag.clear()
-    indexed = list(enumerate(algs))
-    shares = [indexed[slot::k] for slot in range(k)]
+    flag = StopFlag()
     deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
     timed_out = False
 
@@ -267,112 +246,37 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
             timeout = min(timeout or _FORWARD_S, _FORWARD_S)
         return timeout
 
-    results = []  # (stats, zero, crash) of each slot
-    pending = {}  # worker -> its share
-    local = _Share(program, config, opt_cfg, flag)
+    indexed = list(enumerate(algs))
+    race = _Race(program, config, opt_cfg, flag)
     try:
-        head = 1 if pool is not None and pool.running() < k - 1 else 0
-        local.start(shares[0][:head])
-        if head:
-            local.threads[0].join(sys.getswitchinterval())
+        race.start(indexed[:1])
+        race.threads[0].join(sys.getswitchinterval())
         wait_s()
-        blob = _pickled(program) if pool is not None and not flag.is_set() else None
-        workers = pool.workers(k - 1) if blob is not None else []
-        for slot, share in enumerate(shares[1:]):
-            if slot >= len(workers):
-                # decided already (each instance ends at its first poll),
-                # or the program does not pickle, or no worker could be
-                # forked: run the share here
-                local.start(share)
-                continue
-            try:
-                workers[slot].submit(_run_share, blob, share, config, opt_cfg)
-            except WorkerError as exc:
-                results.append(_lost_share(share, exc))
-                flag.set()
-            else:
-                pending[workers[slot]] = share
-        local.start(shares[0][head:])
-        while pending:
-            ready, _, _ = select.select(list(pending), [], [], wait_s())
-            for worker in ready:
-                share = pending.pop(worker)
-                try:
-                    result = worker.result()
-                except WorkerError as exc:
-                    results.append(_lost_share(share, exc))
-                    flag.set()
-                else:
-                    if result is None:  # the worker could not unpickle it
-                        local.start(share)
-                        continue
-                    # evaluations made on the worker's copy of the program
-                    program.count_evals(sum(s.evals for s in result[0]))
-                    results.append(result)
-        for t in local.threads:
+        race.start(indexed[1:])
+        for t in race.threads:
             while t.is_alive():
                 t.join(wait_s())
-    except BaseException:  # interrupted: stop everything before leaving
+    except BaseException:  # interrupted: stop every instance before leaving
         flag.set()
-        for worker in pending:
-            worker.kill()
-        local.join()
+        race.join()
         raise
-    finally:
-        if pool is not None:
-            pool.release()
-    results.append(local.result())
 
-    stats = [None] * len(algs)  # each instance fills its own entry
-    zeros, crashes = [], []
-    for share_stats, zero, crash in results:
-        for s in share_stats:
-            stats[s.index] = s
-        if zero is not None:
-            zeros.append(zero)
-        if crash is not None:
-            crashes.append(crash)
-
-    if crashes:
-        _, idx, alg, summary, tb = min(crashes)
+    if race.crash is not None:
+        idx, alg, summary, tb = race.crash
         raise InstanceCrashError(f"instance {idx} ({alg}) crashed: {summary}", tb)
-    winner = None
-    if zeros:
-        _, idx, alg, x = min(zeros, key=lambda z: z[0])
-        winner = (idx, alg, x)
-
     if timed_out:
         reason = "wall-timeout"
     elif flag.is_set():
         reason = "cancelled"
     else:
         reason = "budget-exhausted"
-    return winner, stats, reason
+    return race.zero, sorted(race.stats, key=lambda s: s.index), reason
 
 
-def _pickled(program) -> bytes | None:
-    """The program as a worker receives it; None if it does not pickle
-    (a subclass defined in a function does not)."""
-    try:
-        return pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return None
-
-
-def _lost_share(share, exc: WorkerError):
-    """A share whose worker returned nothing: a crash of its first instance."""
-    idx, alg = share[0]
-    return [], None, (time.perf_counter(), idx, alg, str(exc), exc.traceback)
-
-
-class _Share:
-    """One slot's instances in this process, polling `stop`.
-
-    Records each instance's stats, the slot's first zero (stamp, index,
-    algorithm, point) and first crash (stamp, index, algorithm, summary,
-    traceback text). Stamps are `time.perf_counter()`, one clock for all
-    processes of a race.
-    """
+class _Race:
+    """A race's instances, polling `stop`, and what they leave: each
+    instance's stats, the first zero claimed (index, algorithm, point)
+    and the first crash (index, algorithm, summary, traceback text)."""
 
     def __init__(self, program, config, opt_cfg, stop):
         self.program = program
@@ -386,11 +290,11 @@ class _Share:
         self._lock = threading.Lock()
         self.threads = []
 
-    def start(self, share) -> None:
-        """Run each (index, algorithm) of `share` in a thread of its own;
-        in this thread once `stop` is set, since the instance then ends
-        at its first poll, sooner than a thread starts."""
-        for idx, alg in share:
+    def start(self, instances) -> None:
+        """Run each (index, algorithm) in a thread of its own; in this
+        thread once `stop` is set, since the instance then ends at its
+        first poll, sooner than a thread starts."""
+        for idx, alg in instances:
             if self.stop.is_set():
                 self.run(idx, alg)
                 continue
@@ -401,7 +305,7 @@ class _Share:
     def _claim(self, idx: int, alg: str, x: np.ndarray) -> None:
         with self._lock:
             if self.zero is None:
-                self.zero = (time.perf_counter(), idx, alg, x)
+                self.zero = (idx, alg, x)
         self.stop.set()
 
     def run(self, idx: int, alg: str) -> None:
@@ -417,7 +321,7 @@ class _Share:
                 alg, idx, outcome.evals_used, outcome.best_value,
                 time.perf_counter() - t0, outcome.terminated_by.value,
             ))
-        except Exception as exc:  # raised by the race once every slot ended
+        except Exception as exc:  # raised by the race once every instance ended
             # a crashed instance ends the race: at once, since native runs
             # make thousands of evaluations in the time the traceback takes
             self.stop.set()
@@ -425,28 +329,9 @@ class _Share:
 
             with self._lock:
                 if self.crash is None:
-                    self.crash = (time.perf_counter(), idx, alg,
-                                  f"{type(exc).__name__}: {exc}",
+                    self.crash = (idx, alg, f"{type(exc).__name__}: {exc}",
                                   traceback.format_exc())
 
     def join(self) -> None:
         for t in self.threads:
             t.join()
-
-    def result(self):
-        return self.stats, self.zero, self.crash
-
-
-def _run_share(blob, share, config, opt_cfg, *, stop):
-    """A worker's job: run `share` of the pickled program to its end;
-    returns its stats, first zero and first crash. Returns None if this
-    process cannot unpickle the program (say, its class was defined in
-    `__main__` after the fork), and the caller runs the share itself."""
-    try:
-        program = pickle.loads(blob)
-    except Exception:
-        return None
-    local = _Share(program, config, opt_cfg, stop)
-    local.start(share)
-    local.join()
-    return local.result()

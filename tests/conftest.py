@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import random
 import struct
+import threading
 import time
 
 import pytest
@@ -154,23 +154,22 @@ def build_program(formula, varmap):
     return compile_objective(push_negations(simplify(formula)), varmap)
 
 
-class CrashingProgram(ObjectiveProgram):
-    """A program whose `evaluate_many` raises RuntimeError("boom in
-    process <pid> at <time.monotonic()>", a clock that every process of
-    the host shares) on a batch of more rows than CRS2's initial
-    population, which only ISRES evaluates (its population and
-    generations have 20 (n + 1) rows). It is defined at module level, so
-    it pickles and crashes ISRES in whichever process runs it."""
+def retyped(cls, program: ObjectiveProgram) -> ObjectiveProgram:
+    """`program` as an instance of the subclass `cls`, with a copy of its state."""
+    copy = cls.__new__(cls)
+    copy.__dict__.update(program.__dict__)
+    return copy
 
-    @classmethod
-    def of(cls, program: ObjectiveProgram) -> "CrashingProgram":
-        crashing = cls.__new__(cls)
-        crashing.__setstate__(program.__getstate__())
-        return crashing
+
+class CrashingProgram(ObjectiveProgram):
+    """A program whose `evaluate_many` raises RuntimeError("boom at
+    <time.monotonic()>") on a batch of more rows than CRS2's initial
+    population, which only ISRES evaluates (its population and
+    generations have 20 (n + 1) rows); `retyped` makes one."""
 
     def evaluate_many(self, X):
         if len(X) > _CRS2_POP_PER_DIM * (self.dimension + 1):
-            raise RuntimeError(f"boom in process {os.getpid()} at {time.monotonic()!r}")
+            raise RuntimeError(f"boom at {time.monotonic()!r}")
         return super().evaluate_many(X)
 
 
@@ -190,6 +189,28 @@ def kernel_path(request):
         kernels.lib, kernels.reason = None, "cleared by --kernels=python"
     yield "python" if kernels.lib is None else "native"
     kernels.lib, kernels.reason = loaded, reason
+
+
+# modules whose tests race: each must end every thread it starts
+_THREAD_CHECKED = {"test_portfolio", "test_acceptance"}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left(request):
+    """Fails a portfolio or acceptance test that leaves a thread it
+    started running for more than a second after it ends."""
+    if request.module.__name__ not in _THREAD_CHECKED:
+        yield
+        return
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    while True:
+        left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+        if not left or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert not left, f"threads still running 1 s after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ are pinned here; nothing is deferred to later calibration.
 """
 
 import io
-import os
 import random
 import stat
 import sys
@@ -27,13 +26,14 @@ from test_rng import (
     XOSHIRO256P_TRACES,
 )
 
-from fpsat import build_problem, load_problem, portfolio
+from fpsat import build_problem, load_problem
 from fpsat.fp import FPValue
 from fpsat.harness import run_bench, run_combined, run_solve
 from fpsat.normalizer import push_negations, simplify, to_cnf
 from fpsat.objective import atom_distance, compile_objective, semantic_eval, theta
-from fpsat.portfolio import PortfolioConfig, solve, verify_model
-from fpsat.rng import Xoshiro256Plus, splitmix64_next
+from fpsat.optimizers import OptimizerConfig, basin_hopping, crs2_minimize, isres_minimize
+from fpsat.portfolio import PortfolioConfig, random_start, solve, verify_model
+from fpsat.rng import Xoshiro256Plus, derive_seed, splitmix64_next
 from fpsat.terms import CmpOp
 
 SAT_INSTANCES = [
@@ -249,10 +249,9 @@ def test_06_portfolio_contracts(corpus_path):
                "post-win cancellation <= 1 evaluation")
 
 
-def test_07_determinism(corpus_path, monkeypatch):
+def test_07_determinism(corpus_path):
     """Single-instance fixed-seed runs are bit-identical across 5 reps, and
-    every instance of a race runs the same trajectory wherever it is
-    placed: in the calling process, or in a worker process."""
+    every instance of a race runs the trajectory it runs alone."""
     for name, algorithm in (("listing1.smt2", "bh"),
                             ("disjunction.smt2", "crs2"),
                             ("infeasible_irreflexive.smt2", "isres")):
@@ -267,22 +266,28 @@ def test_07_determinism(corpus_path, monkeypatch):
             results.append((out.verdict, model_bits, out.total_evals))
         assert len(set(results)) == 1, (name, results)
 
-    # usable cores 1: all in this process; 2: CRS2 in a worker; 3: each
-    # instance in its own process
-    placements = (1, 2, 3) if hasattr(os, "fork") else (1,)
+    # a race's instances against their minimizers run alone, each from
+    # its own seed and start point, on the infeasible instances, where
+    # every instance runs its whole budget
+    minimizers = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
+    config = PortfolioConfig(max_evals=3_000, seed=0xD5)
+    opt_cfg = OptimizerConfig(max_evals=config.max_evals, bounds=config.bounds)
     for name in UNSAT_INSTANCES:
         problem = load_problem(corpus_path / name)
-        per_placement = []
-        for cores in placements:
-            monkeypatch.setattr(portfolio, "_usable_cores", lambda cores=cores: cores)
-            out = solve(problem.formula, problem.program,
-                        PortfolioConfig(max_evals=3_000, seed=0xD5))
-            per_placement.append([(s.evals, s.best_value, s.terminated_by)
-                                  for s in out.stats])
-        assert all(p == per_placement[0] for p in per_placement), (name, per_placement)
+        program = problem.program
+        out = solve(problem.formula, program, config)
+        alone = []
+        for idx, alg in enumerate(config.expanded()):
+            rng = Xoshiro256Plus(derive_seed(config.seed, idx))
+            x0 = random_start(program.dimension, rng, config.start_range)
+            run = minimizers[alg](program.evaluate, x0, opt_cfg, rng,
+                                  f_many=program.evaluate_many)
+            alone.append((run.evals_used, run.best_value, run.terminated_by.value))
+        raced = [(s.evals, s.best_value, s.terminated_by) for s in out.stats]
+        assert raced == alone, (name, raced, alone)
     _passed(7, "verdict, model bits, and eval counts identical across "
-               "5 repetitions for each algorithm, and per-instance trajectories "
-               "identical across placements")
+               "5 repetitions for each algorithm, and each raced instance's "
+               "trajectory identical to its run alone")
 
 
 def test_08_table_shapes_at_desk_scale(corpus_path, tmp_path):

@@ -9,6 +9,11 @@ import pytest
 from fpsat.cli import main
 
 
+# an infeasible script with a Latin-1 "é" in a comment
+_LATIN1 = (b"(set-logic QF_FP)\n; caf\xe9\n(declare-fun x () Float64)"
+           b"(assert (fp.lt x x))(check-sat)\n")
+
+
 class TestSolveCommand:
     def test_sat_exit_zero_and_first_line(self, corpus_path, capsys):
         code = main(["solve", str(corpus_path / "listing1.smt2"),
@@ -119,8 +124,11 @@ class TestSolveCommand:
         ["--bh", "-1"],
         ["--bounds", "0", "inf"],
         ["--start-range", "nan", "0"],
+        ["--timeout", "nan"],
+        ["--timeout", "inf"],
+        ["--timeout", "-1"],
     ], ids=["empty-bounds", "zero-budget", "negative-count", "infinite-bounds",
-            "nan-start-range"])
+            "nan-start-range", "nan-timeout", "infinite-timeout", "negative-timeout"])
     def test_usage_errors_exit_two(self, corpus_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(corpus_path / "infeasible_cycle.smt2"), *flags])
@@ -128,6 +136,15 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flags[0] in captured.err
+
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.smt2"
+        path.write_bytes(_LATIN1)
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == ["error"]
+        assert "2:6: byte 0xe9 is not UTF-8" in captured.err
 
     def test_dump_cnf_flag(self, corpus_path, capsys):
         main(["solve", str(corpus_path / "listing1.smt2"), "--dump-cnf",
@@ -154,6 +171,17 @@ class TestBenchCommand:
         assert header == "file,verdict,wall_time_s,winner,evals"
         out = capsys.readouterr().out
         assert "SAT" in out and "UNKNOWN" in out
+
+
+    def test_non_utf8_file_is_an_error_row(self, corpus_path, tmp_path, capsys):
+        shutil.copy(corpus_path / "listing1.smt2", tmp_path)
+        (tmp_path / "latin1.smt2").write_bytes(_LATIN1)
+        csv_path = tmp_path / "out.csv"
+        code = main(["bench", str(tmp_path), "--max-evals", "4000", "--csv", str(csv_path)])
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",")[1]
+                for line in csv_path.read_text().splitlines()[1:]}
+        assert rows == {"latin1.smt2": "ERROR", "listing1.smt2": "SAT"}
 
 
 @pytest.mark.parametrize("command, exit_code", [

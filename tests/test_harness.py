@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import CrashingProgram
+from conftest import CrashingProgram, retyped
 
 from fpsat import harness, load_problem
 from fpsat.harness import (
@@ -43,10 +43,10 @@ def fast_config(**kw):
 
 @pytest.fixture
 def crashing_isres(monkeypatch):
-    """Make every ISRES instance raise at its first batch, wherever it runs."""
+    """Make every ISRES instance raise at its first batch."""
     def load(path):
         problem = load_problem(path)
-        problem.program = CrashingProgram.of(problem.program)
+        problem.program = retyped(CrashingProgram, problem.program)
         return problem
 
     monkeypatch.setattr(harness, "load_problem", load)

@@ -3,7 +3,6 @@
 import ctypes
 import hashlib
 import math
-import pickle
 import random
 import shutil
 import struct
@@ -478,14 +477,6 @@ def _pinned_values(program, X) -> tuple[str, str]:
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_pinned_corpus_objective(name):
     program = load_problem(corpus_dir() / name).program
-    X = _pinned_points(name, program.dimension)
-    assert _pinned_values(program, X) == (PINNED_DIGESTS[name],) * 2
-
-
-@pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_pinned_corpus_objective_after_pickling(name):
-    # what a race's worker process evaluates: the program's pickled copy
-    program = pickle.loads(pickle.dumps(load_problem(corpus_dir() / name).program))
     X = _pinned_points(name, program.dimension)
     assert _pinned_values(program, X) == (PINNED_DIGESTS[name],) * 2
 

@@ -7,12 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from conftest import retyped
 
 from fpsat import build_problem, kernels
 from fpsat.harness import corpus_dir
 from fpsat.objective import ObjectiveProgram
 from fpsat.optimizers import (
     OptimizerConfig,
+    StopFlag,
     TerminationReason,
     _native_program,
     _whole_run,
@@ -22,7 +24,6 @@ from fpsat.optimizers import (
     powell_minimize,
 )
 from fpsat.rng import Xoshiro256Plus
-from fpsat.workers import StopFlag
 
 
 @pytest.fixture
@@ -376,8 +377,7 @@ class TestCommonContracts:
             def evaluate(self, x):
                 return super().evaluate(x)
 
-        subclassed = Override.__new__(Override)
-        subclassed.__setstate__(program.__getstate__())
+        subclassed = retyped(Override, program)
         x0 = np.array([0.1])
         assert _native_program(program.evaluate, x0, None) is program
         assert _native_program(program.evaluate, x0, StopFlag(),

@@ -1,24 +1,18 @@
 """Portfolio race: soundness gate, cancellation, stats, determinism."""
 
 import math
-import os
 import re
-import signal
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CrashingProgram
+from conftest import CrashingProgram, retyped
 
-import fpsat
-from fpsat import build_problem, kernels, portfolio, workers
+from fpsat import build_problem, kernels
 from fpsat.errors import InstanceCrashError, VerificationFailureError
 from fpsat.fp import FP32, FP64
-from fpsat.objective import ObjectiveProgram, semantic_eval
+from fpsat.objective import semantic_eval
 from fpsat.portfolio import (
     Model,
     PortfolioConfig,
@@ -34,70 +28,6 @@ def small_config(**kw):
     defaults = dict(max_evals=30_000, seed=5)
     defaults.update(kw)
     return PortfolioConfig(**defaults)
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-
-
-def placements(monkeypatch):
-    """Sets, in turn, each placement a race can take: the calling process
-    alone, and one process per instance of the default mix (three usable
-    cores, whatever the host has)."""
-    for cores in (1, 3) if hasattr(os, "fork") else (1,):
-        monkeypatch.setattr(portfolio, "_usable_cores", lambda cores=cores: cores)
-        yield cores
-
-
-def _running(pid: int) -> bool:
-    """Whether a process runs; an exited one that its new parent has not
-    reaped yet (a zombie) does not."""
-    if not os.path.isdir("/proc"):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        return True
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def _assert_gone(pids: list[int], within_s: float) -> None:
-    """Asserts that none of `pids` runs after `within_s` seconds; kills
-    any that still do, so that a failure leaves nothing running."""
-    deadline = time.perf_counter() + within_s
-    while any(map(_running, pids)) and time.perf_counter() < deadline:
-        time.sleep(0.01)
-    survivors = [pid for pid in pids if _running(pid)]
-    for pid in survivors:
-        os.kill(pid, signal.SIGKILL)
-    assert not survivors
-
-
-def _worker_pids() -> list[int]:
-    return [w.pid for w in workers.shared_pool()._workers if w.alive]
-
-
-class _CallerOnlyProgram(ObjectiveProgram):
-    """Pickles, but unpickles only in the process that imported this
-    module, as a class defined in `__main__` after the workers were
-    forked does."""
-
-    maker = os.getpid()
-
-    def __setstate__(self, state):
-        if os.getpid() != self.maker:
-            raise AttributeError("no such class in this process")
-        super().__setstate__(state)
-
-
-def _retyped(cls, program: ObjectiveProgram) -> ObjectiveProgram:
-    """`program` as an instance of the subclass `cls`."""
-    copy = cls.__new__(cls)
-    ObjectiveProgram.__setstate__(copy, program.__getstate__())
-    return copy
 
 
 _INFEASIBLE = ("(set-logic QF_FP)(declare-fun x () Float64)"
@@ -272,54 +202,52 @@ class TestSolve:
             ))
         assert len(set(runs)) == 1
 
-    def test_wall_timeout_fires(self, monkeypatch):
-        for cores in placements(monkeypatch):
-            problem = build_problem(_INFEASIBLE)
-            before = problem.program.eval_count
-            cfg = small_config(max_evals=100_000_000, wall_timeout=0.3)
-            out = solve(problem.formula, problem.program, cfg)
-            assert out.verdict == "unknown"
-            assert out.unknown_reason == "wall-timeout"
-            assert out.wall_time < 5.0
-            # every instance, in whichever process it ran, was stopped
-            assert [s.terminated_by for s in out.stats] == ["cancelled"] * 3, cores
-            assert problem.program.eval_count - before == out.total_evals
+    def test_wall_timeout_fires(self):
+        problem = build_problem(_INFEASIBLE)
+        before = problem.program.eval_count
+        cfg = small_config(max_evals=100_000_000, wall_timeout=0.3)
+        out = solve(problem.formula, problem.program, cfg)
+        assert out.verdict == "unknown"
+        assert out.unknown_reason == "wall-timeout"
+        assert out.wall_time < 5.0
+        # every instance was stopped
+        assert [s.terminated_by for s in out.stats] == ["cancelled"] * 3
+        assert problem.program.eval_count - before == out.total_evals
 
     @staticmethod
-    def _cancelled_race(monkeypatch, running: bool):
-        """Sets an external stop once every instance runs, or at once, in
-        each placement; the race must end within a second, cancelled."""
-        for cores in placements(monkeypatch):
-            problem = build_problem(_INFEASIBLE)
-            stop = threading.Event()
-            cfg = small_config(max_evals=100_000_000)
-            result = {}
+    def _cancelled_race(running: bool):
+        """Sets an external stop once every instance runs, or at once; the
+        race must end within a second, cancelled."""
+        problem = build_problem(_INFEASIBLE)
+        stop = threading.Event()
+        cfg = small_config(max_evals=100_000_000)
+        result = {}
 
-            def run():
-                result["out"] = solve(problem.formula, problem.program, cfg, stop=stop)
+        def run():
+            result["out"] = solve(problem.formula, problem.program, cfg, stop=stop)
 
-            t = threading.Thread(target=run)
-            t.start()
-            if running:
-                # every instance is running; a native run counts its
-                # evaluations only when it ends, so the count cannot tell
-                time.sleep(0.5)
-            stop.set()
-            stopped = time.perf_counter()
-            t.join(timeout=30)
-            assert not t.is_alive()
-            assert time.perf_counter() - stopped < 1.0
-            out = result["out"]
-            assert (out.verdict, out.unknown_reason) == ("unknown", "cancelled")
-            assert [s.terminated_by for s in out.stats] == ["cancelled"] * 3, cores
-            if running:
-                assert all(s.evals > 0 for s in out.stats), cores
+        t = threading.Thread(target=run)
+        t.start()
+        if running:
+            # every instance is running; a native run counts its
+            # evaluations only when it ends, so the count cannot tell
+            time.sleep(0.5)
+        stop.set()
+        stopped = time.perf_counter()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert time.perf_counter() - stopped < 1.0
+        out = result["out"]
+        assert (out.verdict, out.unknown_reason) == ("unknown", "cancelled")
+        assert [s.terminated_by for s in out.stats] == ["cancelled"] * 3
+        if running:
+            assert all(s.evals > 0 for s in out.stats)
 
-    def test_external_stop_cancels(self, monkeypatch):
-        self._cancelled_race(monkeypatch, running=True)
+    def test_external_stop_cancels(self):
+        self._cancelled_race(running=True)
 
-    def test_external_stop_at_the_start_cancels(self, monkeypatch):
-        self._cancelled_race(monkeypatch, running=False)
+    def test_external_stop_at_the_start_cancels(self):
+        self._cancelled_race(running=False)
 
     def test_wall_timeout_ends_a_native_run(self):
         # basin hopping alone runs natively, without the interpreter lock,
@@ -333,11 +261,9 @@ class TestSolve:
         assert [s.terminated_by for s in out.stats] == ["cancelled"]
         assert problem.program.eval_count == out.total_evals > 0
 
-    @needs_fork
-    def test_external_stop_ends_a_native_run_in_a_worker(self, monkeypatch):
-        # two cores: CRS2, instance 1, runs natively in the worker; the
-        # race ends within 50 ms of the stop
-        monkeypatch.setattr(portfolio, "_usable_cores", lambda: 2)
+    def test_external_stop_ends_native_runs(self):
+        # BH and CRS2 run natively, without the interpreter lock; the race
+        # ends within 50 ms of the stop
         problem = build_problem(_INFEASIBLE)
         cfg = small_config(instances=[("bh", 1), ("crs2", 1)], max_evals=10**9)
         stop = threading.Event()
@@ -359,6 +285,47 @@ class TestSolve:
         assert [s.terminated_by for s in out.stats] == ["cancelled"] * 2
         assert all(s.evals > 0 for s in out.stats)
         assert problem.program.eval_count == out.total_evals
+
+    def test_concurrent_solves_share_nothing(self, corpus_path):
+        # races on one program in four threads at once keep their own
+        # stats, and the program counts every evaluation
+        problem = build_problem((corpus_path / "infeasible_box.smt2").read_text())
+        cfg = small_config(max_evals=5_000, seed=8)
+        expected = [(s.evals, s.best_value, s.terminated_by)
+                    for s in solve(problem.formula, problem.program, cfg).stats]
+        before = problem.program.eval_count
+        outs = [None] * 4
+
+        def run(i):
+            outs[i] = solve(problem.formula, problem.program, cfg)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for out in outs:
+            assert [(s.evals, s.best_value, s.terminated_by)
+                    for s in out.stats] == expected
+        assert problem.program.eval_count - before == 4 * sum(e for e, _, _ in expected)
+
+    def test_race_does_not_depend_on_earlier_races(self, corpus_path, listing1_text):
+        # instance 0 gets its head start in every race: races after one
+        # that ran its whole budget decide listing1 as a fresh one does
+        problem = build_problem(listing1_text)
+        cfg = PortfolioConfig(seed=1)
+
+        def listing1():
+            out = solve(problem.formula, problem.program, cfg)
+            return out.winner, [(s.evals, s.terminated_by) for s in out.stats]
+
+        fresh = listing1()
+        infeasible = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
+        out = solve(infeasible.formula, infeasible.program, small_config(max_evals=5_000))
+        assert out.unknown_reason == "budget-exhausted"
+        assert [listing1() for _ in range(5)] == [fresh] * 5
+        assert fresh[0] == ("bh", 0)
 
     def test_verification_failure_surfaces(self, listing1_text):
         problem = build_problem(listing1_text)
@@ -506,8 +473,15 @@ class TestInvalidConfig:
         dict(max_evals=2.5),
         dict(instances=[("bh", -1), ("crs2", 1)]),
         dict(instances=[("bh", 1)], bounds=(1.0, 1.0)),
+        dict(seed=1.5),
+        dict(instances=[("bh", 1.5)]),
+        dict(instances=[("bh", "2")]),
+        dict(wall_timeout=math.nan),
+        dict(wall_timeout=math.inf),
+        dict(wall_timeout=-1.0),
     ], ids=["zero-budget", "empty-box", "infinite-box", "fractional-budget",
-            "negative-count", "bh-empty-box"])
+            "negative-count", "bh-empty-box", "fractional-seed", "fractional-count",
+            "string-count", "nan-timeout", "infinite-timeout", "negative-timeout"])
     def test_rejected_before_any_evaluation(self, listing1_text, overrides):
         problem = build_problem(listing1_text)
         before = problem.program.eval_count
@@ -545,9 +519,9 @@ class TestModelBlock:
 
 class TestCrashedInstance:
     @staticmethod
-    def _crash_stops_the_race(corpus_path, monkeypatch, instances):
+    def _crash_stops_the_race(corpus_path, instances):
         """ISRES raises at its first batch; the others must stop at once
-        instead of burning their whole budgets, in each placement. The
+        instead of burning their whole budgets. The
         Python minimizers make 20,000 evaluations in about 0.1 s, so on
         the Python path each instance gets that budget and the count must
         stay below it. The native runs of BH and CRS2 make as many in a
@@ -555,218 +529,35 @@ class TestCrashedInstance:
         within 0.1 s of the call and the race end within 0.1 s of the
         crash."""
         problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
-        program = CrashingProgram.of(problem.program)
+        program = retyped(CrashingProgram, problem.program)
         native = kernels.lib is not None
         budget = 10**7 if native else 20_000
         cfg = small_config(instances=instances, max_evals=budget, seed=3)
         idx = [alg for alg, _ in instances].index("isres")
-        for cores in placements(monkeypatch):
-            before, entered = program.eval_count, time.monotonic()
-            with pytest.raises(InstanceCrashError) as exc:
-                solve(problem.formula, program, cfg)
-            ended = time.monotonic()
-            assert (f"instance {idx} (isres) crashed: RuntimeError: boom"
-                    in str(exc.value))
-            # the traceback of the instance, from whichever process ran it
-            assert "isres_minimize" in exc.value.traceback
-            assert 'raise RuntimeError(f"boom in process' in exc.value.traceback
-            if native:
-                crashed = float(re.search(r"boom in process \d+ at (\S+)",
-                                          str(exc.value)).group(1))
-                assert crashed - entered < 0.1, cores
-                assert ended - crashed < 0.1, cores
-            else:
-                # below the 40,000 evaluations the other two instances own
-                assert program.eval_count - before < 20_000, cores
+        before, entered = program.eval_count, time.monotonic()
+        with pytest.raises(InstanceCrashError) as exc:
+            solve(problem.formula, program, cfg)
+        ended = time.monotonic()
+        assert f"instance {idx} (isres) crashed: RuntimeError: boom" in str(exc.value)
+        # the instance's own traceback
+        assert "isres_minimize" in exc.value.traceback
+        assert 'raise RuntimeError(f"boom at' in exc.value.traceback
+        if native:
+            crashed = float(re.search(r"boom at (\S+)", str(exc.value)).group(1))
+            assert crashed - entered < 0.1
+            assert ended - crashed < 0.1
+        else:
+            # below the 40,000 evaluations the other two instances own
+            assert program.eval_count - before < 20_000
 
-    def test_crash_stops_the_race(self, corpus_path, monkeypatch):
-        self._crash_stops_the_race(corpus_path, monkeypatch,
-                                   [("isres", 1), ("bh", 1), ("crs2", 1)])
+    def test_crash_stops_the_race(self, corpus_path):
+        self._crash_stops_the_race(corpus_path, [("isres", 1), ("bh", 1), ("crs2", 1)])
 
-    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path, monkeypatch,
-                                                      request):
+    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path, request):
         if kernels.lib is None:
             request.applymarker(pytest.mark.xfail(strict=False, reason=(
                 "on the Python path a thread started third in the calling "
                 "process can wait 100 ms or more for the interpreter lock "
                 "while the others run (CHANGES.md, FOUND: Thread.start "
-                "latency in _Share.start)")))
-        self._crash_stops_the_race(corpus_path, monkeypatch,
-                                   [("bh", 1), ("crs2", 1), ("isres", 1)])
-
-
-@needs_fork
-class TestWorkers:
-    def test_crash_in_a_worker_is_named(self, corpus_path, monkeypatch):
-        # two instances on two cores: ISRES, instance 1, runs in the worker
-        monkeypatch.setattr(portfolio, "_usable_cores", lambda: 2)
-        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
-        cfg = small_config(instances=[("bh", 1), ("isres", 1)], max_evals=20_000)
-        with pytest.raises(InstanceCrashError) as exc:
-            solve(problem.formula, CrashingProgram.of(problem.program), cfg)
-        pid = _worker_pids()[0]
-        assert (f"instance 1 (isres) crashed: RuntimeError: boom in process {pid}"
-                in str(exc.value))
-        assert "isres_minimize" in exc.value.traceback
-        # the worker survives an instance's crash
-        out = solve(problem.formula, problem.program, cfg)
-        assert out.unknown_reason == "budget-exhausted"
-
-    def test_killed_worker_is_a_named_crash(self, corpus_path, monkeypatch):
-        monkeypatch.setattr(portfolio, "_usable_cores", lambda: 2)
-        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
-        # a race that outlasts BH's head start uses the worker
-        solve(problem.formula, problem.program, small_config(max_evals=5_000))
-        pid = _worker_pids()[0]  # the one a 2-core race uses
-        result = {}
-
-        def run():
-            try:
-                solve(problem.formula, problem.program,
-                      small_config(max_evals=10**9, wall_timeout=60.0))
-            except InstanceCrashError as exc:
-                result["error"] = exc
-                result["raised"] = time.perf_counter()
-
-        t = threading.Thread(target=run)
-        t.start()
-        deadline = time.perf_counter() + 10
-        while problem.program.eval_count == 0 and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.2)  # the worker is well inside its share
-        killed = time.perf_counter()
-        os.kill(pid, signal.SIGKILL)
-        t.join(timeout=30)
-        assert not t.is_alive()
-        assert result["raised"] - killed < 1.0
-        assert (f"instance 1 (crs2) crashed: worker process {pid} killed by SIGKILL"
-                in str(result["error"]))
-        # the next race forks a fresh worker
-        out = solve(problem.formula, problem.program, small_config(max_evals=5_000))
-        assert out.unknown_reason == "budget-exhausted"
-        assert pid not in _worker_pids()
-        assert _worker_pids()
-
-    def test_no_worker_outlives_its_interpreter(self, corpus_path):
-        # the child claims two usable cores, so that it forks a worker on
-        # any host; listing1 is decided within BH's head start, and the
-        # infeasible file then needs the worker
-        src = Path(fpsat.__file__).resolve().parents[1]
-        code = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
-            "import fpsat\n"
-            "from fpsat import portfolio, workers\n"
-            "portfolio._usable_cores = lambda: 2\n"
-            f"p = fpsat.load_problem({str(corpus_path / 'listing1.smt2')!r})\n"
-            "out = fpsat.solve(p.formula, p.program, fpsat.PortfolioConfig(seed=1))\n"
-            f"q = fpsat.load_problem({str(corpus_path / 'infeasible_cycle.smt2')!r})\n"
-            "fpsat.solve(q.formula, q.program, fpsat.PortfolioConfig(max_evals=5_000))\n"
-            "print(out.verdict, *(w.pid for w in workers.shared_pool()._workers))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        verdict, *pids = proc.stdout.split()
-        assert verdict == "sat" and pids
-        _assert_gone([int(pid) for pid in pids], within_s=0.0)
-
-    def test_fresh_solve_of_listing1_forks_no_worker(self, corpus_path):
-        # BH decides listing1 in 7 evaluations, natively and without the
-        # interpreter lock: well inside the head start the caller gives
-        # it before forking, even in a fresh interpreter
-        src = Path(fpsat.__file__).resolve().parents[1]
-        code = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
-            "import fpsat\n"
-            "from fpsat import portfolio, workers\n"
-            "portfolio._usable_cores = lambda: 2\n"
-            f"p = fpsat.load_problem({str(corpus_path / 'listing1.smt2')!r})\n"
-            "out = fpsat.solve(p.formula, p.program, fpsat.PortfolioConfig(seed=1))\n"
-            "print(out.verdict, out.winner[0], len(workers.shared_pool()._workers))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["sat", "bh", "0"]
-
-    def test_workers_exit_when_their_parent_dies(self, corpus_path):
-        # a parent killed in the middle of its only race, the first job of
-        # its worker (as a one-shot `fpsat solve` is), leaves no worker
-        # burning its budget
-        src = Path(fpsat.__file__).resolve().parents[1]
-        cycle = str(corpus_path / "infeasible_cycle.smt2")
-        code = (
-            "import sys, threading, time\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
-            "import fpsat\n"
-            "from fpsat import portfolio, workers\n"
-            "portfolio._usable_cores = lambda: 2\n"
-            "pool = workers.shared_pool()\n"
-            "def report():\n"
-            "    while not pool._workers:\n"
-            "        time.sleep(0.01)\n"
-            "    print(*(w.pid for w in pool._workers), flush=True)\n"
-            "threading.Thread(target=report, daemon=True).start()\n"
-            f"p = fpsat.load_problem({cycle!r})\n"
-            "fpsat.solve(p.formula, p.program, fpsat.PortfolioConfig(max_evals=10**9))\n"
-        )
-        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                text=True)
-        try:
-            pids = [int(v) for v in proc.stdout.readline().split()]
-            time.sleep(0.3)  # the worker is well inside its first job
-            assert pids and all(map(_running, pids))
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-        _assert_gone(pids, within_s=5.0)
-
-    @pytest.mark.parametrize("kind", ["local-class", "caller-only"])
-    def test_program_workers_cannot_take_races_in_the_caller(
-            self, corpus_path, monkeypatch, kind):
-        # a program that does not pickle (a subclass defined in a
-        # function), or that a worker cannot unpickle, races in the caller
-        # with the same stats as anywhere else, and raises nothing
-        class Local(ObjectiveProgram):
-            pass
-
-        cls = Local if kind == "local-class" else _CallerOnlyProgram
-        problem = build_problem((corpus_path / "infeasible_box.smt2").read_text())
-        cfg = small_config(max_evals=5_000, seed=8)
-        runs = []
-        for cores in placements(monkeypatch):
-            program = _retyped(cls, problem.program)
-            out = solve(problem.formula, program, cfg)
-            assert out.unknown_reason == "budget-exhausted", cores
-            assert program.eval_count == out.total_evals, cores
-            runs.append([(s.evals, s.best_value, s.terminated_by)
-                         for s in out.stats])
-        assert len(runs) == 2 and runs[0] == runs[1]
-
-    def test_concurrent_solves_share_nothing(self, corpus_path, monkeypatch):
-        # a solve that finds the pool held races in its own process; both
-        # keep their counts and verdicts
-        monkeypatch.setattr(portfolio, "_usable_cores", lambda: 3)
-        problem = build_problem((corpus_path / "infeasible_box.smt2").read_text())
-        cfg = small_config(max_evals=5_000, seed=8)
-        expected = [(s.evals, s.best_value, s.terminated_by)
-                    for s in solve(problem.formula, problem.program, cfg).stats]
-        before = problem.program.eval_count
-        outs = [None] * 4
-
-        def run(i):
-            outs[i] = solve(problem.formula, problem.program, cfg)
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        for out in outs:
-            assert [(s.evals, s.best_value, s.terminated_by)
-                    for s in out.stats] == expected
-        assert problem.program.eval_count - before == 4 * sum(e for e, _, _ in expected)
+                "latency in _Race.start)")))
+        self._crash_stops_the_race(corpus_path, [("bh", 1), ("crs2", 1), ("isres", 1)])
