@@ -141,10 +141,8 @@ def load_problem(path) -> Problem:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        head = exc.object[:exc.start]
-        line_start = head.rfind(b"\n") + 1
-        pos = errors.SourcePosition(head.count(b"\n") + 1,
-                                    len(head[line_start:].decode("utf-8")) + 1)
+        head = exc.object[:exc.start].decode("utf-8")
+        pos = errors.SourcePosition.at(head, len(head))
         raise errors.InputError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 "
                                 f"({exc.reason})", pos) from None
     return build_problem(text)

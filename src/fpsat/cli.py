@@ -119,6 +119,8 @@ def main(argv=None) -> int:
 
     if args.command == "bench":
         config = _portfolio_config(p_bench, args)
+        if args.repeat < 1:
+            p_bench.error("--repeat must be >= 1")
         run_bench(args.dir, config, timeout=args.timeout,
                   repeat=args.repeat, csv_path=args.csv)
         return 0

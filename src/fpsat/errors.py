@@ -1,40 +1,40 @@
 """Exception hierarchy shared across the package."""
 
+from typing import NamedTuple
+
 
 class FpsatError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SourcePosition:
+class SourcePosition(NamedTuple):
     """Line/column location inside an input script (1-based)."""
 
-    __slots__ = ("line", "col")
+    line: int
+    col: int
 
-    def __init__(self, line: int, col: int):
-        self.line = line
-        self.col = col
+    @classmethod
+    def at(cls, text: str, offset: int) -> "SourcePosition":
+        """The position of `text[offset]`: its line is 1 + the newlines
+        before it, and its column is its distance from the last newline
+        before it, so a tab or a carriage return is one column."""
+        return cls(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
-    def __repr__(self) -> str:
-        return f"SourcePosition({self.line}, {self.col})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SourcePosition)
-            and (self.line, self.col) == (other.line, other.col)
-        )
-
 
 class InputError(FpsatError):
-    """An error attributable to a position in the input text."""
+    """An error attributable to a position in the input text. The parser
+    raises it with `pos` an offset into the text, and `parse_script` turns
+    that into a `SourcePosition` before the error leaves it."""
 
-    def __init__(self, message: str, pos: SourcePosition | None = None):
-        self.pos = pos
-        if pos is not None:
-            message = f"{pos}: {message}"
+    def __init__(self, message: str, pos: SourcePosition | int | None = None):
         super().__init__(message)
+        self.pos = pos
+
+    def __str__(self) -> str:
+        return super().__str__() if self.pos is None else f"{self.pos}: {super().__str__()}"
 
 
 class SmtSyntaxError(InputError):

@@ -10,6 +10,7 @@ correctly rounded for +,-,*,/ because binary64 carries more than
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ __all__ = [
     "ordered_bits",
     "round_rational_to_bits",
     "decimal_to_bits",
+    "parse_real",
 ]
 
 _U32 = struct.Struct("<I")
@@ -215,6 +217,58 @@ def round_rational_to_bits(value: Fraction, width: int) -> int:
     return sign | n
 
 
+# The texts `Fraction` reads: a signed numeral, decimal or ratio of numerals,
+# with an optional exponent on the first two and `_` between digits.
+_REAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                   r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*|))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+# Decimal digits kept: more than the 768 significant digits of any binary64
+# value or midpoint between two, so the rounding of what is dropped is
+# decided by one sticky digit.
+_KEPT_DIGITS = 800
+# Every decimal of magnitude 10^400 or more rounds to infinity, and every
+# one below 10^-400 to zero, at both widths.
+_DECADES = 400
+
+
+def parse_real(text: str) -> Fraction:
+    """The value of a real literal, the text `Fraction` reads, in time
+    linear in its length. A decimal is exact, or else a stand-in that
+    rounds like it at both widths: past 10^±400 it is clamped, and past
+    its 800th significant digit the rest is one sticky digit. ValueError
+    if the text is malformed, divides by zero, or has a ratio with
+    numerals past Python's int digit limit."""
+    if not text.isascii():  # int() reads every Unicode decimal digit
+        import unicodedata
+        text = "".join(str(unicodedata.decimal(c, "")) or c for c in text)
+    match = _REAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a real literal")
+    sign, num, den, frac, exp = (g and g.replace("_", "") for g in match.groups())
+    if den is not None:
+        if not den.strip("0"):
+            raise ValueError(f"{text!r} divides by zero")
+        value = Fraction(int(num), int(den))
+        return -value if sign == "-" else value
+    digits = (num + (frac or "")).lstrip("0")
+    if not digits:
+        return Fraction(0)
+    exp = (exp or "0").lstrip("+")
+    # an exponent of ten or more digits is past either clamp
+    shift = int(exp) if len(exp.lstrip("-0")) < 10 else (-1 if exp[0] == "-" else 1) * 10**9
+    shift -= len(frac or "")
+    decades = len(digits) + shift
+    if decades > _DECADES:
+        value = Fraction(10**_DECADES)
+    elif decades < -_DECADES:
+        value = Fraction(1, 10**(_DECADES + 1))
+    else:
+        if len(digits) > _KEPT_DIGITS:
+            shift += len(digits) - _KEPT_DIGITS - 1
+            digits = digits[:_KEPT_DIGITS] + ("1" if digits[_KEPT_DIGITS:].strip("0") else "0")
+        value = Fraction(int(digits) * 10**max(shift, 0), 10**max(-shift, 0))
+    return -value if sign == "-" else value
+
+
 def decimal_to_bits(text: str, width: int) -> int:
     """Exact RNE conversion of an SMT-LIB decimal/numeral literal string."""
-    return round_rational_to_bits(Fraction(text), width)
+    return round_rational_to_bits(parse_real(text), width)

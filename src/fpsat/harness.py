@@ -213,7 +213,10 @@ def run_bench(directory, config: PortfolioConfig | None = None, *,
               timeout: float = DEFAULT_FILE_TIMEOUT, repeat: int = 1,
               csv_path=None, stream=None) -> BenchReport:
     """Run every .smt2 file in a directory; optionally repeat with fresh
-    seeds to accumulate first-finder statistics."""
+    seeds to accumulate first-finder statistics. `repeat` < 1 is a
+    ValueError before any file is read."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     out = stream if stream is not None else sys.stdout
     if config is None:
         config = PortfolioConfig()

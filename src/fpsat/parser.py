@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
+    InputError,
     RecursiveDefinitionError,
     SmtSyntaxError,
     SortError,
@@ -26,7 +26,8 @@ from .errors import (
     UnsupportedSortError,
     WidthMismatchError,
 )
-from .fp import BOOL, FP32, FP64, FPValue, ROUNDING_MODE, Sort, fp_sort, round_rational_to_bits
+from .fp import (BOOL, FP32, FP64, FPValue, ROUNDING_MODE, Sort, fp_sort, parse_real,
+                 round_rational_to_bits)
 from .terms import (
     ArithOp,
     BoolAnd,
@@ -85,12 +86,12 @@ OTHER_RM_NAMES = {
 
 class SAtom(NamedTuple):
     text: str
-    pos: SourcePosition
+    pos: int  # offset into the text
 
 
 class SList(NamedTuple):
     items: tuple
-    pos: SourcePosition
+    pos: int  # offset of the opening parenthesis
 
 
 # Whitespace and `;` comments, then one token: a parenthesis, a plain atom,
@@ -103,23 +104,12 @@ _UNTERMINATED = {"|": "unterminated |symbol|", '"': "unterminated string literal
 
 
 def _read_all(text: str) -> list:
-    """Read every top-level s-expression in the input.
-
-    A token's line is 1 + the newlines before it, and its column is its
-    offset from the start of its line, + 1.
-    """
+    """Read every top-level s-expression in the input."""
     forms: list = []
     items, stack = forms, []
-    line, line_start, last = 1, 0, 0
     for match in _TOKEN.finditer(text):
         tok = match[1]
-        start = match.start(1)
-        newlines = text.count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", last, start) + 1
-        last = start
-        pos = SourcePosition(line, start - line_start + 1)
+        pos = match.start(1)
         if tok == "(":
             stack.append((items, pos))
             items = []
@@ -163,7 +153,7 @@ def _parse_sort(form) -> Sort:
     raise UnsupportedSortError(f"unsupported sort {_render(form)}", form.pos)
 
 
-def _fp_sort(eb: int, sb: int, pos: SourcePosition) -> Sort:
+def _fp_sort(eb: int, sb: int, pos: int) -> Sort:
     """The sort of an exponent and significand width; binary32 and binary64 only."""
     sort = fp_sort(eb, sb)
     if sort is None:
@@ -211,8 +201,11 @@ def _bv_literal(form) -> tuple[int, int] | None:
             return None
         width = _int_atom(form.items[2])
         if _BV_INDEX.fullmatch(index.text) and width > 0:
-            value = int(index.text[2:])
-            if value.bit_length() <= width:
+            try:
+                value = int(index.text[2:])
+            except ValueError:  # past int()'s 4,300 digits, wider than any sort
+                value = None
+            if value is not None and value.bit_length() <= width:
                 return value, width
     raise SmtSyntaxError(f"malformed bitvector literal {_render(form)}", form.pos)
 
@@ -241,7 +234,9 @@ def decode_fp_literal(form, target: Sort | None = None) -> FPValue:
     Accepts ``(fp sign exp mant)`` triples, ``((_ to_fp eb sb) #x...)``
     bit reinterpretations, ``((_ to_fp eb sb) RNE <decimal>)`` with exact
     RNE rounding, and the ``(_ +oo/-oo/+zero/-zero/NaN eb sb)`` constants.
-    With a `target` sort, a literal of another width is rejected.
+    With a `target` sort, a literal of another width is rejected. The
+    `pos` of an error raised here is the offset of its form in the text;
+    `parse_script` turns it into a line and column.
     """
     value = _decode_literal(form)
     if target is not None and value.sort != target:
@@ -312,7 +307,7 @@ def _check_rm(form, defined=frozenset()) -> None:
     )
 
 
-def _decode_to_fp(indices: SList, args: tuple, pos: SourcePosition) -> FPValue:
+def _decode_to_fp(indices: SList, args: tuple, pos: int) -> FPValue:
     """Decode ((_ to_fp eb sb) ...) in bitvector or RNE-real form."""
     sort = _fp_sort(_int_atom(indices.items[2]), _int_atom(indices.items[3]), pos)
 
@@ -335,7 +330,7 @@ def _decode_to_fp(indices: SList, args: tuple, pos: SourcePosition) -> FPValue:
             value, negate = value.items[1], True
         if isinstance(value, SAtom):
             try:
-                frac = Fraction(value.text)
+                frac = parse_real(value.text)
             except ValueError:
                 pass
             else:
@@ -415,26 +410,26 @@ class _Env:
         return env
 
 
-def _require_fp(term: Term, pos: SourcePosition, what: str) -> Term:
+def _require_fp(term: Term, pos: int, what: str) -> Term:
     if not term.sort.is_fp:
         raise SortError(f"{what} must be a floating-point term", pos)
     return term
 
 
-def _require_bool(term: Term, pos: SourcePosition, what: str) -> Term:
+def _require_bool(term: Term, pos: int, what: str) -> Term:
     if term.sort != BOOL:
         raise SortError(f"{what} must be Boolean", pos)
     return term
 
 
-def _same_fp_sort(a: Term, b: Term, pos: SourcePosition, what: str) -> None:
+def _same_fp_sort(a: Term, b: Term, pos: int, what: str) -> None:
     if a.sort != b.sort:
         raise SortError(
             f"{what} operands have mismatched sorts {a.sort} and {b.sort}", pos
         )
 
 
-def _pairwise(relation, pairs, pos: SourcePosition, what: str) -> Term:
+def _pairwise(relation, pairs, pos: int, what: str) -> Term:
     """The conjunction of `relation(a, b)` over `pairs` of FP terms, each
     of one sort."""
     parts = []
@@ -456,7 +451,7 @@ def _fp_identical(a: Term, b: Term) -> Term:
     return BoolOr((both_nan, same))
 
 
-def _operands(op: str, rest: tuple, env: _Env, pos: SourcePosition,
+def _operands(op: str, rest: tuple, env: _Env, pos: int,
               require=None) -> list[Term]:
     """Build the two or more operands of `op`, each checked by `require`."""
     if len(rest) < 2:
@@ -655,11 +650,21 @@ def parse_script(text: str) -> Script:
 
     Supported commands: set-logic, declare-fun/declare-const (zero-arity FP),
     define-fun, assert, check-sat. Benign bookkeeping commands are ignored;
-    anything unknown draws a warning and is skipped.
+    anything unknown draws a warning and is skipped. An `InputError` leaves
+    with its offset turned into a line and column.
     """
+    try:
+        return _interpret(_read_all(text))
+    except InputError as exc:
+        if exc.pos is not None:
+            exc.pos = SourcePosition.at(text, exc.pos)
+        raise
+
+
+def _interpret(forms: list) -> Script:
     script = Script()
     env = _Env(script)
-    for form in _read_all(text):
+    for form in forms:
         if not isinstance(form, SList) or not form.items:
             raise SmtSyntaxError(f"expected a command, got {_render(form)}", form.pos)
         cmd = form.items[0]

@@ -146,6 +146,13 @@ class TestSolveCommand:
         assert captured.out.splitlines() == ["error"]
         assert "2:6: byte 0xe9 is not UTF-8" in captured.err
 
+    def test_non_utf8_column_counts_characters(self, tmp_path, capsys):
+        # valid multi-byte UTF-8 before the bad byte is one column a character
+        path = tmp_path / "mixed.smt2"
+        path.write_bytes(_LATIN1.replace(b"caf\xe9", "café ".encode() + b"\xff"))
+        assert main(["solve", str(path)]) == 2
+        assert "2:8: byte 0xff is not UTF-8" in capsys.readouterr().err
+
     def test_dump_cnf_flag(self, corpus_path, capsys):
         main(["solve", str(corpus_path / "listing1.smt2"), "--dump-cnf",
               "--max-evals", "50000"])
@@ -172,6 +179,14 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "SAT" in out and "UNKNOWN" in out
 
+
+    def test_repeat_below_one_exits_two(self, corpus_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(corpus_path), "--repeat", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--repeat must be >= 1" in captured.err
 
     def test_non_utf8_file_is_an_error_row(self, corpus_path, tmp_path, capsys):
         shutil.copy(corpus_path / "listing1.smt2", tmp_path)

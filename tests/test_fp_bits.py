@@ -15,6 +15,7 @@ from fpsat.fp import (
     float_to_bits,
     narrow32,
     ordered_bits,
+    parse_real,
     round_rational_to_bits,
 )
 
@@ -173,3 +174,33 @@ class TestDecimalRounding:
         # Python converts Fraction -> float with exact RNE as well
         bits = round_rational_to_bits(frac, 64)
         assert bits_to_float(bits, 64) == float(frac)
+
+
+class TestParseReal:
+    # 1 + 2^-53, the binary64 midpoint between 1 and its successor
+    MIDPOINT = "1.00000000000000011102230246251565404236316680908203125"
+
+    @pytest.mark.parametrize("tail, value", [
+        ("", 1.0),  # a tie goes to the even neighbour
+        ("0" * 1000, 1.0),
+        ("0" * 1000 + "1", 1.0 + 2.0**-52),  # a digit past the kept ones decides
+    ])
+    def test_long_tail_past_a_midpoint(self, tail, value):
+        assert bits_to_float(decimal_to_bits(self.MIDPOINT + tail, 64), 64) == value
+
+    @given(st.text("0123456789", min_size=1, max_size=1200),
+           st.integers(-1500, 1500), st.sampled_from(["", "-"]))
+    @settings(max_examples=300)
+    def test_rounds_like_the_exact_value(self, digits, exp, sign):
+        text = f"{sign}{digits}e{exp}"
+        for width in (32, 64):
+            assert decimal_to_bits(text, width) == round_rational_to_bits(Fraction(text), width)
+
+    @pytest.mark.parametrize("text", ["1_000.5e-1_0", ".5", "5.", "+3/4", "-0/7"])
+    def test_reads_what_fraction_reads(self, text):
+        assert parse_real(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "inf", "nan", "1e", "--1", ""])
+    def test_malformed_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_real(text)

@@ -161,6 +161,16 @@ class TestBench:
             report = run_bench(tmp_path, fast_config(), stream=out)
         assert report.records == []
 
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_repeat_below_one_is_rejected_before_any_file(self, corpus_path, tmp_path,
+                                                          monkeypatch, repeat):
+        (tmp_path / "listing1.smt2").write_text((corpus_path / "listing1.smt2").read_text())
+        monkeypatch.setattr(harness, "load_problem", pytest.fail)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="repeat must be >= 1"):
+            run_bench(tmp_path, fast_config(), repeat=repeat, stream=out)
+        assert out.getvalue() == ""
+
     def test_error_record_carries_message(self, tmp_path):
         bad = tmp_path / "broken.smt2"
         bad.write_text("(set-logic QF_FP)(assert (fp.lt x y))(check-sat)")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from fpsat.errors import (
     RecursiveDefinitionError,
     SmtSyntaxError,
     SortError,
+    SourcePosition,
     UnknownSymbolError,
     UnsupportedLogicError,
     UnsupportedOperationError,
@@ -240,6 +242,13 @@ class TestErrorTable:
         (_in_assert(f"(fp (_ bvq 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
         (_in_assert(f"(fp (_ bv-1 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
         (_in_assert(f"(fp (_ bv2 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+        (_in_assert(f"(fp (_ bv{'1' * 5000} 1) {_ONE_EXP_SIG})"), SmtSyntaxError, "2:20"),
+        # the column counts characters, not bytes
+        ("(set-logic QF_FP)(declare-fun |café ☃| () Float32)\n"
+         "(assert (fp.lt |café ☃| y))", UnknownSymbolError, "2:25"),
+        # real literals that divide by zero
+        (_in_assert("((_ to_fp 8 24) RNE 1/0)"), UnsupportedOperationError, "2:16"),
+        (_in_assert("((_ to_fp 8 24) RNE (- 0/0))"), UnsupportedOperationError, "2:16"),
     ], ids=[
         "unterminated-symbol", "unterminated-string", "unterminated-string-quotes",
         "unbalanced-close", "unbalanced-open",
@@ -249,13 +258,15 @@ class TestErrorTable:
         "sort-layout", "to_fp-layout", "nan-layout", "fp-layout",
         "fp.add-RTZ", "to_fp-RTP", "fp.add-non-mode", "to_fp-non-mode",
         "bv-hex-empty", "bv-bin-digit", "bv-hex-digit", "bv-index-name",
-        "bv-index-negative", "bv-index-too-wide",
+        "bv-index-negative", "bv-index-too-wide", "bv-index-5000-digits",
+        "after-non-ascii", "to_fp-one-by-zero", "to_fp-zero-by-zero",
     ])
     def test_error_and_position(self, text, error, pos):
         with pytest.raises(InputError) as err:
             build_problem(text)
         assert type(err.value) is error
         assert str(err.value).startswith(f"{pos}: ")
+        assert err.value.pos == SourcePosition(*map(int, pos.split(":")))
 
     @pytest.mark.parametrize("text", [
         _let_chain(400), f"{_DECL}(assert {'(not ' * 2000}(fp.lt x x){')' * 2001}"
@@ -329,6 +340,17 @@ class TestDecodeLiteral:
         assert _decode("(_ +zero 8 24)", FP32).bits == 0
         assert _decode("(_ -zero 8 24)", FP32).bits == 0x80000000
         assert _decode("(_ NaN 8 24)", FP32).is_nan()
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_huge_exponents_decode_fast(self, width):
+        # linear in the literal's length: +inf and +0 without the exact value
+        sort = {32: FP32, 64: FP64}[width]
+        start = time.perf_counter()
+        big = _decode(f"((_ to_fp {sort.eb} {sort.sb}) RNE 1e999999)", sort)
+        tiny = _decode(f"((_ to_fp {sort.eb} {sort.sb}) RNE 1e-999999)", sort)
+        assert time.perf_counter() - start < 1.0
+        assert big.to_float() == math.inf
+        assert tiny.bits == 0
 
     def test_bit_exact_roundtrip(self):
         rng = random.Random(11)
