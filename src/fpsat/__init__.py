@@ -136,9 +136,11 @@ def build_problem(text: str) -> Problem:
 
 def load_problem(path) -> Problem:
     """Read a UTF-8 file and build its problem. Bytes that are not UTF-8
-    are an `InputError` at their line and column."""
+    are an `InputError` at their line and column. Line ends are kept as
+    they are, so positions are the ones `build_problem` gives on the
+    file's text."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         head = exc.object[:exc.start].decode("utf-8")

@@ -1,6 +1,6 @@
 /* Native kernels of fpsat, bit for bit with the Python reference paths:
  *   fpsat_eval       ObjectiveProgram.evaluate on one point
- *   fpsat_eval_many  ObjectiveProgram.evaluate_many: rows up to the first zero
+ *   fpsat_eval_many  optimizers._Run.many: rows up to the first zero
  *   fpsat_doubles    Xoshiro256Plus.doubles
  *   fpsat_gauss      optimizers._gauss_rows (Box-Muller on those doubles)
  *   fpsat_bh         optimizers.basin_hopping, a whole run

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import kernels, load_problem
 from .errors import FpsatError
 from .normalizer import clause_set_to_sexpr
+from .optimizers import StopFlag
 from .portfolio import ALGORITHMS, PortfolioConfig, SolveOutcome, solve
 from .rng import derive_seed
 
@@ -296,8 +297,9 @@ def run_combined(path, external_cmd: str,
                  timeout: float = DEFAULT_FILE_TIMEOUT) -> CombinedOutcome:
     """Race the portfolio against an external solver process on one file.
 
-    The portfolio runs in this thread under `solve`'s stop event and
-    deadline, and one watcher thread waits on the external process. First
+    The portfolio runs in this thread under `solve`'s deadline and a stop
+    flag, and one watcher thread waits on the external process and sets
+    the flag on a definitive external verdict. First
     definitive verdict wins; a portfolio unknown waits for the external
     solver up to the timeout; an external crash degrades to the
     portfolio-only result. A crashed instance raises `InstanceCrashError`.
@@ -307,7 +309,7 @@ def run_combined(path, external_cmd: str,
     if config is None:
         config = PortfolioConfig()
     deadline = t0 + timeout
-    stop = threading.Event()
+    stop = StopFlag()  # set by the watcher; native runs poll it
     external = (None, None)  # (verdict, failure), set once
 
     def watch():

@@ -10,14 +10,16 @@ missing compiler, an unwritable cache, a load error or a failed check
 leaves `lib` None, and every caller takes its Python path; `reason` says
 why. Nothing here raises.
 
-The per-point entries (`fpsat_eval`, `fpsat_eval_many`, `fpsat_doubles`,
-`fpsat_gauss`) are bound through `ctypes.PyDLL`, so they keep the
-interpreter lock: each takes about a microsecond, and releasing the lock
-that often would only interleave the race's threads. The whole runs of
-basin hopping and CRS2 (`fpsat_bh`, `fpsat_crs2`) are bound through a
-second, `ctypes.CDLL` handle on the same library, so they release the
-lock for the whole run. All six are attributes of `lib`. Tests force the
-Python path by setting `lib` to None.
+`ObjectiveProgram.evaluate` calls `fpsat_eval`, and the optimizers call
+the rest: `fpsat_eval_many` for a batch of rows (`optimizers._Run.many`),
+`fpsat_doubles` and `fpsat_gauss` for random draws, and the whole runs of
+basin hopping and CRS2 (`fpsat_bh`, `fpsat_crs2`). The whole runs are
+bound through a `ctypes.CDLL` handle, so they release the interpreter
+lock for the whole run. The other entries are bound through a second,
+`ctypes.PyDLL` handle on the same library, so they keep the lock: each
+takes about a microsecond per point, and releasing the lock that often
+would only interleave the race's threads. All six are attributes of
+`lib`. Tests force the Python path by setting `lib` to None.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ is 0. The independent Boolean evaluator (`semantic_eval`) is the
 correctness oracle for these claims and never touches the tape.
 `compile_objective` also packs the tape into one immutable `bytes` image,
 which the native kernels (`kernels.py`, `_kernels.c`) interpret bit for
-bit as `evaluate` does. The Python interpreter of the tape
-(`_evaluate_tape`) is the reference and the fallback: without the
-kernels, `evaluate` and `evaluate_many` both run it, one point at a time.
+bit as `evaluate` does. `evaluate` is a program's one evaluation method;
+the optimizers hand the image to the kernels themselves for their
+batches and whole runs, and add those evaluations with `count_evals`.
+The Python interpreter of the tape (`_evaluate_tape`) is the reference
+and the fallback: without the kernels, `evaluate` runs it.
 `render_objective_source` writes the same tape as C, one definition per
 instruction.
 """
@@ -251,8 +253,8 @@ class ObjectiveProgram:
         return self._eval_count
 
     def count_evals(self, n: int) -> None:
-        """Add n evaluations made outside `evaluate` and `evaluate_many`,
-        such as a native whole run's."""
+        """Add n evaluations made outside `evaluate`, such as a native
+        batch's or whole run's."""
         with self._count_lock:
             self._eval_count += n
 
@@ -331,36 +333,6 @@ class ObjectiveProgram:
             else:  # _SELECT
                 regs[dst] = regs[b] if regs[a] == 0.0 else regs[c]
         return regs[self._out]
-
-    def evaluate_many(self, X) -> np.ndarray:
-        """Evaluate the rows of X in order, bit for bit as `evaluate` does.
-
-        Returns the values up to and including the first zero; only those
-        rows are counted. Both paths run the rows one by one: the native
-        kernels in one call, the Python path through `_evaluate_tape`.
-        """
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(self.varmap):
-            raise DimensionMismatchError(
-                f"expected rows of {len(self.varmap)} coordinates, got shape {X.shape}"
-            )
-        lib = kernels.lib
-        if lib is None:
-            values = []
-            for row in X.tolist():
-                values.append(self._evaluate_tape(row))
-                if values[-1] == 0.0:
-                    break
-            total = np.array(values, dtype=float)
-        else:
-            total = np.empty(len(X))
-            k = lib.fpsat_eval_many(self._image, X.ctypes.data, len(X), total.ctypes.data)
-            if k < 0:
-                raise MemoryError("no memory for the objective's registers")
-            total = total[:k]
-        with self._count_lock:
-            self._eval_count += len(total)
-        return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,30 +3,28 @@
 Three methods: basin hopping with a direction-set (Powell) local minimizer,
 controlled random search with local mutation, and a (mu, lambda) evolution
 strategy that ranks its offspring by objective value. Each instance owns
-all of its mutable state and its own PRNG stream. The population methods
-evaluate their initial population (after its start point) and every
-ISRES generation as one batch through `f_many` when one is given, which
-draws the same random numbers and evaluates the same points, in the same
-order, as a point-by-point run. `f_many(X)` returns an ndarray of the
-values of the rows of X up to and including the first zero, as
-`ObjectiveProgram.evaluate_many` does. The shared stop token is polled
-before every evaluation and before every batch, so cancellation latency
-is at most one evaluation or one batch of at most 20 (n + 1) rows, and
-budgets are never exceeded. Objectives receive each point as a sequence of floats
-(an ndarray, or a list in the CRS2 steady state).
+all of its mutable state and its own PRNG stream. A minimizer takes one
+objective `f` and counts each call as one evaluation; the shared stop
+token is polled before every evaluation, and budgets are never exceeded.
+Objectives receive each point as a sequence of floats (an ndarray, or a
+list in CRS2's steady state and in a population's rows).
 
-Basin hopping and CRS2 also exist as whole runs in the native kernels
-(`fpsat_bh`, `fpsat_crs2`): one C call per run, without the interpreter
-lock, bit for bit with the Python code here, which stays the reference
-and the fallback. A run takes that path when the kernels are loaded,
-`f` is `ObjectiveProgram.evaluate` itself bound to a program, CRS2's
-`f_many` is None or that program's own `evaluate_many`, and `stop` is
-None or a `StopFlag`, the one-byte flag that a race's threads share;
-see `_native_program`. A native run polls the stop byte before every
-evaluation, and adds its evaluations to the program's count when it
-ends. Signal handlers, KeyboardInterrupt included, run only once it
-returns: without a `StopFlag` to set, a native run ends only at its
-budget or its first zero.
+When the kernels are loaded and `f` is `ObjectiveProgram.evaluate` itself,
+bound to a program of x0's dimension (see `_native_program`), the native
+kernels evaluate in place of the Python code, bit for bit, with the same
+draws and points in the same order, and the program counts what they
+evaluate. Basin hopping and CRS2 then run whole in C (`fpsat_bh`,
+`fpsat_crs2`), without the interpreter lock, if `stop` is None or a
+`StopFlag`, the one-byte flag that a race's threads share: a native run
+polls it before every evaluation. Signal handlers, KeyboardInterrupt
+included, run only once it returns, so without a `StopFlag` to set it
+ends only at its budget or its first zero. Otherwise a population (after
+its start point) and every ISRES generation are one batch (`_Run.many`),
+cut at the remaining budget and after the first zero, with the stop
+polled before it: cancellation comes at most one batch of at most
+20 (n + 1) rows late. Any other `f`, a wrapper of `evaluate` included, is
+called once for every point. The Python code is the reference and the
+fallback.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -87,8 +85,8 @@ class OptOutcome:
 
 
 class StopFlag:
-    """`threading.Event`'s `is_set`/`set`/`clear` on one byte, which the
-    native whole runs read at `address`."""
+    """`threading.Event`'s `is_set`/`set` on one byte, which the native
+    whole runs read at `address`. It is never cleared."""
 
     def __init__(self):
         self._byte = (ctypes.c_ubyte * 1)()
@@ -99,9 +97,6 @@ class StopFlag:
 
     def set(self) -> None:
         self._byte[0] = 1
-
-    def clear(self) -> None:
-        self._byte[0] = 0
 
 
 class _Stop(Exception):
@@ -115,9 +110,8 @@ class _Stop(Exception):
 class _Run:
     """Budgeted, cancellable objective handle tracking the running best."""
 
-    def __init__(self, fn, max_evals, stop, on_zero=None, fn_many=None):
+    def __init__(self, fn, max_evals, stop, on_zero=None):
         self.fn = fn
-        self.fn_many = fn_many
         self.max_evals = _budget(max_evals)
         self.stop = stop
         self.on_zero = on_zero
@@ -132,21 +126,31 @@ class _Run:
             raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
         return self._take(x, self.fn(x))
 
-    def many(self, X) -> list[float]:
+    def many(self, X: np.ndarray) -> list[float]:
         """Evaluate the rows of X in order, with the rules of `__call__`
-        applied row by row; one batch through `fn_many` when there is one.
+        applied row by row.
 
-        The stop flag is polled once per batch, and the batch is cut at the
-        remaining budget: rows past it are not evaluated.
+        When the kernels can evaluate `fn` (see `_native_program`), the
+        rows are one batch: the stop flag is polled once, rows past the
+        remaining budget or the first zero are not evaluated, and the
+        program counts the rows that were. Otherwise each row, as a list,
+        goes through `__call__`.
         """
-        if self.fn_many is None:
-            return [self(x) for x in X]
+        program = _native_program(self.fn, X[0])
+        if program is None:
+            return [self(x) for x in X.tolist()]
         self.poll()
         room = self.max_evals - self.evals
         if room <= 0:
             raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
-        values = self.fn_many(X[:room]).tolist()
-        values = [self._take(x, v) for x, v in zip(X, values)]
+        rows = np.ascontiguousarray(X[:room])
+        values = np.empty(len(rows))
+        k = kernels.lib.fpsat_eval_many(program._image, rows.ctypes.data, len(rows),
+                                        values.ctypes.data)
+        if k < 0:
+            raise MemoryError("no memory for the objective's registers")
+        program.count_evals(k)
+        values = [self._take(x, v) for x, v in zip(rows, values[:k].tolist())]
         if len(X) > room:
             raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
         return values
@@ -173,27 +177,26 @@ class _Run:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
 
 
-# the stock methods, captured here: a subclass's override, or a rebinding
+# the stock method, captured here: a subclass's override, or a rebinding
 # of the class attribute (a tracer's wrapper), keeps the Python path
 _EVALUATE = ObjectiveProgram.evaluate
-_EVALUATE_MANY = ObjectiveProgram.evaluate_many
 # the native entries' results, by code
 _NATIVE_REASONS = (TerminationReason.ZERO_FOUND, TerminationReason.BUDGET_EXHAUSTED,
                    TerminationReason.CANCELLED)
 _INT64_MAX = 2**63 - 1
 
 
-def _native_program(f, x0, stop, f_many=None):
-    """The program whose whole run the native kernels can make in place
-    of the Python code, or None: see the module docstring."""
+def _native_program(f, x0, stop=None):
+    """The program whose evaluations from x0 on the native kernels can
+    make in place of `f`, or None: the kernels are loaded, `f` is
+    `ObjectiveProgram.evaluate` itself bound to a program of x0's
+    dimension, and `stop` is None or a `StopFlag`. A batch passes no
+    `stop`: Python polls any stop before it."""
     if kernels.lib is None or getattr(f, "__func__", None) is not _EVALUATE:
-        return None
-    program = f.__self__
-    if f_many is not None and (getattr(f_many, "__func__", None) is not _EVALUATE_MANY
-                               or f_many.__self__ is not program):
         return None
     if stop is not None and not isinstance(stop, StopFlag):
         return None
+    program = f.__self__
     return program if x0.ndim == 1 and len(x0) == program.dimension else None
 
 
@@ -480,10 +483,8 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
 
 
 def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                  stop=None, on_zero=None, f_many=None) -> OptOutcome:
-    """Random perturbation + Powell descent + Metropolis acceptance.
-
-    Every point depends on the last value, so `f_many` goes unused."""
+                  stop=None, on_zero=None) -> OptOutcome:
+    """Random perturbation + Powell descent + Metropolis acceptance."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
@@ -517,7 +518,7 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
 
 
 def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                  stop=None, on_zero=None, f_many=None) -> OptOutcome:
+                  stop=None, on_zero=None) -> OptOutcome:
     """CRS2: simplex reflection over a random population, with local mutation.
 
     Each trial depends on the last replacement, so the steady state runs
@@ -527,12 +528,12 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     if n < 1:
         raise ValueError("dimension must be >= 1")
     lo, hi = _bounds(cfg.bounds)
-    program = _native_program(f, x0, stop, f_many)
+    program = _native_program(f, x0, stop)
     if program is not None:
         return _native(kernels.lib.fpsat_crs2, program, x0, _budget(cfg.max_evals), rng,
                        on_zero, stop, (lo, hi))
     pop_size = _CRS2_POP_PER_DIM * (n + 1)
-    run = _Run(f, cfg.max_evals, stop, on_zero, f_many)
+    run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
         pop, fvals = _population(run, rng, x0, pop_size, lo, hi)
         pop = pop.tolist()
@@ -581,7 +582,7 @@ _ISRES_GAMMA = 0.85
 
 
 def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
-                   stop=None, on_zero=None, f_many=None) -> OptOutcome:
+                   stop=None, on_zero=None) -> OptOutcome:
     """(mu, lambda) evolution strategy with log-normal step-size
     self-adaptation; runs unconstrained (the objective already folds every
     constraint into its distance).
@@ -590,7 +591,8 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     violation only where one is nonzero; here every violation is zero, so
     it is a stable sort by objective value and draws no randomness.
 
-    A generation is built whole and evaluated as one batch. Its first
+    A generation is built whole, then evaluated row by row in order, as
+    one batch where `_Run.many` can. Its first
     mu - 1 offspring take a directed differential step among the elite;
     each later one draws, in this order, one normal deviate for its global
     step factor (the cosine of a Box-Muller pair), n for its step sizes
@@ -609,7 +611,7 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     tau = _ISRES_PHI / math.sqrt(2.0 * math.sqrt(n))
     taup = _ISRES_PHI / math.sqrt(2.0 * n)
 
-    run = _Run(f, cfg.max_evals, stop, on_zero, f_many)
+    run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
         pop, fvals = _population(run, rng, x0, lam, lo, hi)
         sigmas = np.full((lam, n), (hi - lo) / math.sqrt(n))

@@ -173,10 +173,18 @@ def _int_atom(form) -> int:
     raise SmtSyntaxError(f"expected a numeral, got {_render(form)}", form.pos)
 
 
+_ECHO = 64  # the most characters of a form that an error message echoes
+
+
 def _render(form) -> str:
+    """The form as text for an error message, cut to `_ECHO` characters.
+    An item starts after its list's "(", so cutting it first leaves the
+    list's first `_ECHO - 3` characters as they are."""
     if isinstance(form, SAtom):
-        return form.text
-    return "(" + " ".join(_render(x) for x in form.items) + ")"
+        text = form.text
+    else:
+        text = "(" + " ".join(_render(x) for x in form.items) + ")"
+    return text if len(text) <= _ECHO else text[:_ECHO - 3] + "..."
 
 
 _BV_ATOM = re.compile(r"#x[0-9a-fA-F]+|#b[01]+")

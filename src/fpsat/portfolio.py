@@ -8,12 +8,12 @@ race is decided ends at its first poll, in the starting thread. The
 native whole runs of BH and CRS2 release the interpreter lock, so a
 race uses several cores; on the Python fallback it runs on one. Shared
 state is limited to the immutable program, a stop flag (one byte, which
-the native runs poll too), and the race's records of stats, the first
-zero and the first crash. A winning zero is claimed at the evaluation
-that produced it and sets the flag; every other instance then performs
-at most one further evaluation, or one batch of them, before observing
-it. The first zero claimed wins, and it is verified in the calling
-thread. An instance's fixed-seed trajectory is the one it runs alone,
+the native runs poll too; the caller's, if it passes one), and the
+race's records of stats, the first zero and the first crash. A winning
+zero is claimed at the evaluation that produced it and sets the flag;
+every other instance then performs at most one further evaluation, or
+one batch of them, before observing it. The first zero claimed wins,
+and it is verified in the calling thread. An instance's fixed-seed trajectory is the one it runs alone,
 up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
@@ -61,10 +61,6 @@ _MINIMIZERS = {
     "isres": isres_minimize,
 }
 ALGORITHMS = tuple(_MINIMIZERS)
-
-# how often a race forwards an external stop event to its stop flag
-_FORWARD_S = 0.005
-
 
 @dataclass
 class PortfolioConfig:
@@ -161,21 +157,23 @@ def verify_model(formula: Term, model: Model) -> bool:
 
 def solve(formula: Term, program: ObjectiveProgram,
           config: PortfolioConfig | None = None,
-          stop: threading.Event | None = None) -> SolveOutcome:
+          stop: StopFlag | None = None) -> SolveOutcome:
     """Race the configured instances; SAT on the first verified zero.
 
     A zero-dimensional program is decided by one evaluation instead of a
-    race, and its zero takes the same path to a verified model. An
-    externally supplied `stop` event cancels the whole race (combined
-    mode uses this). Raises ValueError on an invalid configuration (an
-    unknown algorithm or a count that is not an integer >= 0, a seed that
-    is not an integer, a non-finite start range, a budget that is not an
-    integer >= 1, bounds that are not finite with lo < hi, a wall timeout
-    that is neither None nor finite and >= 0) before anything is
-    evaluated; VerificationFailureError if a zero-valued point fails the
-    semantic check (that would be an encoding bug, never hidden), and
-    InstanceCrashError, naming the instance and carrying its traceback
-    text, if an instance raised.
+    race, and its zero takes the same path to a verified model. A `stop`
+    flag, set from another thread, cancels the whole race (combined mode
+    uses this); the race takes it as its own flag, so native runs see it
+    at their next evaluation, and sets it itself when it ends early.
+    Raises ValueError on an invalid configuration (an unknown algorithm
+    or a count that is not an integer >= 0, a seed that is not an
+    integer, a non-finite start range, a budget that is not an integer
+    >= 1, bounds that are not finite with lo < hi, a wall timeout that is
+    neither None nor finite and >= 0, a `stop` that is not a `StopFlag`)
+    before anything is evaluated; VerificationFailureError if a
+    zero-valued point fails the semantic check (that would be an encoding
+    bug, never hidden), and InstanceCrashError, naming the instance and
+    carrying its traceback text, if an instance raised.
     """
     if config is None:
         config = PortfolioConfig()
@@ -188,6 +186,8 @@ def solve(formula: Term, program: ObjectiveProgram,
         raise ValueError(f"wall_timeout must be None or finite and >= 0, got {timeout!r}")
     if not np.isfinite(np.asarray(config.start_range, dtype=float)).all():
         raise ValueError("start_range must be finite")
+    if stop is not None and not isinstance(stop, StopFlag):
+        raise ValueError(f"stop must be None or a StopFlag, got {type(stop).__name__}")
     opt_cfg = OptimizerConfig(max_evals=_budget(config.max_evals),
                               bounds=_bounds(config.bounds))
     t_start = time.perf_counter()
@@ -221,29 +221,23 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
     interpreter switch interval (`sys.getswitchinterval()`) before it
     starts the rest: a thread start costs more than many an easy race,
     and a native run decides one without the lock. The race stops on one
-    byte flag; an external `stop` is polled and forwarded to it.
+    byte flag, the caller's `stop` if it gave one.
     """
-    flag = StopFlag()
+    flag = StopFlag() if stop is None else stop
     deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
     timed_out = False
 
     def wait_s():
-        """How long to block before the deadline or the next forwarding
-        poll; None once the flag is set."""
+        """How long to block before the deadline; None, to block until
+        the thread ends, once the flag is set or without a deadline."""
         nonlocal timed_out
-        if stop is not None and stop.is_set():
-            flag.set()
-        if flag.is_set():
+        if deadline is None or flag.is_set():
             return None
-        timeout = None
-        if deadline is not None:
-            timeout = deadline - time.perf_counter()
-            if timeout <= 0:
-                timed_out = True
-                flag.set()
-                return None
-        if stop is not None:
-            timeout = min(timeout or _FORWARD_S, _FORWARD_S)
+        timeout = deadline - time.perf_counter()
+        if timeout <= 0:
+            timed_out = True
+            flag.set()
+            return None
         return timeout
 
     indexed = list(enumerate(algs))
@@ -280,7 +274,6 @@ class _Race:
 
     def __init__(self, program, config, opt_cfg, stop):
         self.program = program
-        self.f_many = getattr(program, "evaluate_many", None)
         self.config = config
         self.opt_cfg = opt_cfg
         self.stop = stop
@@ -315,7 +308,7 @@ class _Race:
             x0 = random_start(self.program.dimension, rng, self.config.start_range)
             outcome = _MINIMIZERS[alg](
                 self.program.evaluate, x0, self.opt_cfg, rng, stop=self.stop,
-                on_zero=lambda x: self._claim(idx, alg, x), f_many=self.f_many,
+                on_zero=lambda x: self._claim(idx, alg, x),
             )
             self.stats.append(InstanceStats(
                 alg, idx, outcome.evals_used, outcome.best_value,

@@ -7,14 +7,15 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from fpsat import kernels
+from fpsat import kernels, optimizers
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
 from fpsat.normalizer import push_negations, simplify
 from fpsat.objective import ObjectiveProgram, compile_objective
-from fpsat.optimizers import _CRS2_POP_PER_DIM
+from fpsat.optimizers import TerminationReason, _Run, _Stop
 from fpsat.terms import (
     FALSE,
     TRUE,
@@ -161,16 +162,35 @@ def retyped(cls, program: ObjectiveProgram) -> ObjectiveProgram:
     return copy
 
 
-class CrashingProgram(ObjectiveProgram):
-    """A program whose `evaluate_many` raises RuntimeError("boom at
-    <time.monotonic()>") on a batch of more rows than CRS2's initial
-    population, which only ISRES evaluates (its population and
-    generations have 20 (n + 1) rows); `retyped` makes one."""
+def batch_values(program, X) -> np.ndarray:
+    """The values that the optimizers' batch route (`optimizers._Run.many`)
+    takes from the rows of X through the program's own `evaluate`, in
+    order, up to and including the first zero, which ends the batch."""
+    run = _Run(program.evaluate, len(X), None)
+    taken = []
+    take = run._take
 
-    def evaluate_many(self, X):
-        if len(X) > _CRS2_POP_PER_DIM * (self.dimension + 1):
-            raise RuntimeError(f"boom at {time.monotonic()!r}")
-        return super().evaluate_many(X)
+    def record(x, v):
+        taken.append(v)
+        return take(x, v)
+
+    run._take = record
+    try:
+        run.many(np.asarray(X, dtype=float))
+    except _Stop as end:
+        assert end.reason is TerminationReason.ZERO_FOUND
+    return np.array(taken, dtype=float)
+
+
+@pytest.fixture
+def crashing_isres(monkeypatch):
+    """Makes ISRES raise RuntimeError("boom at <time.monotonic()>") where
+    it draws its first generation, after its initial population: no
+    other minimizer reaches that point, on either path."""
+    def boom(rng, rows, width):
+        raise RuntimeError(f"boom at {time.monotonic()!r}")
+
+    monkeypatch.setattr(optimizers, "_gauss_rows", boom)
 
 
 def pytest_addoption(parser):

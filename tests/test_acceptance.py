@@ -280,8 +280,7 @@ def test_07_determinism(corpus_path):
         for idx, alg in enumerate(config.expanded()):
             rng = Xoshiro256Plus(derive_seed(config.seed, idx))
             x0 = random_start(program.dimension, rng, config.start_range)
-            run = minimizers[alg](program.evaluate, x0, opt_cfg, rng,
-                                  f_many=program.evaluate_many)
+            run = minimizers[alg](program.evaluate, x0, opt_cfg, rng)
             alone.append((run.evals_used, run.best_value, run.terminated_by.value))
         raced = [(s.evals, s.best_value, s.terminated_by) for s in out.stats]
         assert raced == alone, (name, raced, alone)

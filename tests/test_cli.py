@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from fpsat import build_problem
 from fpsat.cli import main
+from fpsat.errors import InputError
 
 
 # an infeasible script with a Latin-1 "é" in a comment
@@ -152,6 +154,18 @@ class TestSolveCommand:
         path.write_bytes(_LATIN1.replace(b"caf\xe9", "café ".encode() + b"\xff"))
         assert main(["solve", str(path)]) == 2
         assert "2:8: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_lone_cr_is_not_a_line_break(self, tmp_path, capsys):
+        # the file's text reaches the parser with its line ends as they
+        # are, so both paths count only "\n"
+        text = "(set-logic QF_FP)\r(assert y)"
+        path = tmp_path / "cr.smt2"
+        path.write_bytes(text.encode())
+        assert main(["solve", str(path)]) == 2
+        assert "1:27: " in capsys.readouterr().err
+        with pytest.raises(InputError) as err:
+            build_problem(text)
+        assert str(err.value.pos) == "1:27"
 
     def test_dump_cnf_flag(self, corpus_path, capsys):
         main(["solve", str(corpus_path / "listing1.smt2"), "--dump-cnf",

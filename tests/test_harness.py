@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from conftest import CrashingProgram, retyped
-
-from fpsat import harness, load_problem
+from fpsat import harness
 from fpsat.harness import (
     BenchRecord,
     BenchReport,
@@ -39,17 +37,6 @@ def fast_config(**kw):
     defaults = dict(max_evals=20_000, seed=3)
     defaults.update(kw)
     return PortfolioConfig(**defaults)
-
-
-@pytest.fixture
-def crashing_isres(monkeypatch):
-    """Make every ISRES instance raise at its first batch."""
-    def load(path):
-        problem = load_problem(path)
-        problem.program = retyped(CrashingProgram, problem.program)
-        return problem
-
-    monkeypatch.setattr(harness, "load_problem", load)
 
 
 class TestRunSolve:

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_program, random_formula, random_fp_double
+from conftest import batch_values, build_program, random_formula, random_fp_double
 
 from fpsat import build_problem, kernels
 from fpsat.fp import FP32, FP64, narrow32
@@ -65,9 +66,9 @@ def test_objective_matches_python(seed):
     want = [on_python_path(program.evaluate, x) for x in X]
     assert _bits([program.evaluate(x) for x in X]) == _bits(want)
     assert _bits([program.evaluate(x.tolist()) for x in X]) == _bits(want)
-    # batches end at their first zero, on both paths
-    got_many = program.evaluate_many(X)
-    assert _bits(got_many) == _bits(on_python_path(program.evaluate_many, X))
+    # the optimizers' batches end at their first zero, on both paths
+    got_many = batch_values(program, X)
+    assert _bits(got_many) == _bits(on_python_path(batch_values, program, X))
     assert _bits(got_many) == _bits(want[:len(got_many)])
 
 
@@ -144,26 +145,25 @@ def _whole_run_program(source):
 
 
 def _minimize(alg, program, native, budget, bounds, seed, batched):
-    """A run of `alg` from a random start; native, or through a wrapper
-    of the program's methods, which keeps the Python minimizer. Returns
-    every observable of the run."""
+    """A run of `alg` from a random start; native, or in the Python
+    minimizer: `batched`, on the program's own `evaluate` with a stop
+    event, which keeps the kernels' batches only, or else through a
+    wrapper, point by point. Returns every observable of the run."""
     rng = Xoshiro256Plus(seed)
     x0 = random_start(program.dimension, rng)
+    f, stop = program.evaluate, None
     if native:
-        f, f_many = program.evaluate, program.evaluate_many
-        assert _native_program(f, x0, None, f_many) is program
+        assert _native_program(f, x0) is program
+    elif batched:
+        stop = threading.Event()
     else:
         def f(x):
             return program.evaluate(x)
-
-        def f_many(X):
-            return program.evaluate_many(X)
     zeros = []
     before = program.eval_count
     minimize = basin_hopping if alg == "bh" else crs2_minimize
-    out = minimize(f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
-                   on_zero=lambda x: zeros.append(x.tobytes()),
-                   f_many=f_many if batched else None)
+    out = minimize(f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng, stop=stop,
+                   on_zero=lambda x: zeros.append(x.tobytes()))
     return (out.evals_used, out.terminated_by,
             None if out.best_x is None else out.best_x.tobytes(),
             _bits([out.best_value]), rng.state(), program.eval_count - before, zeros)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    batch_values,
     build_program,
     random_assignment,
     random_formula,
@@ -362,21 +363,24 @@ def _points(rng: random.Random, varmap, rows: int):
 
 
 def _assert_batch_matches(program, X):
-    """evaluate_many(X) is evaluate over the rows, bit for bit, up to and
-    including the first zero, and counts exactly those rows."""
+    """The optimizers' batch of the rows of X (`batch_values`) is evaluate
+    over the rows, bit for bit, up to and including the first zero, and
+    counts exactly those rows."""
     want = []
     for x in X:
         want.append(program.evaluate(x))
         if want[-1] == 0.0:
             break
     before = program.eval_count
-    got = program.evaluate_many(X)
-    assert got.dtype == np.float64
+    got = batch_values(program, X)
     assert got.tobytes() == np.array(want).tobytes()
     assert program.eval_count - before == len(want)
 
 
 class TestEvaluateMany:
+    """Batches of evaluations, as the population methods make them: one
+    kernel call on the native kernels, row by row on the Python path."""
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_evaluate(self, seed, rows):
@@ -401,7 +405,7 @@ class TestEvaluateMany:
         zeros = data.draw(st.lists(st.integers(0, rows - 1), max_size=3))
         X[zeros] = -2.0  # listing1's solution
         before = program.eval_count
-        got = program.evaluate_many(X)
+        got = batch_values(program, X)
         first = min(zeros, default=rows - 1)
         assert len(got) == first + 1 == program.eval_count - before
         assert (got[-1] == 0.0) == bool(zeros)
@@ -411,7 +415,7 @@ class TestEvaluateMany:
     def test_dimension_mismatch(self, listing1_text):
         program = build_problem(listing1_text).program
         with pytest.raises(DimensionMismatchError):
-            program.evaluate_many(np.zeros((3, 2)))
+            batch_values(program, np.zeros((3, 2)))
 
 
 # Objective values on the corpus, pinned by SHA-256 over the packed
@@ -464,12 +468,13 @@ def _pinned_points(name: str, dim: int) -> np.ndarray:
 
 
 def _pinned_values(program, X) -> tuple[str, str]:
-    """Digests of `evaluate` and of `evaluate_many` over the rows of X;
-    `evaluate_many` is resumed after each zero, where it cuts its batch."""
+    """Digests of `evaluate` and of the optimizers' batch (`batch_values`)
+    over the rows of X; the batch is resumed after each zero, where it
+    ends."""
     one = np.array([program.evaluate(x) for x in X])
     many = []
     while len(many) < len(X):
-        many.extend(program.evaluate_many(X[len(many):]).tolist())
+        many.extend(batch_values(program, X[len(many):]).tolist())
     return (hashlib.sha256(one.tobytes()).hexdigest(),
             hashlib.sha256(np.array(many).tobytes()).hexdigest())
 

@@ -12,6 +12,7 @@ from conftest import retyped
 from fpsat import build_problem, kernels
 from fpsat.harness import corpus_dir
 from fpsat.objective import ObjectiveProgram
+from fpsat import optimizers
 from fpsat.optimizers import (
     OptimizerConfig,
     StopFlag,
@@ -33,6 +34,21 @@ def native_lib():
     if kernels.lib is None:
         pytest.skip(f"native kernels not in use: {kernels.reason}")
     return kernels.lib
+
+
+def wrap_kernel_batch(monkeypatch, before_each):
+    """Make the native kernels' batch entry (`fpsat_eval_many`) call
+    `before_each(rows)` at the start of every batch; the Python path makes
+    no batches."""
+    lib = kernels.lib
+    if lib is not None:
+        entry = lib.fpsat_eval_many
+
+        def wrapped(image, X, m, out):
+            before_each(m)
+            return entry(image, X, m, out)
+
+        monkeypatch.setattr(lib, "fpsat_eval_many", wrapped)
 
 
 def sphere(x):
@@ -304,42 +320,58 @@ class TestCommonContracts:
         assert rng.draws <= n
 
     @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
-    def test_batches_cut_at_the_budget(self, minimize, corpus_path):
-        # a batch is cut at the remaining budget, so no row past it is
-        # evaluated and the run ends with exactly its budget spent
+    def test_batches_cut_at_the_budget(self, minimize, corpus_path, monkeypatch):
+        # a kernel batch is cut at the remaining budget, so no row past it
+        # is evaluated and the run ends with exactly its budget spent; the
+        # stop event keeps CRS2 off its whole run, so it makes batches too
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        rows = []
+        wrap_kernel_batch(monkeypatch, rows.append)
         for budget in (1, 7, 100, 953):
-            rows = []
-
-            def f_many(X):
-                rows.append(len(X))
-                return program.evaluate_many(X)
-
+            rows.clear()
             before = program.eval_count
             out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=budget),
-                           Xoshiro256Plus(5), f_many=f_many)
+                           Xoshiro256Plus(5), stop=threading.Event())
             assert out.terminated_by == TerminationReason.BUDGET_EXHAUSTED
             assert out.evals_used == budget == program.eval_count - before
             assert 1 + sum(rows) <= budget  # the start point is evaluated alone
+            assert bool(rows) == (kernels.lib is not None and budget > 1)
 
     @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
-    def test_cancel_between_batches(self, minimize, corpus_path):
+    def test_cancel_between_batches(self, minimize, corpus_path, monkeypatch, native_lib):
         # the stop flag is polled before each batch: set inside one, it
         # ends the run before the next
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
         stop = threading.Event()
         rows = []
 
-        def f_many(X):
-            rows.append(len(X))
+        def before_each(m):
+            rows.append(m)
             stop.set()
-            return program.evaluate_many(X)
 
+        wrap_kernel_batch(monkeypatch, before_each)
         out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=10_000),
-                       Xoshiro256Plus(5), stop=stop, f_many=f_many)
+                       Xoshiro256Plus(5), stop=stop)
         assert out.terminated_by == TerminationReason.CANCELLED
         assert len(rows) == 1
         assert out.evals_used == 1 + rows[0]
+
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_wrapper_sees_every_evaluation(self, minimize, corpus_path):
+        # an objective that is not the program's own `evaluate` is called
+        # once per evaluation, in the population methods' batches too
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return program.evaluate(x)
+
+        before = program.eval_count
+        out = minimize(counting, np.array([0.1]), OptimizerConfig(max_evals=953),
+                       Xoshiro256Plus(5))
+        assert out.terminated_by == TerminationReason.BUDGET_EXHAUSTED
+        assert len(calls) == out.evals_used == program.eval_count - before == 953
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize])
     def test_stop_flag_ends_a_long_run(self, minimize, corpus_path):
@@ -352,7 +384,7 @@ class TestCommonContracts:
         def run():
             result["out"] = minimize(program.evaluate, np.array([0.1]),
                                      OptimizerConfig(max_evals=10**9), Xoshiro256Plus(5),
-                                     stop=stop, f_many=program.evaluate_many)
+                                     stop=stop)
             result["ended"] = time.perf_counter()
 
         before = program.eval_count
@@ -379,17 +411,16 @@ class TestCommonContracts:
 
         subclassed = retyped(Override, program)
         x0 = np.array([0.1])
-        assert _native_program(program.evaluate, x0, None) is program
-        assert _native_program(program.evaluate, x0, StopFlag(),
-                               program.evaluate_many) is program
-        for f, stop, f_many, start in [
-                (lambda x: program.evaluate(x), None, None, x0),  # a wrapper
-                (subclassed.evaluate, None, None, x0),  # an override
-                (program.evaluate, threading.Event(), None, x0),  # not a byte flag
-                (program.evaluate, None, other.evaluate_many, x0),  # another program's
-                (program.evaluate, None, None, np.array([0.1, 0.2])),  # wrong dimension
+        assert _native_program(program.evaluate, x0) is program
+        assert _native_program(program.evaluate, x0, StopFlag()) is program
+        assert _native_program(other.evaluate, x0) is other
+        for f, stop, start in [
+                (lambda x: program.evaluate(x), None, x0),  # a wrapper
+                (subclassed.evaluate, None, x0),  # an override
+                (program.evaluate, threading.Event(), x0),  # not a byte flag
+                (program.evaluate, None, np.array([0.1, 0.2])),  # wrong dimension
         ]:
-            assert _native_program(f, start, stop, f_many) is None
+            assert _native_program(f, start, stop) is None
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):
@@ -456,9 +487,8 @@ def test_golden_trajectory_native(name, alg, native_lib):
            out.best_value.hex(), out.best_x.tobytes().hex())
     assert got == GOLDEN[(name, alg)]
     before = program.eval_count
-    assert _native_program(program.evaluate, x0, None, program.evaluate_many) is program
-    again = MINIMIZERS[alg](program.evaluate, x0, OptimizerConfig(max_evals=3_000), rng2,
-                            f_many=program.evaluate_many)
+    assert _native_program(program.evaluate, x0) is program
+    again = MINIMIZERS[alg](program.evaluate, x0, OptimizerConfig(max_evals=3_000), rng2)
     assert (again.evals_used, again.best_value, again.best_x.tobytes(), rng2.state()) == (
         out.evals_used, out.best_value, out.best_x.tobytes(), rng.state())
     assert program.eval_count - before == out.evals_used
@@ -466,24 +496,31 @@ def test_golden_trajectory_native(name, alg, native_lib):
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])
 @pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
-def test_golden_trajectory(name, alg, batched):
+def test_golden_trajectory(name, alg, batched, monkeypatch):
+    # batched: the program's own `evaluate`, whose populations and
+    # generations are kernel batches, with a stop event, which keeps BH
+    # and CRS2 in Python; the points are read where the run takes each
+    # value. per-point: a wrapper that reads them
     program = build_problem((corpus_dir() / name).read_text()).program
     digest = hashlib.sha256()
 
-    def f(x):
+    def record(x):
         digest.update(np.asarray(x, dtype=float).tobytes())
-        return program.evaluate(x)
 
-    def f_many(X):
-        values = program.evaluate_many(X)
-        digest.update(np.ascontiguousarray(X[:len(values)], dtype=float).tobytes())
-        return values
+    if batched:
+        f, stop, take = program.evaluate, threading.Event(), optimizers._Run._take
+        monkeypatch.setattr(optimizers._Run, "_take",
+                            lambda run, x, v: record(x) or take(run, x, v))
+    else:
+        def f(x):
+            record(x)
+            return program.evaluate(x)
+        stop = None
 
     rng = Xoshiro256Plus(2024)
     x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
     before = program.eval_count
-    out = MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=3_000), rng,
-                          f_many=f_many if batched else None)
+    out = MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=3_000), rng, stop=stop)
     got = (digest.hexdigest(), out.evals_used, out.best_value.hex(),
            out.best_x.tobytes().hex())
     assert got == GOLDEN[(name, alg)]

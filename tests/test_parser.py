@@ -268,6 +268,14 @@ class TestErrorTable:
         assert str(err.value).startswith(f"{pos}: ")
         assert err.value.pos == SourcePosition(*map(int, pos.split(":")))
 
+    def test_echoed_form_is_bounded(self):
+        # a 5,000-digit literal is echoed in part, after its position
+        with pytest.raises(SmtSyntaxError) as err:
+            build_problem(_in_assert(f"(fp (_ bv{'1' * 5000} 1) {_ONE_EXP_SIG})"))
+        message = str(err.value)
+        assert message.startswith("2:20: malformed bitvector literal (_ bv111")
+        assert len(message) < 120
+
     @pytest.mark.parametrize("text", [
         _let_chain(400), f"{_DECL}(assert {'(not ' * 2000}(fp.lt x x){')' * 2001}"
     ], ids=["let-400", "not-2000"])

@@ -7,12 +7,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import CrashingProgram, retyped
 
 from fpsat import build_problem, kernels
 from fpsat.errors import InstanceCrashError, VerificationFailureError
 from fpsat.fp import FP32, FP64
 from fpsat.objective import semantic_eval
+from fpsat.optimizers import StopFlag
 from fpsat.portfolio import (
     Model,
     PortfolioConfig,
@@ -219,7 +219,7 @@ class TestSolve:
         """Sets an external stop once every instance runs, or at once; the
         race must end within a second, cancelled."""
         problem = build_problem(_INFEASIBLE)
-        stop = threading.Event()
+        stop = StopFlag()
         cfg = small_config(max_evals=100_000_000)
         result = {}
 
@@ -266,7 +266,7 @@ class TestSolve:
         # ends within 50 ms of the stop
         problem = build_problem(_INFEASIBLE)
         cfg = small_config(instances=[("bh", 1), ("crs2", 1)], max_evals=10**9)
-        stop = threading.Event()
+        stop = StopFlag()
         result = {}
 
         def run():
@@ -391,48 +391,39 @@ class TestSolve:
         assert all(n <= 1 for n in per_thread_after.values())
 
     def test_post_win_cancellation_batch_path(self, listing1_text):
-        # with a batch objective, log every start of an evaluation or of a
-        # batch: once the winning zero is seen, a thread may still start
-        # the one it had already polled the stop flag for, but no second
+        # ISRES's populations and generations, through an objective that
+        # is not the program's own `evaluate`, go row by row: once the
+        # winning zero is seen, a thread may still make the one evaluation
+        # it had already polled the stop flag for, but no second
         problem = build_problem(listing1_text)
         program = problem.program
-        log = []  # (thread, "eval" | "batch", zero already seen)
+        log = []  # (thread, zero already seen)
         log_lock = threading.Lock()
         zero_seen = threading.Event()
 
-        def record(kind, zero):
-            with log_lock:
-                log.append((threading.get_ident(), kind, zero_seen.is_set()))
-                if zero:
-                    zero_seen.set()
-
         def evaluate(x):
             v = program.evaluate(x)
-            record("eval", v == 0.0)
+            with log_lock:
+                log.append((threading.get_ident(), zero_seen.is_set()))
+                if v == 0.0:
+                    zero_seen.set()
             return v
-
-        def evaluate_many(X):
-            values = program.evaluate_many(X)
-            record("batch", values[-1] == 0.0)
-            return values
 
         class Proxy:
             varmap = program.varmap
             dimension = program.dimension
 
         Proxy.evaluate = staticmethod(evaluate)
-        Proxy.evaluate_many = staticmethod(evaluate_many)
         cfg = PortfolioConfig(instances=[("isres", 3)],
                               max_evals=30_000, seed=77)
         out = solve(problem.formula, Proxy(), cfg)
         assert out.verdict == "sat"
-        assert any(kind == "batch" for _, kind, _ in log)
+        assert len(log) == out.total_evals
         per_thread_after = {}
-        for ident, _, after in log:
+        for ident, after in log:
             if after:
                 per_thread_after[ident] = per_thread_after.get(ident, 0) + 1
         assert all(n <= 1 for n in per_thread_after.values())
-        assert out.total_evals == sum(s.evals for s in out.stats)
 
     @pytest.mark.parametrize("alg", ["crs2", "isres"])
     def test_bounds_box_the_population_methods(self, corpus_path, alg):
@@ -489,6 +480,15 @@ class TestInvalidConfig:
             solve(problem.formula, problem.program, small_config(**overrides))
         assert problem.program.eval_count == before
 
+    def test_event_as_stop_rejected(self, listing1_text):
+        # the race stops on a StopFlag, which native runs poll; an event
+        # would reach them only through a forwarding poll
+        problem = build_problem(listing1_text)
+        before = problem.program.eval_count
+        with pytest.raises(ValueError, match="StopFlag"):
+            solve(problem.formula, problem.program, small_config(), stop=threading.Event())
+        assert problem.program.eval_count == before
+
 
 class TestManyInstances:
     def test_twelve_instance_race(self, listing1_text):
@@ -520,7 +520,8 @@ class TestModelBlock:
 class TestCrashedInstance:
     @staticmethod
     def _crash_stops_the_race(corpus_path, instances):
-        """ISRES raises at its first batch; the others must stop at once
+        """ISRES raises at its first generation (`crashing_isres`), after
+        its initial population; the others must stop at once
         instead of burning their whole budgets. The
         Python minimizers make 20,000 evaluations in about 0.1 s, so on
         the Python path each instance gets that budget and the count must
@@ -529,7 +530,7 @@ class TestCrashedInstance:
         within 0.1 s of the call and the race end within 0.1 s of the
         crash."""
         problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
-        program = retyped(CrashingProgram, problem.program)
+        program = problem.program
         native = kernels.lib is not None
         budget = 10**7 if native else 20_000
         cfg = small_config(instances=instances, max_evals=budget, seed=3)
@@ -550,10 +551,11 @@ class TestCrashedInstance:
             # below the 40,000 evaluations the other two instances own
             assert program.eval_count - before < 20_000
 
-    def test_crash_stops_the_race(self, corpus_path):
+    def test_crash_stops_the_race(self, corpus_path, crashing_isres):
         self._crash_stops_the_race(corpus_path, [("isres", 1), ("bh", 1), ("crs2", 1)])
 
-    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path, request):
+    def test_crash_of_a_later_instance_stops_the_race(self, corpus_path, request,
+                                                      crashing_isres):
         if kernels.lib is None:
             request.applymarker(pytest.mark.xfail(strict=False, reason=(
                 "on the Python path a thread started third in the calling "

@@ -1,4 +1,4 @@
-"""The objective, PRNG and optimizer tests again, on the Python path.
+"""The objective, PRNG, optimizer and crash tests again, on the Python path.
 
 Their own modules run on the native kernels when those loaded. Here each
 module runs once more in a child pytest with `--kernels=python`, which
@@ -22,11 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ("test_objective.py", {}),
     ("test_optimizers.py", {}),
     ("test_rng.py", {}),
+    # the crash seam, `optimizers._gauss_rows`, is on both paths
+    ("test_portfolio.py::TestCrashedInstance", {}),
     # numpy's vectorized transcendentals take other code paths, with other
     # last bits, on CPUs without these features; the trajectories must not
     ("test_optimizers.py::test_golden_trajectory",
      {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
-], ids=["test_objective.py", "test_optimizers.py", "test_rng.py", "golden-without-avx512"])
+], ids=["test_objective.py", "test_optimizers.py", "test_rng.py",
+        "test_portfolio.py-crashed-instance", "golden-without-avx512"])
 def test_module_passes_on_python_path(target, env):
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--kernels=python",
