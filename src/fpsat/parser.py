@@ -94,11 +94,12 @@ class SList(NamedTuple):
     pos: int  # offset of the opening parenthesis
 
 
-# Whitespace and `;` comments, then one token: a parenthesis, a plain atom,
-# a |quoted symbol|, a string ("" escapes a quote), a lone `|` or `"` that
-# opens an unterminated one, or the end of the input. Every character that
-# can follow the skipped prefix starts one of these, so matches are contiguous.
-_TOKEN = re.compile(r'(?:[ \t\r\n]+|;[^\n]*)*'
+# Whitespace and `;` comments (a comment ends at a `\n` or a `\r`), then one
+# token: a parenthesis, a plain atom, a |quoted symbol|, a string ("" escapes
+# a quote), a lone `|` or `"` that opens an unterminated one, or the end of
+# the input. Every character that can follow the skipped prefix starts one of
+# these, so matches are contiguous.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|;[^\r\n]*)*'
                     r'([()]|[^ \t\r\n();"|]+|\|[^|]*\||"(?:[^"]|"")*"(?!")|["|]|\Z)')
 _UNTERMINATED = {"|": "unterminated |symbol|", '"': "unterminated string literal"}
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fpsat import build_problem
+from fpsat import PortfolioConfig, build_problem, solve
 from fpsat.cli import main
 from fpsat.errors import InputError
 
@@ -166,6 +166,19 @@ class TestSolveCommand:
         with pytest.raises(InputError) as err:
             build_problem(text)
         assert str(err.value.pos) == "1:27"
+
+    def test_comment_ends_at_lone_cr(self, tmp_path, capsys):
+        # the comment ends at its "\r", so both contradictory assertions
+        # stay in the formula and the verdict is unknown on both paths
+        text = ("(declare-fun x () Float32)\r; note\r(assert (fp.eq x x))\r"
+                "(assert (not (fp.eq x x)))")
+        path = tmp_path / "cr.smt2"
+        path.write_bytes(text.encode())
+        assert main(["solve", str(path), "--max-evals", "300"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "unknown"
+        problem = build_problem(text)
+        config = PortfolioConfig(max_evals=300)
+        assert solve(problem.formula, problem.program, config).verdict == "unknown"
 
     def test_dump_cnf_flag(self, corpus_path, capsys):
         main(["solve", str(corpus_path / "listing1.smt2"), "--dump-cnf",
