@@ -168,9 +168,10 @@ class TestSolveCommand:
         assert str(err.value.pos) == "1:27"
 
     def test_comment_ends_at_lone_cr(self, tmp_path, capsys):
-        # the comment ends at its "\r", so both contradictory assertions
-        # stay in the formula and the verdict is unknown on both paths
-        text = ("(declare-fun x () Float32)\r; note\r(assert (fp.eq x x))\r"
+        # the comment ends at its "\r", so the assertion after it stays in
+        # the formula, contradicts the one before, and the verdict is
+        # unknown on both paths (sat if the comment ran to the end)
+        text = ("(declare-fun x () Float32)\r(assert (fp.eq x x))\r; note\r"
                 "(assert (not (fp.eq x x)))")
         path = tmp_path / "cr.smt2"
         path.write_bytes(text.encode())
