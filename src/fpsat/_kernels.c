@@ -1,10 +1,8 @@
 /* Native kernels of fpsat, bit for bit with the Python reference paths:
  *   fpsat_eval       ObjectiveProgram.evaluate on one point
- *   fpsat_eval_many  optimizers._Run.many: rows up to the first zero
- *   fpsat_doubles    Xoshiro256Plus.doubles
- *   fpsat_gauss      optimizers._gauss_rows (Box-Muller on those doubles)
  *   fpsat_bh         optimizers.basin_hopping, a whole run
  *   fpsat_crs2       optimizers.crs2_minimize, a whole run
+ *   fpsat_isres      optimizers.isres_minimize, a whole run
  * fpsat/kernels.py compiles this file once with KERNEL_CFLAGS and calls it
  * through ctypes. A program is the immutable image that
  * objective._Compiler emits (all integers int32, all values binary64):
@@ -131,24 +129,6 @@ double fpsat_eval(const char *image, const double *x) {
     return value;
 }
 
-/* The objective at the m rows of X (row-major, dim columns) into out, up
- * to and including the first zero; returns how many rows were evaluated,
- * or -1 if the registers cannot be allocated. */
-int fpsat_eval_many(const char *image, const double *X, int m, double *out) {
-    header h;
-    double stack[STACK_REGS];
-    memcpy(&h, image, sizeof h);
-    double *r = h.nregs <= STACK_REGS ? stack : malloc(8 * (size_t)h.nregs);
-    if (r == NULL) return -1;
-    int k = 0;
-    while (k < m) {
-        out[k] = run(image, &h, X + (size_t)k * (size_t)h.dim, r);
-        if (out[k++] == 0.0) break;
-    }
-    if (r != stack) free(r);
-    return k;
-}
-
 /* xoshiro256+ (Blackman & Vigna), one step of the state s[4] */
 static uint64_t next_u64(uint64_t *s) {
     uint64_t result = s[0] + s[3];
@@ -167,16 +147,13 @@ static double next_double(uint64_t *s) {
     return (double)(next_u64(s) >> 11) * 0x1.0p-53;
 }
 
-void fpsat_doubles(uint64_t *s, double *out, int k) {
-    for (int i = 0; i < k; i++) out[i] = next_double(s);
-}
-
-/* k (even) standard normal deviates: each pair of doubles (u, v) gives
- * r cos(2 pi v) then r sin(2 pi v), r = sqrt(-2 log(1 - u)), with libm's
- * log, cos and sin, which Python's math module calls too (gcc may merge
- * the last two into glibc's sincos, which runs the same code). */
-void fpsat_gauss(uint64_t *s, double *out, int k) {
-    for (int i = 0; i + 1 < k; i += 2) {
+/* optimizers._gauss_rows: k (even) standard normal deviates. Each pair
+ * of doubles (u, v) gives r cos(2 pi v) then r sin(2 pi v), with
+ * r = sqrt(-2 log(1 - u)), and libm's log, cos and sin, which Python's
+ * math module calls too (gcc may merge the last two into glibc's sincos,
+ * which runs the same code). */
+static void gauss(uint64_t *s, double *out, size_t k) {
+    for (size_t i = 0; i + 1 < k; i += 2) {
         double u = next_double(s);
         double v = next_double(s);
         double r = sqrt(-2.0 * log(1.0 - u));
@@ -187,7 +164,7 @@ void fpsat_gauss(uint64_t *s, double *out, int k) {
 }
 
 /* ------------------------------------------------------------------------
- * Whole runs of basin hopping and CRS2: the Python minimizers of
+ * Whole runs of basin hopping, CRS2 and ISRES: the Python minimizers of
  * optimizers.py, statement for statement, with the same operations in
  * the same order. An exception of the Python code (_Stop) is a longjmp
  * back to the entry.
@@ -583,6 +560,105 @@ int fpsat_crs2(const char *image, const double *x0, uint64_t *s, int64_t max_eva
     crs2_run(&c, x0, lo, hi, c.r + h.nregs, pool);
     *evals = c.evals;
     free(pool);
+    free(c.r);
+    return c.reason;
+}
+
+/* np.argsort(kind="stable") order of the values: NaN last, ties kept in
+ * index order */
+typedef struct { double v; int i; } ranked_t;
+
+static int by_value(const void *pa, const void *pb) {
+    const ranked_t *a = pa, *b = pb;
+    int a_nan = a->v != a->v, b_nan = b->v != b->v;
+    if (a_nan != b_nan) return a_nan - b_nan;
+    if (!a_nan && a->v != b->v) return a->v < b->v ? -1 : 1;
+    return a->i - b->i;
+}
+
+/* isres_minimize's population and generations, until a longjmp ends it */
+static void isres(run_t *c, const double *x0, double lo, double hi, double *work,
+                  ranked_t *rank) {
+    int n = c->n, lam = 20 * (n + 1), mu = (2 * lam + 7) / 14;  /* round(lam / 7) */
+    int even_n = n + n % 2, width = 2 + 2 * even_n;
+    size_t nn = (size_t)n, nl = (size_t)lam, nm = (size_t)mu;
+    double *pop = work, *sig = pop + nl * nn, *fvals = sig + nl * nn;
+    double *par = fvals + nl, *psig = par + nm * nn, *z = psig + nm * nn;
+    double tau = 1.0 / sqrt(2.0 * sqrt((double)n)), taup = 1.0 / sqrt(2.0 * (double)n);
+    /* the population, as crs2's */
+    for (int j = 0; j < n; j++) pop[j] = x0[j] <= lo ? lo : x0[j] >= hi ? hi : x0[j];
+    fvals[0] = take(c, pop);
+    for (size_t k = nn; k < nl * nn; k++) pop[k] = lo + next_double(c->s) * (hi - lo);
+    for (int i = 1; i < lam; i++) fvals[i] = take(c, pop + (size_t)i * nn);
+    double sig0 = (hi - lo) / sqrt((double)n);
+    for (size_t k = 0; k < nl * nn; k++) sig[k] = sig0;
+    for (;;) {
+        for (int i = 0; i < lam; i++) {
+            rank[i].v = fvals[i];
+            rank[i].i = i;
+        }
+        qsort(rank, nl, sizeof *rank, by_value);
+        for (size_t k = 0; k < nm; k++) {
+            memcpy(par + k * nn, pop + (size_t)rank[k].i * nn, 8 * nn);
+            memcpy(psig + k * nn, sig + (size_t)rank[k].i * nn, 8 * nn);
+        }
+        /* directed differential variation among the elite */
+        for (size_t k = 0; k + 1 < nm; k++)
+            for (size_t j = 0; j < nn; j++) {
+                pop[k * nn + j] = par[k * nn + j] + 0.85 * (par[j] - par[(k + 1) * nn + j]);
+                sig[k * nn + j] = psig[k * nn + j];
+            }
+        /* log-normal step-size mutation: every deviate of the generation
+         * is drawn before its first evaluation */
+        gauss(c->s, z, (nl - (nm - 1)) * (size_t)width);
+        for (size_t k = nm - 1; k < nl; k++) {
+            const double *zk = z + (k - (nm - 1)) * (size_t)width;
+            const double *pk = par + (k % nm) * nn, *sk = psig + (k % nm) * nn;
+            for (int j = 0; j < n; j++) {
+                double s = sk[j] * exp(taup * zk[0] + tau * zk[2 + j]);
+                if (s > hi - lo) s = hi - lo;  /* np.minimum: NaN passes */
+                sig[k * nn + j] = s;
+                pop[k * nn + j] = pk[j] + s * zk[2 + even_n + j];
+            }
+        }
+        for (size_t k = 0; k < nl * nn; k++)
+            pop[k] = pop[k] <= lo ? lo : pop[k] >= hi ? hi : pop[k];
+        for (int i = 0; i < lam; i++) fvals[i] = take(c, pop + (size_t)i * nn);
+    }
+}
+
+/* Runs isres until a longjmp ends it; see bh_run. */
+static void isres_run(run_t *c, const double *x0, double lo, double hi, double *work,
+                      ranked_t *rank) {
+    if (setjmp(c->end) == 0) isres(c, x0, lo, hi, work, rank);
+}
+
+/* isres_minimize from x0 in the box [lo, hi]: lambda = 20 (n + 1)
+ * offspring, the clipped start point then uniform points, then
+ * generations bred from the mu = round(lambda / 7) best, by a
+ * differential step and by log-normal mutation of their step sizes.
+ * Results as fpsat_bh's. */
+int fpsat_isres(const char *image, const double *x0, uint64_t *s, int64_t max_evals,
+                double lo, double hi, const volatile unsigned char *stop, double *best,
+                int64_t *evals, double *points) {
+    run_t c;
+    header h;
+    memcpy(&h, image, sizeof h);
+    size_t nn = (size_t)h.dim, nl = 20 * (nn + 1), nm = (2 * nl + 7) / 14;
+    size_t width = 2 + 2 * (nn + nn % 2);
+    /* population and step sizes, values, parents and their step sizes,
+     * then the generation's deviates */
+    if (start(&c, image, s, max_evals, stop, best, points,
+              2 * nl * nn + nl + 2 * nm * nn + (nl - (nm - 1)) * width) < 0)
+        return -1;
+    ranked_t *rank = malloc(sizeof *rank * nl);
+    if (rank == NULL) {
+        free(c.r);
+        return -1;
+    }
+    isres_run(&c, x0, lo, hi, c.r + h.nregs, rank);
+    *evals = c.evals;
+    free(rank);
     free(c.r);
     return c.reason;
 }

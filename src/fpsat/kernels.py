@@ -11,15 +11,14 @@ leaves `lib` None, and every caller takes its Python path; `reason` says
 why. Nothing here raises.
 
 `ObjectiveProgram.evaluate` calls `fpsat_eval`, and the optimizers call
-the rest: `fpsat_eval_many` for a batch of rows (`optimizers._Run.many`),
-`fpsat_doubles` and `fpsat_gauss` for random draws, and the whole runs of
-basin hopping and CRS2 (`fpsat_bh`, `fpsat_crs2`). The whole runs are
-bound through a `ctypes.CDLL` handle, so they release the interpreter
-lock for the whole run. The other entries are bound through a second,
-`ctypes.PyDLL` handle on the same library, so they keep the lock: each
-takes about a microsecond per point, and releasing the lock that often
-would only interleave the race's threads. All six are attributes of
-`lib`. Tests force the Python path by setting `lib` to None.
+the whole runs of basin hopping, CRS2 and ISRES (`fpsat_bh`,
+`fpsat_crs2`, `fpsat_isres`). The whole runs are bound through a
+`ctypes.CDLL` handle, so they release the interpreter lock for the whole
+run. `fpsat_eval` is bound through a second, `ctypes.PyDLL` handle on the
+same library, so it keeps the lock: it takes about a microsecond, and
+releasing the lock that often would only interleave the race's threads.
+All four are attributes of `lib`. Tests force the Python path by setting
+`lib` to None.
 """
 
 from __future__ import annotations
@@ -47,18 +46,17 @@ _double_p = ctypes.POINTER(ctypes.c_double)
 _int64_p = ctypes.POINTER(ctypes.c_int64)
 _SIGNATURES = {
     "fpsat_eval": (ctypes.c_double, [ctypes.c_char_p, ctypes.c_char_p]),
-    "fpsat_eval_many": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_void_p,
-                                       ctypes.c_int, ctypes.c_void_p]),
-    "fpsat_doubles": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
-    "fpsat_gauss": (None, [_state_p, ctypes.c_void_p, ctypes.c_int]),
     # image, x0, state, max_evals, [lo, hi,] stop byte, best, evals, points
     "fpsat_bh": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
                                 ctypes.c_void_p, _double_p, _int64_p, ctypes.c_void_p]),
     "fpsat_crs2": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
                                   ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
                                   _double_p, _int64_p, ctypes.c_void_p]),
+    "fpsat_isres": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
+                                   ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                                   _double_p, _int64_p, ctypes.c_void_p]),
 }
-_WHOLE_RUNS = ("fpsat_bh", "fpsat_crs2")  # called without the interpreter lock
+_WHOLE_RUNS = ("fpsat_bh", "fpsat_crs2", "fpsat_isres")  # called without the interpreter lock
 
 
 class _Unavailable(Exception):
@@ -168,33 +166,20 @@ def _build(path: Path) -> None:
 def _self_check(candidate) -> None:
     """Compare the candidate with the Python paths, which `load` has
     selected meanwhile, on fixed inputs: a program with all 13 opcodes
-    at special values of both widths, a stream of uniform and Gaussian
-    draws, and short whole runs of basin hopping and CRS2 on that
-    program."""
+    at special values of both widths, and short whole runs of basin
+    hopping, CRS2 and ISRES on that program, which draw uniform and
+    Gaussian deviates."""
     import numpy as np
 
     from .objective import _kernel_check_program
-    from .optimizers import _gauss_rows, _whole_run
+    from .optimizers import _whole_run
     from .rng import Xoshiro256Plus
 
     program, X = _kernel_check_program(), _check_points()
     want = np.array([program.evaluate(x) for x in X])
     got = np.array([candidate.fpsat_eval(program._image, x.tobytes()) for x in X])
-    out = np.empty(len(X))
-    k = candidate.fpsat_eval_many(program._image, X.ctypes.data, len(X), out.ctypes.data)
-    first_zero = np.flatnonzero(want == 0.0)[:1]
-    if (got.tobytes() != want.tobytes() or k != (first_zero[0] + 1 if len(first_zero) else len(X))
-            or out[:k].tobytes() != want[:k].tobytes()):
+    if got.tobytes() != want.tobytes():
         raise _Unavailable("self-check failed: objective values")
-
-    ref, nat = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
-    uniform, gauss = np.empty(9), np.empty(8)
-    candidate.fpsat_doubles(nat._s, uniform.ctypes.data, 9)
-    candidate.fpsat_gauss(nat._s, gauss.ctypes.data, 8)
-    if (uniform.tobytes() != np.array(ref.doubles(9)).tobytes()
-            or gauss.tobytes() != _gauss_rows(ref, 2, 4).tobytes()
-            or nat.state() != ref.state()):
-        raise _Unavailable("self-check failed: random draws")
 
     for entry, row, budget, seed, box, digest in _RUN_CHECKS:
         rng = Xoshiro256Plus(0)
@@ -206,19 +191,25 @@ def _self_check(candidate) -> None:
 
 
 # Short whole runs on the check program from rows of `_check_points`:
-# (entry, row, budget, generator seed, CRS2's box, `_run_digest` of the
-# Python minimizer's run). A Python run of these costs about 1 ms, more
-# than the rest of the check, so the digests are pinned here, and
-# tests/test_kernels.py recomputes them from the Python minimizers.
+# (entry, row, budget, generator seed, the box of CRS2 and ISRES,
+# `_run_digest` of the Python minimizer's run). A Python run of these
+# costs a millisecond or more, more than the rest of the check, so the
+# digests are pinned here, and tests/test_kernels.py recomputes them
+# from the Python minimizers.
 # - a descent from an ordinary point;
 # - basin hopping from a point with a NaN coordinate, where every line
 #   search is rejected and each hop is one evaluation, on the all-zero
 #   generator state (seed None), whose draws are all 0.0: a Metropolis
 #   test with p = 0 then shows whether it is strict;
-# - CRS2 past its initial population of 50.
+# - ISRES through five generations of lambda = 100 after its initial
+#   population, by when its best point shows the differential step, the
+#   step-size cap and the clip;
+# - CRS2 past its initial population of 50. It comes last because its
+#   draws index its pool: draws outside [0, 1) must fail a check before.
 _RUN_CHECKS = (
     ("fpsat_bh", 0, 40, 7, (), 0xABE97D8F),
     ("fpsat_bh", 8, 20, None, (), 0x9F68A2E3),
+    ("fpsat_isres", 0, 600, 7, (-4.0, 4.0), 0x4B7DEBF0),
     ("fpsat_crs2", 0, 60, 7, (-4.0, 4.0), 0xB566AD25),
 )
 

@@ -14,7 +14,7 @@ correctness oracle for these claims and never touches the tape.
 which the native kernels (`kernels.py`, `_kernels.c`) interpret bit for
 bit as `evaluate` does. `evaluate` is a program's one evaluation method;
 the optimizers hand the image to the kernels themselves for their
-batches and whole runs, and add those evaluations with `count_evals`.
+whole runs, and add those evaluations with `count_evals`.
 The Python interpreter of the tape (`_evaluate_tape`) is the reference
 and the fallback: without the kernels, `evaluate` runs it.
 `render_objective_source` writes the same tape as C, one definition per
@@ -254,7 +254,7 @@ class ObjectiveProgram:
 
     def count_evals(self, n: int) -> None:
         """Add n evaluations made outside `evaluate`, such as a native
-        batch's or whole run's."""
+        whole run's."""
         with self._count_lock:
             self._eval_count += n
 

@@ -13,18 +13,16 @@ When the kernels are loaded and `f` is `ObjectiveProgram.evaluate` itself,
 bound to a program of x0's dimension (see `_native_program`), the native
 kernels evaluate in place of the Python code, bit for bit, with the same
 draws and points in the same order, and the program counts what they
-evaluate. Basin hopping and CRS2 then run whole in C (`fpsat_bh`,
-`fpsat_crs2`), without the interpreter lock, if `stop` is None or a
-`StopFlag`, the one-byte flag that a race's threads share: a native run
-polls it before every evaluation. Signal handlers, KeyboardInterrupt
-included, run only once it returns, so without a `StopFlag` to set it
-ends only at its budget or its first zero. Otherwise a population (after
-its start point) and every ISRES generation are one batch (`_Run.many`),
-cut at the remaining budget and after the first zero, with the stop
-polled before it: cancellation comes at most one batch of at most
-20 (n + 1) rows late. Any other `f`, a wrapper of `evaluate` included, is
-called once for every point. The Python code is the reference and the
-fallback.
+evaluate. Basin hopping, CRS2 and ISRES then run whole in C (`fpsat_bh`,
+`fpsat_crs2`, `fpsat_isres`), without the interpreter lock, if `stop` is
+None or a `StopFlag`, the one-byte flag that a race's threads share: a
+native run polls it before every evaluation, so cancellation comes at
+most one evaluation late, as in Python. Signal handlers,
+KeyboardInterrupt included, run only once it returns, so without a
+`StopFlag` to set it ends only at its budget or its first zero. Any other
+`f`, a wrapper of `evaluate` included, or any other `stop`, runs the
+Python code, which calls `f` once for every point. The Python code is
+the reference and the fallback.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -127,33 +125,9 @@ class _Run:
         return self._take(x, self.fn(x))
 
     def many(self, X: np.ndarray) -> list[float]:
-        """Evaluate the rows of X in order, with the rules of `__call__`
-        applied row by row.
-
-        When the kernels can evaluate `fn` (see `_native_program`), the
-        rows are one batch: the stop flag is polled once, rows past the
-        remaining budget or the first zero are not evaluated, and the
-        program counts the rows that were. Otherwise each row, as a list,
-        goes through `__call__`.
-        """
-        program = _native_program(self.fn, X[0])
-        if program is None:
-            return [self(x) for x in X.tolist()]
-        self.poll()
-        room = self.max_evals - self.evals
-        if room <= 0:
-            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
-        rows = np.ascontiguousarray(X[:room])
-        values = np.empty(len(rows))
-        k = kernels.lib.fpsat_eval_many(program._image, rows.ctypes.data, len(rows),
-                                        values.ctypes.data)
-        if k < 0:
-            raise MemoryError("no memory for the objective's registers")
-        program.count_evals(k)
-        values = [self._take(x, v) for x, v in zip(rows, values[:k].tolist())]
-        if len(X) > room:
-            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
-        return values
+        """Evaluate the rows of X in order, each as a list, through
+        `__call__`."""
+        return [self(x) for x in X.tolist()]
 
     def _take(self, x, v: float) -> float:
         """Count one evaluation of x; track the best and stop on a zero."""
@@ -190,8 +164,7 @@ def _native_program(f, x0, stop=None):
     """The program whose evaluations from x0 on the native kernels can
     make in place of `f`, or None: the kernels are loaded, `f` is
     `ObjectiveProgram.evaluate` itself bound to a program of x0's
-    dimension, and `stop` is None or a `StopFlag`. A batch passes no
-    `stop`: Python polls any stop before it."""
+    dimension, and `stop` is None or a `StopFlag`."""
     if kernels.lib is None or getattr(f, "__func__", None) is not _EVALUATE:
         return None
     if stop is not None and not isinstance(stop, StopFlag):
@@ -202,10 +175,10 @@ def _native_program(f, x0, stop=None):
 
 def _whole_run(entry, image: bytes, x0: np.ndarray, max_evals: int, rng: Xoshiro256Plus,
                stop: StopFlag | None, box=(), points: np.ndarray | None = None) -> OptOutcome:
-    """One run of a native entry (`fpsat_bh`, or `fpsat_crs2` with its
-    box) on a program image, advancing `rng`; `points`, if given, is a
-    C-contiguous float array of at least max_evals rows that receives
-    every evaluated point. Counts nothing."""
+    """One run of a native entry (`fpsat_bh`, or `fpsat_crs2` or
+    `fpsat_isres` with its box) on a program image, advancing `rng`;
+    `points`, if given, is a C-contiguous float array of at least
+    max_evals rows that receives every evaluated point. Counts nothing."""
     n = len(x0)
     best = (ctypes.c_double * (n + 1))()  # best_x, then best_value
     evals = ctypes.c_int64()
@@ -258,7 +231,7 @@ def _population(run: _Run, rng: Xoshiro256Plus, x0: np.ndarray, size: int,
                 lo: float, hi: float) -> tuple[np.ndarray, list[float]]:
     """The start point clipped into the box, then size - 1 uniform points,
     with their values. The start point is evaluated first and alone (it is
-    often the zero), the rest as one batch."""
+    often the zero)."""
     n = len(x0)
     pop = np.empty((size, n))
     pop[0] = _clip(x0, lo, hi)
@@ -278,11 +251,6 @@ def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
     transcendental functions are the `math` module's, whose bits numpy's
     vectorized versions do not always reproduce; the native kernels call
     the same libm functions."""
-    lib = kernels.lib
-    if lib is not None:
-        z = np.empty((rows, width))
-        lib.fpsat_gauss(rng._s, z.ctypes.data, rows * width)
-        return z
     d = rng.doubles(rows * width)
     r = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in d[0::2]]))
     angle = [_TWO_PI * u for u in d[1::2]]
@@ -591,18 +559,22 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     violation only where one is nonzero; here every violation is zero, so
     it is a stable sort by objective value and draws no randomness.
 
-    A generation is built whole, then evaluated row by row in order, as
-    one batch where `_Run.many` can. Its first
-    mu - 1 offspring take a directed differential step among the elite;
-    each later one draws, in this order, one normal deviate for its global
-    step factor (the cosine of a Box-Muller pair), n for its step sizes
-    and n for its step (n rounded up to even).
+    A generation is built whole, with every deviate of it drawn, then
+    evaluated row by row in order. Its first mu - 1 offspring take a
+    directed differential step among the elite; each later one draws, in
+    this order, one normal deviate for its global step factor (the cosine
+    of a Box-Muller pair), n for its step sizes and n for its step (n
+    rounded up to even).
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     lo, hi = _bounds(cfg.bounds)
+    program = _native_program(f, x0, stop)
+    if program is not None:
+        return _native(kernels.lib.fpsat_isres, program, x0, _budget(cfg.max_evals), rng,
+                       on_zero, stop, (lo, hi))
     lam = _ISRES_LAMBDA_PER_DIM * (n + 1)
     mu = round(lam / 7)
     drawn = lam - (mu - 1)  # offspring with a random mutation

@@ -5,16 +5,16 @@ alone first: the caller joins it for up to one interpreter switch
 interval before it starts the others, which decides an easy input
 without starting another thread, and an instance that starts after the
 race is decided ends at its first poll, in the starting thread. The
-native whole runs of BH and CRS2 release the interpreter lock, so a
-race uses several cores; on the Python fallback it runs on one. Shared
-state is limited to the immutable program, a stop flag (one byte, which
-the native runs poll too; the caller's, if it passes one), and the
-race's records of stats, the first zero and the first crash. A winning
-zero is claimed at the evaluation that produced it and sets the flag;
-every other instance then performs at most one further evaluation, or
-one batch of them, before observing it. The first zero claimed wins,
-and it is verified in the calling thread. An instance's fixed-seed trajectory is the one it runs alone,
-up to where the race stops it.
+native whole runs of BH, CRS2 and ISRES release the interpreter lock,
+so a race uses several cores; on the Python fallback it runs on one.
+Shared state is limited to the immutable program, a stop flag (one
+byte, which the native runs poll too; the caller's, if it passes one),
+and the race's records of stats, the first zero and the first crash. A
+winning zero is claimed at the evaluation that produced it and sets the
+flag; every other instance then performs at most one further evaluation
+before observing it. The first zero claimed wins, and it is verified in
+the calling thread. An instance's fixed-seed trajectory is the one it
+runs alone, up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
 

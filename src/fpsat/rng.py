@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import ctypes
 
-from . import kernels
-
 __all__ = ["splitmix64_next", "derive_seed", "Xoshiro256Plus"]
 
 _M64 = (1 << 64) - 1
@@ -38,8 +36,8 @@ def derive_seed(seed: int, index: int) -> int:
 class Xoshiro256Plus:
     """xoshiro256+ with a 256-bit state, seeded via splitmix64 expansion.
 
-    The state is one `uint64[4]` buffer that the native kernels advance in
-    place (`kernels.py`); without them the same draws are made in Python.
+    The state is one `uint64[4]` buffer, which the native whole runs
+    (`kernels.py`) advance in place with the same draws.
     """
 
     __slots__ = ("_s",)
@@ -75,11 +73,6 @@ class Xoshiro256Plus:
 
     def doubles(self, k: int) -> list[float]:
         """The next k `next_double()` values, drawn in one loop."""
-        lib = kernels.lib
-        if lib is not None:
-            out = (ctypes.c_double * k)()
-            lib.fpsat_doubles(self._s, out, k)
-            return out[:]
         s = self._s
         s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
         out = [0.0] * k

@@ -163,9 +163,9 @@ def retyped(cls, program: ObjectiveProgram) -> ObjectiveProgram:
 
 
 def batch_values(program, X) -> np.ndarray:
-    """The values that the optimizers' batch route (`optimizers._Run.many`)
-    takes from the rows of X through the program's own `evaluate`, in
-    order, up to and including the first zero, which ends the batch."""
+    """The values that a population's rows take through
+    `optimizers._Run.many` and the program's own `evaluate`, in order, up
+    to and including the first zero, which ends the run."""
     run = _Run(program.evaluate, len(X), None)
     taken = []
     take = run._take
@@ -184,13 +184,16 @@ def batch_values(program, X) -> np.ndarray:
 
 @pytest.fixture
 def crashing_isres(monkeypatch):
-    """Makes ISRES raise RuntimeError("boom at <time.monotonic()>") where
-    it draws its first generation, after its initial population: no
-    other minimizer reaches that point, on either path."""
-    def boom(rng, rows, width):
+    """Makes ISRES raise RuntimeError("boom at <time.monotonic()>"): its
+    native whole run where it is called, and the Python minimizer where
+    it draws its first generation, after its initial population. No other
+    minimizer reaches either point."""
+    def boom(*args):
         raise RuntimeError(f"boom at {time.monotonic()!r}")
 
     monkeypatch.setattr(optimizers, "_gauss_rows", boom)
+    if kernels.lib is not None:
+        monkeypatch.setattr(kernels.lib, "fpsat_isres", boom)
 
 
 def pytest_addoption(parser):

@@ -1,11 +1,11 @@
 """Native kernels: bit identity with the Python paths, and the fallback."""
 
+import math
 import os
 import random
 import shutil
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,11 @@ from fpsat.harness import corpus_dir
 from fpsat.objective import _kernel_check_program, compile_objective
 from fpsat.optimizers import (
     OptimizerConfig,
-    _gauss_rows,
     _native_program,
+    _whole_run,
     basin_hopping,
     crs2_minimize,
+    isres_minimize,
 )
 from fpsat.portfolio import random_start
 from fpsat.rng import Xoshiro256Plus
@@ -66,7 +67,8 @@ def test_objective_matches_python(seed):
     want = [on_python_path(program.evaluate, x) for x in X]
     assert _bits([program.evaluate(x) for x in X]) == _bits(want)
     assert _bits([program.evaluate(x.tolist()) for x in X]) == _bits(want)
-    # the optimizers' batches end at their first zero, on both paths
+    # rows as lists, as the Python population methods take them, up to
+    # the first zero, on both paths
     got_many = batch_values(program, X)
     assert _bits(got_many) == _bits(on_python_path(batch_values, program, X))
     assert _bits(got_many) == _bits(want[:len(got_many)])
@@ -96,28 +98,13 @@ def test_each_operation_rounds_as_python(op, sort):
         assert _bits([got]) == _bits([on_python_path(program.evaluate, [x_, y_])]), (x_, y_)
 
 
-@native
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), ks=st.lists(st.integers(0, 2000), max_size=4),
-       rows=st.integers(0, 40), half_width=st.integers(1, 6))
-def test_random_draws_match_python(seed, ks, rows, half_width):
-    nat, ref = Xoshiro256Plus(seed), Xoshiro256Plus(seed)
-    for k in ks:
-        assert _bits(nat.doubles(k)) == _bits(on_python_path(ref.doubles, k))
-        assert nat.next_u64() == ref.next_u64()
-        assert nat.state() == ref.state()
-    got = _gauss_rows(nat, rows, 2 * half_width)
-    want = on_python_path(_gauss_rows, ref, rows, 2 * half_width)
-    assert got.shape == want.shape == (rows, 2 * half_width)
-    assert got.tobytes() == want.tobytes()
-    assert nat.state() == ref.state()
-
-
-# Programs for the whole runs: the corpus, one whose every start point is
-# a zero, one that holds on x > 0.6 only, which CRS2's start points miss
-# and its initial population hits, and an `or` of eleven distances whose
-# product is about 1e210, so that Powell's extrapolation test squares
-# differences past the binary64 range
+# Programs for the whole runs: the corpus (of one and two variables), one
+# whose every start point is a zero, one that holds on x > 0.6 only, which
+# the start points miss and CRS2's and ISRES's initial populations hit,
+# an `or` of eleven distances whose product is about 1e210, so that
+# Powell's extrapolation test squares differences past the binary64
+# range, and infeasible programs of three and four variables, which give
+# ISRES an odd and an even n
 _WHOLE_RUN_TEXTS = {
     **{path.name: path.read_text() for path in sorted(corpus_dir().glob("*.smt2"))},
     "zero-at-start": "(declare-fun x () Float64)(assert (fp.eq x x))",
@@ -128,6 +115,13 @@ _WHOLE_RUN_TEXTS = {
         "(declare-fun x () Float64)(declare-fun y () Float64)(assert (or "
         + " ".join(f"(fp.lt x ((_ to_fp 11 53) RNE (- {k}.0e300)))" for k in range(1, 11))
         + " (fp.lt y ((_ to_fp 11 53) RNE (- 1.0e300)))))"),
+    "cycle-3": (
+        "(declare-fun a () Float64)(declare-fun b () Float64)(declare-fun c () Float64)"
+        "(assert (and (fp.lt a b) (fp.lt b c) (fp.lt c a)))"),
+    "mixed-4": (
+        "(declare-fun x () Float64)(declare-fun y () Float64)"
+        "(declare-fun u () Float32)(declare-fun w () Float32)"
+        "(assert (and (fp.lt x y) (fp.lt y x) (fp.lt (fp.mul RNE u w) u) (fp.gt w u)))"),
 }
 _WHOLE_RUN_PROGRAMS = {}
 
@@ -144,70 +138,105 @@ def _whole_run_program(source):
     return _WHOLE_RUN_PROGRAMS[source]
 
 
-def _minimize(alg, program, native, budget, bounds, seed, batched):
-    """A run of `alg` from a random start; native, or in the Python
-    minimizer: `batched`, on the program's own `evaluate` with a stop
-    event, which keeps the kernels' batches only, or else through a
-    wrapper, point by point. Returns every observable of the run."""
+_MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
+
+
+def _minimize(alg, program, native, budget, bounds, seed, nan_start):
+    """A run of `alg` from a random start, whose first coordinate is NaN
+    if `nan_start`; native, or in the Python minimizer through a wrapper.
+    Returns every observable of the run and the bytes of every point it
+    evaluated, which natively a second run of the entry writes."""
     rng = Xoshiro256Plus(seed)
     x0 = random_start(program.dimension, rng)
-    f, stop = program.evaluate, None
+    if nan_start:
+        x0[0] = math.nan
+    f, points = program.evaluate, []
     if native:
         assert _native_program(f, x0) is program
-    elif batched:
-        stop = threading.Event()
+        buf, again = np.empty((budget, program.dimension)), Xoshiro256Plus(0)
+        again._s[:] = rng.state()
+        n = _whole_run(getattr(kernels.lib, "fpsat_" + alg), program._image, x0, budget, again,
+                       None, () if alg == "bh" else bounds, buf).evals_used
+        points.append(buf[:n].tobytes())
     else:
         def f(x):
+            points.append(np.asarray(x, dtype=float).tobytes())
             return program.evaluate(x)
     zeros = []
     before = program.eval_count
-    minimize = basin_hopping if alg == "bh" else crs2_minimize
-    out = minimize(f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng, stop=stop,
-                   on_zero=lambda x: zeros.append(x.tobytes()))
+    out = _MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
+                           on_zero=lambda x: zeros.append(x.tobytes()))
     return (out.evals_used, out.terminated_by,
             None if out.best_x is None else out.best_x.tobytes(),
-            _bits([out.best_value]), rng.state(), program.eval_count - before, zeros)
+            _bits([out.best_value]), rng.state(), program.eval_count - before, zeros,
+            b"".join(points))
+
+
+def _isres_example(source, budget, nan_start=False):
+    return example(source=source, alg="isres", budget=budget, bounds=(-1e9, 1e9), seed=3,
+                   nan_start=nan_start)
 
 
 @native
 @settings(max_examples=150, deadline=None)
 @given(source=st.one_of(st.sampled_from(sorted(_WHOLE_RUN_TEXTS)), st.integers(0, 2**32 - 1)),
-       alg=st.sampled_from(["bh", "crs2"]),
-       budget=st.one_of(st.sampled_from([1, 2, 19, 20, 21, 50, 1_000, 3_000]),
+       alg=st.sampled_from(["bh", "crs2", "isres"]),
+       budget=st.one_of(st.sampled_from([1, 2, 19, 20, 21, 40, 41, 50, 1_000, 3_000]),
                         st.integers(1, 3_000)),
        bounds=st.sampled_from([(-1e9, 1e9), (-1.0, 1.0)]),
-       seed=st.integers(0, 2**64 - 1), batched=st.booleans())
+       seed=st.integers(0, 2**64 - 1), nan_start=st.booleans())
 @example(source="zero-at-start", alg="crs2", budget=3_000, bounds=(-1.0, 1.0), seed=1,
-         batched=True)
+         nan_start=False)
 @example(source="zero-in-population", alg="crs2", budget=3_000, bounds=(-1.0, 1.0), seed=1,
-         batched=True)
+         nan_start=False)
 @example(source="infeasible_box.smt2", alg="crs2", budget=7, bounds=(-1e9, 1e9), seed=1,
-         batched=True)
+         nan_start=False)
 @example(source="infeasible_cycle.smt2", alg="crs2", budget=3_000, bounds=(-1.0, 1.0),
-         seed=2, batched=False)
+         seed=2, nan_start=False)
 @example(source="infeasible_cycle.smt2", alg="bh", budget=3_000, bounds=(-1e9, 1e9), seed=2,
-         batched=False)
+         nan_start=False)
 @example(source="overflowing-or", alg="bh", budget=3_000, bounds=(-1e9, 1e9), seed=1,
-         batched=False)
-def test_whole_runs_match_python(source, alg, budget, bounds, seed, batched):
-    # the small budgets cut CRS2's initial population of 10 (n + 1)
+         nan_start=False)
+# ISRES at n = 1, 3 and 4 (lambda = 40, 80 and 100): a budget of 1, a
+# budget that ends one row before, at and one row after a generation,
+# and one that ends in the middle of a generation
+@_isres_example("infeasible_box.smt2", 1)
+@_isres_example("infeasible_box.smt2", 39)
+@_isres_example("infeasible_box.smt2", 40)
+@_isres_example("infeasible_box.smt2", 41)
+@_isres_example("infeasible_box.smt2", 2_980)
+@_isres_example("cycle-3", 79)
+@_isres_example("cycle-3", 80)
+@_isres_example("cycle-3", 81)
+@_isres_example("cycle-3", 1_234)
+@_isres_example("mixed-4", 99)
+@_isres_example("mixed-4", 100)
+@_isres_example("mixed-4", 101)
+@_isres_example("mixed-4", 2_950)
+@_isres_example("zero-in-population", 3_000)
+@_isres_example("overflowing-or", 3_000)
+@_isres_example("infeasible_cycle.smt2", 3_000, nan_start=True)
+def test_whole_runs_match_python(source, alg, budget, bounds, seed, nan_start):
+    # the small budgets cut the initial populations of 10 (n + 1) and
+    # 20 (n + 1) points
     if kernels.lib is None:  # cleared by --kernels=python after collection
         pytest.skip("the native kernels are not in use")
     program = _whole_run_program(source)
     if program is None:
         return
-    got = _minimize(alg, program, True, budget, bounds, seed, batched)
-    assert got == _minimize(alg, program, False, budget, bounds, seed, batched)
+    got = _minimize(alg, program, True, budget, bounds, seed, nan_start)
+    assert got == _minimize(alg, program, False, budget, bounds, seed, nan_start)
 
 
-@pytest.mark.parametrize("check", kernels._RUN_CHECKS, ids=["bh", "bh-metropolis", "crs2"])
+@pytest.mark.parametrize("check", kernels._RUN_CHECKS,
+                         ids=["bh", "bh-metropolis", "isres", "crs2"])
 def test_self_check_runs_are_the_python_runs(check):
     # the load check's pinned digests are what the Python minimizers give
     entry, row, budget, seed, box, digest = check
     program = _kernel_check_program()
     rng = Xoshiro256Plus(0)
     rng._s[:] = (0, 0, 0, 0) if seed is None else Xoshiro256Plus(seed).state()
-    minimize = basin_hopping if entry == "fpsat_bh" else crs2_minimize
+    minimize = _MINIMIZERS[entry.removeprefix("fpsat_")]
     out = on_python_path(minimize, program.evaluate, kernels._check_points()[row],
                          OptimizerConfig(budget, box or (-1e9, 1e9)), rng)
     assert kernels._run_digest(out, rng) == digest
@@ -269,11 +298,16 @@ def test_truncated_library_is_rebuilt(reload, tmp_path):
     ("*d = (float)(a - b);", "*d = a - b;"),
     ("*d = (float)(a * b);", "*d = a * b;"),
     ("*d = (float)(a / b);", "*d = a / b;"),
-    # whole runs: a Metropolis test that accepts at p = 0, and CRS2's
-    # centroid divided by n + 1
+    # whole runs: a Metropolis test that accepts at p = 0, CRS2's
+    # centroid divided by n + 1, ISRES's differential step with another
+    # factor, and its Box-Muller sine and cosine swapped
     ("accept = next_double(c->s) < p;", "accept = next_double(c->s) <= p;"),
     ("total[j] / (double)n", "total[j] / (double)(n + 1)"),
-], ids=["draws", "distances", "add32", "sub32", "mul32", "div32", "metropolis", "centroid"])
+    ("0.85 * (par[j]", "0.86 * (par[j]"),
+    ("out[i] = r * cos(angle);\n        out[i + 1] = r * sin(angle);",
+     "out[i] = r * sin(angle);\n        out[i + 1] = r * cos(angle);"),
+], ids=["draws", "distances", "add32", "sub32", "mul32", "div32", "metropolis", "centroid",
+        "differential", "box-muller"])
 def test_library_failing_the_self_check_is_not_used(reload, tmp_path, wrong):
     source = kernels.SOURCE.read_text()
     assert wrong[0] in source

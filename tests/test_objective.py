@@ -378,8 +378,8 @@ def _assert_batch_matches(program, X):
 
 
 class TestEvaluateMany:
-    """Batches of evaluations, as the population methods make them: one
-    kernel call on the native kernels, row by row on the Python path."""
+    """Rows of evaluations, as the Python population methods make them
+    through `_Run.many`, on either path."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)

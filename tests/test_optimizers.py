@@ -4,6 +4,7 @@ import hashlib
 import math
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,21 +35,6 @@ def native_lib():
     if kernels.lib is None:
         pytest.skip(f"native kernels not in use: {kernels.reason}")
     return kernels.lib
-
-
-def wrap_kernel_batch(monkeypatch, before_each):
-    """Make the native kernels' batch entry (`fpsat_eval_many`) call
-    `before_each(rows)` at the start of every batch; the Python path makes
-    no batches."""
-    lib = kernels.lib
-    if lib is not None:
-        entry = lib.fpsat_eval_many
-
-        def wrapped(image, X, m, out):
-            before_each(m)
-            return entry(image, X, m, out)
-
-        monkeypatch.setattr(lib, "fpsat_eval_many", wrapped)
 
 
 def sphere(x):
@@ -319,47 +305,76 @@ class TestCommonContracts:
         assert out.evals_used == 0
         assert rng.draws <= n
 
-    @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
-    def test_batches_cut_at_the_budget(self, minimize, corpus_path, monkeypatch):
-        # a kernel batch is cut at the remaining budget, so no row past it
-        # is evaluated and the run ends with exactly its budget spent; the
-        # stop event keeps CRS2 off its whole run, so it makes batches too
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_set_stop_flag_ends_a_run_before_any_work(self, minimize, corpus_path):
+        # an instance started after its race was decided, natively where
+        # the kernels are loaded, makes no evaluation and no draw
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
-        rows = []
-        wrap_kernel_batch(monkeypatch, rows.append)
-        for budget in (1, 7, 100, 953):
-            rows.clear()
+        stop = StopFlag()
+        stop.set()
+        rng = Xoshiro256Plus(7)
+        before, state = program.eval_count, rng.state()
+        out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=10_000),
+                       rng, stop=stop)
+        assert out.terminated_by == TerminationReason.CANCELLED
+        assert out.evals_used == 0 == program.eval_count - before
+        assert out.best_x is None
+        assert rng.state() == state
+
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_budget_is_spent_exactly(self, minimize, corpus_path):
+        # on an infeasible program a run, natively where the kernels are
+        # loaded, ends with exactly its budget spent and counted: at and
+        # around ISRES's generations of 40 too
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        for budget in (1, 7, 39, 40, 41, 100, 953):
             before = program.eval_count
             out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=budget),
-                           Xoshiro256Plus(5), stop=threading.Event())
+                           Xoshiro256Plus(5), stop=StopFlag())
             assert out.terminated_by == TerminationReason.BUDGET_EXHAUSTED
             assert out.evals_used == budget == program.eval_count - before
-            assert 1 + sum(rows) <= budget  # the start point is evaluated alone
-            assert bool(rows) == (kernels.lib is not None and budget > 1)
 
-    @pytest.mark.parametrize("minimize", [crs2_minimize, isres_minimize])
-    def test_cancel_between_batches(self, minimize, corpus_path, monkeypatch, native_lib):
-        # the stop flag is polled before each batch: set inside one, it
-        # ends the run before the next
-        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
-        stop = threading.Event()
-        rows = []
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_cancel_is_at_most_one_evaluation_late(self, minimize, corpus_path):
+        # a stop set during the k-th evaluation ends the run before the
+        # next one. In Python the objective sets it. Natively the stop
+        # byte is a nonzero byte of the k-th row of the run's own points
+        # buffer, which the k-th evaluation writes; the native run must
+        # end where the Python run ends, with the same draws
+        program = build_problem((corpus_path / "infeasible_cycle.smt2").read_text()).program
+        x0, budget = np.array([0.1, -0.3]), 10_000
+        box = () if minimize is basin_hopping else (-1e9, 1e9)
+        for k in (1, 5, 41, 137):
+            stop, calls = threading.Event(), []
 
-        def before_each(m):
-            rows.append(m)
-            stop.set()
+            def f(x):
+                calls.append(1)
+                if len(calls) == k:
+                    stop.set()
+                return program.evaluate(x)
 
-        wrap_kernel_batch(monkeypatch, before_each)
-        out = minimize(program.evaluate, np.array([0.1]), OptimizerConfig(max_evals=10_000),
-                       Xoshiro256Plus(5), stop=stop)
-        assert out.terminated_by == TerminationReason.CANCELLED
-        assert len(rows) == 1
-        assert out.evals_used == 1 + rows[0]
+            rng = Xoshiro256Plus(5)
+            out = minimize(f, x0, OptimizerConfig(max_evals=budget), rng, stop=stop)
+            assert out.terminated_by == TerminationReason.CANCELLED
+            assert out.evals_used == k == len(calls)
+            if kernels.lib is None:
+                continue
+            entry = getattr(kernels.lib, _ENTRIES[minimize])
+            points = np.zeros((k, 2))
+            _whole_run(entry, program._image, x0, k, Xoshiro256Plus(5), None, box, points)
+            offset = next(i for i, b in enumerate(points[k - 1].tobytes()) if b)
+            points = np.zeros((budget, 2))
+            byte = SimpleNamespace(address=points[k - 1].ctypes.data + offset)
+            nat_rng = Xoshiro256Plus(5)
+            got = _whole_run(entry, program._image, x0, budget, nat_rng, byte, box, points)
+            assert (got.terminated_by, got.evals_used, got.best_value, got.best_x.tobytes(),
+                    nat_rng.state()) == (out.terminated_by, out.evals_used, out.best_value,
+                                         out.best_x.tobytes(), rng.state())
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_wrapper_sees_every_evaluation(self, minimize, corpus_path):
         # an objective that is not the program's own `evaluate` is called
-        # once per evaluation, in the population methods' batches too
+        # once per evaluation, in the population methods' populations too
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
         calls = []
 
@@ -373,7 +388,7 @@ class TestCommonContracts:
         assert out.terminated_by == TerminationReason.BUDGET_EXHAUSTED
         assert len(calls) == out.evals_used == program.eval_count - before == 953
 
-    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize])
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_stop_flag_ends_a_long_run(self, minimize, corpus_path):
         # natively, without the interpreter lock, the run polls the byte
         # before every evaluation: it ends within 50 ms of the flag
@@ -445,8 +460,8 @@ class TestCommonContracts:
 # SHA-256 of the evaluated points (binary64 bytes, in order), evals_used,
 # best_value and best_x of fixed-seed runs: 3,000 evaluations in the default
 # box, seed 2024, the start point drawn first from the same stream. Taken
-# from the point-by-point implementation, so the batched population path
-# must reproduce its trajectories bit for bit.
+# from the point-by-point implementation, which every later path, the
+# native whole runs included, must reproduce bit for bit.
 GOLDEN = {
     ("infeasible_box.smt2", "bh"): (
         "59adbc375126b9e951f570730ef8edf96ddbadc5e0d6d782d164647b9bfddf67",
@@ -468,20 +483,21 @@ GOLDEN = {
         1321, "0x0.0p+0", "7d0981b58affffbf"),
 }
 MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
+_ENTRIES = {basin_hopping: "fpsat_bh", crs2_minimize: "fpsat_crs2",
+            isres_minimize: "fpsat_isres"}
 
 
-@pytest.mark.parametrize("name,alg", [k for k in GOLDEN if k[1] != "isres"],
-                         ids=[f"{n}-{a}" for n, a in GOLDEN if a != "isres"])
+@pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
 def test_golden_trajectory_native(name, alg, native_lib):
     # the native whole run, its points from the entry's buffer; the
     # minimizer's own dispatch makes the same run and counts it
     program = build_problem((corpus_dir() / name).read_text()).program
-    entry = {"bh": native_lib.fpsat_bh, "crs2": native_lib.fpsat_crs2}[alg]
+    entry = getattr(native_lib, _ENTRIES[MINIMIZERS[alg]])
     rng, rng2 = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
     x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
     rng2._s[:] = rng.state()
     points = np.empty((3_000, program.dimension))
-    box = (-1e9, 1e9) if alg == "crs2" else ()
+    box = () if alg == "bh" else (-1e9, 1e9)
     out = _whole_run(entry, program._image, x0, 3_000, rng, None, box, points)
     got = (hashlib.sha256(points[:out.evals_used].tobytes()).hexdigest(), out.evals_used,
            out.best_value.hex(), out.best_x.tobytes().hex())
@@ -497,10 +513,11 @@ def test_golden_trajectory_native(name, alg, native_lib):
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])
 @pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
 def test_golden_trajectory(name, alg, batched, monkeypatch):
-    # batched: the program's own `evaluate`, whose populations and
-    # generations are kernel batches, with a stop event, which keeps BH
-    # and CRS2 in Python; the points are read where the run takes each
-    # value. per-point: a wrapper that reads them
+    # batched: the program's own `evaluate` with a stop event, which
+    # keeps every minimizer in Python, on the native tape where it is
+    # loaded; the points are read where the run takes each value, the
+    # rows of a population and a generation (`_Run.many`) included.
+    # per-point: a wrapper that reads them
     program = build_problem((corpus_dir() / name).read_text()).program
     digest = hashlib.sha256()
 

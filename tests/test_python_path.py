@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("test_objective.py", {}),
     ("test_optimizers.py", {}),
     ("test_rng.py", {}),
-    # the crash seam, `optimizers._gauss_rows`, is on both paths
+    # `crashing_isres` crashes the Python ISRES at `optimizers._gauss_rows`
     ("test_portfolio.py::TestCrashedInstance", {}),
     # numpy's vectorized transcendentals take other code paths, with other
     # last bits, on CPUs without these features; the trajectories must not
