@@ -1,8 +1,8 @@
 /* Native kernels of fpsat, bit for bit with the Python reference paths:
  *   fpsat_eval       ObjectiveProgram.evaluate on one point
- *   fpsat_bh         optimizers.basin_hopping, a whole run
- *   fpsat_crs2       optimizers.crs2_minimize, a whole run
- *   fpsat_isres      optimizers.isres_minimize, a whole run
+ *   fpsat_race_*     a race of whole runs of optimizers.basin_hopping,
+ *                    crs2_minimize and isres_minimize, each job on a
+ *                    pthread of its own or in the calling thread
  * fpsat/kernels.py compiles this file once with KERNEL_CFLAGS and calls it
  * through ctypes. A program is the immutable image that
  * objective._Compiler emits (all integers int32, all values binary64):
@@ -14,11 +14,17 @@
  *   literals  nlits x (comparison, negated, width)
  * A binary32 register holds a binary64 value that is exact in binary32.
  */
+#define _GNU_SOURCE  /* pthreads, CPU affinity, clock_gettime, posix_memalign */
+#include <errno.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <setjmp.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* BEGIN distance rule */
 static double theta32(float a, float b) {
@@ -167,10 +173,10 @@ static void gauss(uint64_t *s, double *out, size_t k) {
  * Whole runs of basin hopping, CRS2 and ISRES: the Python minimizers of
  * optimizers.py, statement for statement, with the same operations in
  * the same order. An exception of the Python code (_Stop) is a longjmp
- * back to the entry.
+ * back to dispatch.
  * ------------------------------------------------------------------------ */
 
-enum { ZERO_FOUND, BUDGET_EXHAUSTED, CANCELLED };  /* the entries' results */
+enum { ZERO_FOUND, BUDGET_EXHAUSTED, CANCELLED };  /* a whole run's results */
 
 /* optimizers._Run: the budget, the stop byte and the running best */
 typedef struct {
@@ -394,11 +400,9 @@ static double powell(run_t *c, powell_t *w, double *x) {
     return fx;
 }
 
-/* Sets up a run with scratch for the registers and `scratch` more
- * values; -1 if they cannot be allocated. */
-static int start(run_t *c, const char *image, uint64_t *s, int64_t max_evals,
-                 const volatile unsigned char *stop, double *best, double *points,
-                 size_t scratch) {
+/* Sets up a run over the registers r */
+static void init(run_t *c, const char *image, uint64_t *s, int64_t max_evals,
+                 const volatile unsigned char *stop, double *best, double *points, double *r) {
     memcpy(&c->h, image, sizeof c->h);
     c->image = image;
     c->n = c->h.dim;
@@ -409,8 +413,7 @@ static int start(run_t *c, const char *image, uint64_t *s, int64_t max_evals,
     c->points = points;
     c->s = s;
     c->reason = BUDGET_EXHAUSTED;
-    c->r = malloc(8 * ((size_t)c->h.nregs + scratch));
-    return c->r == NULL ? -1 : 0;
+    c->r = r;
 }
 
 /* basin_hopping's loop, until a longjmp ends it */
@@ -438,33 +441,6 @@ static void bh(run_t *c, const double *x0, double *work) {
             fx = ft;
         }
     }
-}
-
-/* Runs bh until a longjmp ends it. The setjmp is here, so the run state
- * is not a local of the function that calls setjmp, whose changed
- * non-volatile locals are indeterminate after the longjmp (C11 7.13.2.1). */
-static void bh_run(run_t *c, const double *x0, double *work) {
-    if (setjmp(c->end) == 0) bh(c, x0, work);
-}
-
-/* basin_hopping from x0: Powell descents from uniform steps of at most
- * 0.5 per coordinate, accepted by the Metropolis test. Writes the
- * evaluations made to *evals and the best point and its value to
- * best[0..n]; every evaluated point goes to points (max_evals rows) if it
- * is not NULL. Returns ZERO_FOUND, BUDGET_EXHAUSTED or CANCELLED, or -1
- * if the scratch cannot be allocated. */
-int fpsat_bh(const char *image, const double *x0, uint64_t *s, int64_t max_evals,
-             const volatile unsigned char *stop, double *best, int64_t *evals,
-             double *points) {
-    run_t c;
-    header h;
-    memcpy(&h, image, sizeof h);
-    size_t nn = (size_t)h.dim;
-    if (start(&c, image, s, max_evals, stop, best, points, nn * nn + 6 * nn) < 0) return -1;
-    bh_run(&c, x0, c.r + h.nregs);
-    *evals = c.evals;
-    free(c.r);
-    return c.reason;
 }
 
 /* crs2_minimize's population and steady state, until a longjmp ends it */
@@ -531,39 +507,6 @@ static void crs2(run_t *c, const double *x0, double lo, double hi, double *work,
     }
 }
 
-/* Runs crs2 until a longjmp ends it; see bh_run. */
-static void crs2_run(run_t *c, const double *x0, double lo, double hi, double *work,
-                     int *pool) {
-    if (setjmp(c->end) == 0) crs2(c, x0, lo, hi, work, pool);
-}
-
-/* crs2_minimize from x0 in the box [lo, hi]: a population of 10 (n + 1),
- * the clipped start point then uniform points, then reflections of a
- * random simplex led by the best point, with local mutation where a
- * reflection fails. Results as fpsat_bh's. */
-int fpsat_crs2(const char *image, const double *x0, uint64_t *s, int64_t max_evals,
-               double lo, double hi, const volatile unsigned char *stop, double *best,
-               int64_t *evals, double *points) {
-    run_t c;
-    header h;
-    memcpy(&h, image, sizeof h);
-    size_t nn = (size_t)h.dim, ns = 10 * (nn + 1);
-    /* the population and its values, total, trial and mutated; then the
-     * pool and the chosen indices */
-    if (start(&c, image, s, max_evals, stop, best, points, ns * nn + ns + 3 * nn) < 0)
-        return -1;
-    int *pool = malloc(sizeof *pool * (ns + nn + 1));
-    if (pool == NULL) {
-        free(c.r);
-        return -1;
-    }
-    crs2_run(&c, x0, lo, hi, c.r + h.nregs, pool);
-    *evals = c.evals;
-    free(pool);
-    free(c.r);
-    return c.reason;
-}
-
 /* np.argsort(kind="stable") order of the values: NaN last, ties kept in
  * index order */
 typedef struct { double v; int i; } ranked_t;
@@ -627,38 +570,303 @@ static void isres(run_t *c, const double *x0, double lo, double hi, double *work
     }
 }
 
-/* Runs isres until a longjmp ends it; see bh_run. */
-static void isres_run(run_t *c, const double *x0, double lo, double hi, double *work,
-                      ranked_t *rank) {
-    if (setjmp(c->end) == 0) isres(c, x0, lo, hi, work, rank);
+/* ------------------------------------------------------------------------
+ * The race: whole runs of basin hopping, CRS2 and ISRES as its jobs, each
+ * on a pthread of its own or in the calling thread
+ * ------------------------------------------------------------------------ */
+
+enum { BH, CRS2, ISRES };  /* a job's algorithm (optimizers._ALGORITHM_CODES) */
+
+/* Runs alg until a longjmp ends it. The setjmp is here, so the run state
+ * is not a local of the function that calls setjmp, whose changed
+ * non-volatile locals are indeterminate after the longjmp (C11 7.13.2.1). */
+static void dispatch(run_t *c, int alg, const double *x0, double lo, double hi,
+                     double *work, void *index) {
+    if (setjmp(c->end) != 0) return;
+    if (alg == BH)
+        bh(c, x0, work);
+    else if (alg == CRS2)
+        crs2(c, x0, lo, hi, work, index);
+    else
+        isres(c, x0, lo, hi, work, index);
 }
 
-/* isres_minimize from x0 in the box [lo, hi]: lambda = 20 (n + 1)
- * offspring, the clipped start point then uniform points, then
- * generations bred from the mu = round(lambda / 7) best, by a
- * differential step and by log-normal mutation of their step sizes.
- * Results as fpsat_bh's. */
-int fpsat_isres(const char *image, const double *x0, uint64_t *s, int64_t max_evals,
-                double lo, double hi, const volatile unsigned char *stop, double *best,
-                int64_t *evals, double *points) {
-    run_t c;
+/* A whole run from x0, advancing the generator state s[4]:
+ * - BH, basin_hopping: Powell descents from uniform steps of at most 0.5
+ *   per coordinate, accepted by the Metropolis test;
+ * - CRS2, crs2_minimize in the box [lo, hi]: a population of 10 (n + 1),
+ *   the clipped start point then uniform points, then reflections of a
+ *   random simplex led by the best point, with local mutation where a
+ *   reflection fails;
+ * - ISRES, isres_minimize in the box [lo, hi]: lambda = 20 (n + 1)
+ *   offspring, the clipped start point then uniform points, then
+ *   generations bred from the mu = round(lambda / 7) best, by a
+ *   differential step and by log-normal mutation of their step sizes.
+ * Writes the evaluations made to *evals and the best point and its value
+ * to best[0..n]; every evaluated point goes to points (max_evals rows) if
+ * it is not NULL. Returns ZERO_FOUND, BUDGET_EXHAUSTED or CANCELLED, or
+ * -1 if its scratch cannot be allocated. While it runs, its generator
+ * state and run state sit on this thread's stack, and its registers and
+ * running best in a scratch block of whole cache lines, so that it shares
+ * no cache line that it writes with a job on another thread. */
+static int whole_run(int alg, const char *image, const double *x0, uint64_t *s,
+                     int64_t max_evals, double lo, double hi,
+                     const volatile unsigned char *stop, double *best, int64_t *evals,
+                     double *points) {
     header h;
     memcpy(&h, image, sizeof h);
-    size_t nn = (size_t)h.dim, nl = 20 * (nn + 1), nm = (2 * nl + 7) / 14;
-    size_t width = 2 + 2 * (nn + nn % 2);
-    /* population and step sizes, values, parents and their step sizes,
-     * then the generation's deviates */
-    if (start(&c, image, s, max_evals, stop, best, points,
-              2 * nl * nn + nl + 2 * nm * nn + (nl - (nm - 1)) * width) < 0)
-        return -1;
-    ranked_t *rank = malloc(sizeof *rank * nl);
-    if (rank == NULL) {
-        free(c.r);
-        return -1;
+    size_t nn = (size_t)h.dim, work, index;  /* scratch in doubles, then in bytes */
+    if (alg == BH) {
+        /* Powell's directions and vectors, then the point and the trial */
+        work = nn * nn + 6 * nn;
+        index = 0;
+    } else if (alg == CRS2) {
+        /* the population and its values, total, trial and mutated; then
+         * the pool and the chosen indices */
+        size_t ns = 10 * (nn + 1);
+        work = ns * nn + ns + 3 * nn;
+        index = sizeof(int) * (ns + nn + 1);
+    } else {
+        /* population and step sizes, values, parents and their step
+         * sizes, then the generation's deviates; then the ranking */
+        size_t nl = 20 * (nn + 1), nm = (2 * nl + 7) / 14, width = 2 + 2 * (nn + nn % 2);
+        work = 2 * nl * nn + nl + 2 * nm * nn + (nl - (nm - 1)) * width;
+        index = sizeof(ranked_t) * nl;
     }
-    isres_run(&c, x0, lo, hi, c.r + h.nregs, rank);
+    /* the registers and the running best before the scratch */
+    size_t size = 8 * ((size_t)h.nregs + nn + 1 + work) + index;
+    void *block;
+    if (posix_memalign(&block, 64, (size + 63) & ~(size_t)63) != 0) return -1;
+    double *r = block, *run_best = r + h.nregs, *w = run_best + nn + 1;
+    uint64_t state[4];
+    memcpy(state, s, sizeof state);
+    run_t c;
+    init(&c, image, state, max_evals, stop, run_best, points, r);
+    dispatch(&c, alg, x0, lo, hi, w, w + work);
+    memcpy(s, state, sizeof state);
+    memcpy(best, run_best, 8 * (nn + 1));
     *evals = c.evals;
-    free(rank);
-    free(c.r);
+    free(block);
     return c.reason;
+}
+
+typedef struct race race_t;
+
+/* A job's slot: one cache line of its own */
+typedef struct {
+    race_t *race;
+    int i, threaded;
+    pthread_t thread;
+} __attribute__((aligned(64))) job_t;
+
+/* See fpsat_race_new. `running` counts the jobs' threads that have not
+ * ended; it and `winner` are guarded by `lock`. */
+struct race {
+    const char *image;
+    int n, njobs, started, running, winner, ncpus;
+    const unsigned char *algs;
+    const double *x0s;
+    uint64_t *states;
+    int64_t max_evals;
+    double lo, hi;
+    volatile unsigned char *stop;
+    double *best, *times, *points;
+    int64_t *results;
+    cpu_set_t cpus;  /* where the caller may run */
+    pthread_mutex_t lock;
+    pthread_cond_t ended;
+    job_t jobs[];
+};
+
+/* CLOCK_MONOTONIC, the clock of Python's time.perf_counter, in seconds */
+static double now(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* Records that job i ended with code after evals evaluations, between
+ * times t0 and now. A zero is claimed under the lock, and the first
+ * claimed wins; a zero or a failure ends the other jobs through the stop
+ * byte. */
+static void job_ended(race_t *race, int i, int code, int64_t evals, double t0) {
+    if (code == ZERO_FOUND) {
+        pthread_mutex_lock(&race->lock);
+        if (race->winner < 0) race->winner = i;
+        pthread_mutex_unlock(&race->lock);
+    }
+    if ((code == ZERO_FOUND || code < 0) && race->njobs > 1 && race->stop != NULL)
+        *race->stop = 1;
+    race->results[2 * i] = code;
+    race->results[2 * i + 1] = evals;
+    race->times[2 * i] = t0;
+    race->times[2 * i + 1] = now();
+}
+
+static void run_job(race_t *race, int i) {
+    size_t n = (size_t)race->n, k = (size_t)i;
+    double t0 = now();
+    int64_t evals = 0;
+    int code = whole_run(race->algs[i], race->image, race->x0s + k * n, race->states + 4 * k,
+                         race->max_evals, race->lo, race->hi, race->stop,
+                         race->best + k * (n + 1), &evals,
+                         race->points == NULL ? NULL
+                                              : race->points + k * (size_t)race->max_evals * n);
+    job_ended(race, i, code, evals, t0);
+}
+
+static void thread_ended(race_t *race) {
+    pthread_mutex_lock(&race->lock);
+    if (--race->running == 0) pthread_cond_broadcast(&race->ended);
+    pthread_mutex_unlock(&race->lock);
+}
+
+static void *job_thread(void *arg) {
+    job_t *job = arg;
+    race_t *race = job->race;
+    if (race->ncpus > 1) pthread_setaffinity_np(pthread_self(), sizeof race->cpus, &race->cpus);
+    run_job(race, job->i);
+    thread_ended(race);
+    return NULL;
+}
+
+/* Starts job i's thread on the (i mod ncpus)-th of the caller's CPUs, so
+ * that jobs started together start on different CPUs; the thread then
+ * may run on any of them. A new thread otherwise starts on its creator's
+ * CPU, where, on hosts whose CPUs share no cache (some virtual machines),
+ * it waits behind the job started before it until the scheduler balances
+ * its load, milliseconds later: longer than many a whole race. */
+static int spawn(race_t *race, job_t *job) {
+    if (race->ncpus > 1) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        for (int cpu = 0, k = job->i % race->ncpus; cpu < CPU_SETSIZE; cpu++)
+            if (CPU_ISSET(cpu, &race->cpus) && k-- == 0) {
+                CPU_SET(cpu, &one);
+                break;
+            }
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+        int err = pthread_create(&job->thread, &attr, job_thread, job);
+        pthread_attr_destroy(&attr);
+        if (err == 0) return 0;
+    }
+    return pthread_create(&job->thread, NULL, job_thread, job);
+}
+
+/* A race of njobs whole runs on one program image, none started yet, or
+ * NULL if it cannot be allocated. Job i runs algs[i] (BH, CRS2 or ISRES)
+ * from x0s[i n ..] with the generator state states[4 i ..], within
+ * max_evals evaluations and, for CRS2 and ISRES, the box [lo, hi],
+ * polling the stop byte (NULL: never stopped) before every evaluation.
+ * When it ends it leaves its generator state in states, its best point
+ * and value in best[i (n + 1) ..], its code (as whole_run's) and its
+ * evaluations in results[2 i] and results[2 i + 1], and when it began and
+ * ended in times[2 i] and times[2 i + 1]. Its evaluated points go to
+ * points[i max_evals n ..] if points is not NULL. Every buffer must
+ * outlive the race. */
+race_t *fpsat_race_new(const char *image, int njobs, const unsigned char *algs,
+                       const double *x0s, uint64_t *states, int64_t max_evals, double lo,
+                       double hi, volatile unsigned char *stop, double *best,
+                       int64_t *results, double *times, double *points) {
+    void *block;
+    if (posix_memalign(&block, 64, sizeof(race_t) + sizeof(job_t) * (size_t)njobs) != 0)
+        return NULL;
+    race_t *race = block;
+    header h;
+    memcpy(&h, image, sizeof h);
+    race->image = image;
+    race->n = h.dim;
+    race->njobs = njobs;
+    race->started = race->running = 0;
+    race->winner = -1;
+    race->algs = algs;
+    race->x0s = x0s;
+    race->states = states;
+    race->max_evals = max_evals;
+    race->lo = lo;
+    race->hi = hi;
+    race->stop = stop;
+    race->best = best;
+    race->times = times;
+    race->points = points;
+    race->results = results;
+    race->ncpus = sched_getaffinity(0, sizeof race->cpus, &race->cpus) == 0
+                      ? CPU_COUNT(&race->cpus) : 1;
+    pthread_condattr_t attr;
+    pthread_condattr_init(&attr);
+    pthread_condattr_setclock(&attr, CLOCK_MONOTONIC);
+    pthread_cond_init(&race->ended, &attr);
+    pthread_condattr_destroy(&attr);
+    pthread_mutex_init(&race->lock, NULL);
+    return race;
+}
+
+/* Starts the next count jobs, each on a thread of its own if threaded is
+ * nonzero and the stop byte is clear, else in this thread, where a job
+ * started after the stop byte is set ends at its first poll. The jobs'
+ * threads block every signal, so that signals reach the caller's. A job
+ * whose thread cannot be started fails as if its scratch could not be
+ * allocated. */
+void fpsat_race_start(race_t *race, int count, int threaded) {
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (; count > 0 && race->started < race->njobs; count--) {
+        int i = race->started++;
+        job_t *job = &race->jobs[i];
+        job->race = race;
+        job->i = i;
+        job->threaded = threaded && (race->stop == NULL || !*race->stop);
+        if (!job->threaded) {
+            run_job(race, i);
+            continue;
+        }
+        pthread_mutex_lock(&race->lock);
+        race->running++;
+        pthread_mutex_unlock(&race->lock);
+        if (spawn(race, job) != 0) {
+            job->threaded = 0;
+            job_ended(race, i, -1, 0, now());
+            thread_ended(race);
+        }
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+/* Waits up to timeout seconds for every job started on a thread to end;
+ * 1 if they have, else 0. */
+int fpsat_race_wait(race_t *race, double timeout) {
+    struct timespec until;
+    clock_gettime(CLOCK_MONOTONIC, &until);
+    if (timeout > 0.0) {
+        double whole = floor(timeout);
+        until.tv_sec += (time_t)whole;
+        until.tv_nsec += (long)((timeout - whole) * 1e9);
+        if (until.tv_nsec >= 1000000000L) {
+            until.tv_sec++;
+            until.tv_nsec -= 1000000000L;
+        }
+    }
+    pthread_mutex_lock(&race->lock);
+    while (race->running > 0
+           && pthread_cond_timedwait(&race->ended, &race->lock, &until) != ETIMEDOUT) {
+    }
+    int done = race->running == 0;
+    pthread_mutex_unlock(&race->lock);
+    return done;
+}
+
+/* Joins the race's threads, which end at their next poll once the stop
+ * byte is set, and frees the race; returns the index of the job whose
+ * zero won, or -1. */
+int fpsat_race_end(race_t *race) {
+    for (int i = 0; i < race->started; i++)
+        if (race->jobs[i].threaded) pthread_join(race->jobs[i].thread, NULL);
+    int winner = race->winner;
+    pthread_cond_destroy(&race->ended);
+    pthread_mutex_destroy(&race->lock);
+    free(race);
+    return winner;
 }

@@ -10,15 +10,22 @@ missing compiler, an unwritable cache, a load error or a failed check
 leaves `lib` None, and every caller takes its Python path; `reason` says
 why. Nothing here raises.
 
-`ObjectiveProgram.evaluate` calls `fpsat_eval`, and the optimizers call
-the whole runs of basin hopping, CRS2 and ISRES (`fpsat_bh`,
-`fpsat_crs2`, `fpsat_isres`). The whole runs are bound through a
-`ctypes.CDLL` handle, so they release the interpreter lock for the whole
-run. `fpsat_eval` is bound through a second, `ctypes.PyDLL` handle on the
-same library, so it keeps the lock: it takes about a microsecond, and
-releasing the lock that often would only interleave the race's threads.
-All four are attributes of `lib`. Tests force the Python path by setting
-`lib` to None.
+`ObjectiveProgram.evaluate` calls `fpsat_eval`. The whole runs of basin
+hopping, CRS2 and ISRES are the jobs of a race (`fpsat_race_new`,
+`fpsat_race_start`, `fpsat_race_wait`, `fpsat_race_end`): the portfolio
+runs each job of a race on a pthread of its own, and a minimizer's
+native dispatch runs its one job in the calling thread. The race's
+entries are bound through a `ctypes.CDLL` handle, so each releases the
+interpreter lock while it runs, and the race's threads never take it.
+The jobs' threads block every signal, so Ctrl-C lands in the calling
+thread, whose handler runs once `fpsat_race_wait` (a bounded wait)
+returns; a stop byte set from any thread reaches every job at its next
+evaluation.
+`fpsat_eval` is bound through a second, `ctypes.PyDLL` handle on the same
+library, so it keeps the lock: it takes about a microsecond, and
+releasing the lock that often would only interleave the threads of a
+Python race. All five are attributes of `lib`. Tests force the Python
+path by setting `lib` to None.
 """
 
 from __future__ import annotations
@@ -34,29 +41,26 @@ __all__ = ["KERNEL_CFLAGS", "SOURCE", "lib", "reason", "load", "status", "cache_
 # gcc flags for the kernels and for `render_objective_source`'s output:
 # no contraction of a * b + c into a fused multiply-add, no fast math and
 # no -march, so that every operation rounds as the Python path's does
-KERNEL_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+KERNEL_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
 lib = None  # the loaded kernels, or None: the Python path
 reason: str | None = None  # why `lib` is None after `load()`
 
-_state_p = ctypes.POINTER(ctypes.c_uint64)
-_double_p = ctypes.POINTER(ctypes.c_double)
-_int64_p = ctypes.POINTER(ctypes.c_int64)
 _SIGNATURES = {
     "fpsat_eval": (ctypes.c_double, [ctypes.c_char_p, ctypes.c_char_p]),
-    # image, x0, state, max_evals, [lo, hi,] stop byte, best, evals, points
-    "fpsat_bh": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
-                                ctypes.c_void_p, _double_p, _int64_p, ctypes.c_void_p]),
-    "fpsat_crs2": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
-                                  ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                                  _double_p, _int64_p, ctypes.c_void_p]),
-    "fpsat_isres": (ctypes.c_int, [ctypes.c_char_p, ctypes.c_char_p, _state_p, ctypes.c_int64,
-                                   ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                                   _double_p, _int64_p, ctypes.c_void_p]),
+    # image, jobs, algorithms, start points, generator states, max_evals,
+    # lo, hi, stop byte, best, (code, evals), (start, end) times, points
+    "fpsat_race_new": (ctypes.c_void_p, [
+        ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_void_p,
+        ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_void_p, ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
+        ctypes.POINTER(ctypes.c_double), ctypes.c_void_p]),
+    "fpsat_race_start": (None, [ctypes.c_void_p, ctypes.c_int, ctypes.c_int]),
+    "fpsat_race_wait": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_double]),
+    "fpsat_race_end": (ctypes.c_int, [ctypes.c_void_p]),
 }
-_WHOLE_RUNS = ("fpsat_bh", "fpsat_crs2", "fpsat_isres")  # called without the interpreter lock
 
 
 class _Unavailable(Exception):
@@ -129,7 +133,7 @@ def _open(path: Path):
     handle = ctypes.PyDLL(str(path))
     unlocked = ctypes.CDLL(str(path))
     for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(unlocked if name in _WHOLE_RUNS else handle, name)
+        fn = getattr(handle if name == "fpsat_eval" else unlocked, name)
         fn.restype, fn.argtypes = restype, argtypes
         setattr(handle, name, fn)
     return handle
@@ -168,7 +172,8 @@ def _self_check(candidate) -> None:
     selected meanwhile, on fixed inputs: a program with all 13 opcodes
     at special values of both widths, and short whole runs of basin
     hopping, CRS2 and ISRES on that program, which draw uniform and
-    Gaussian deviates."""
+    Gaussian deviates; each runs as the one job of a race, in this
+    thread."""
     import numpy as np
 
     from .objective import _kernel_check_program
@@ -181,17 +186,16 @@ def _self_check(candidate) -> None:
     if got.tobytes() != want.tobytes():
         raise _Unavailable("self-check failed: objective values")
 
-    for entry, row, budget, seed, box, digest in _RUN_CHECKS:
+    for alg, row, budget, seed, box, digest in _RUN_CHECKS:
         rng = Xoshiro256Plus(0)
         rng._s[:] = (0, 0, 0, 0) if seed is None else Xoshiro256Plus(seed).state()
-        out = _whole_run(getattr(candidate, entry), program._image, X[row], budget, rng,
-                         None, box)
+        out = _whole_run(alg, program._image, X[row], budget, rng, None, box, lib=candidate)
         if _run_digest(out, rng) != digest:
             raise _Unavailable("self-check failed: whole runs")
 
 
 # Short whole runs on the check program from rows of `_check_points`:
-# (entry, row, budget, generator seed, the box of CRS2 and ISRES,
+# (algorithm, row, budget, generator seed, the box of CRS2 and ISRES,
 # `_run_digest` of the Python minimizer's run). A Python run of these
 # costs a millisecond or more, more than the rest of the check, so the
 # digests are pinned here, and tests/test_kernels.py recomputes them
@@ -207,10 +211,10 @@ def _self_check(candidate) -> None:
 # - CRS2 past its initial population of 50. It comes last because its
 #   draws index its pool: draws outside [0, 1) must fail a check before.
 _RUN_CHECKS = (
-    ("fpsat_bh", 0, 40, 7, (), 0xABE97D8F),
-    ("fpsat_bh", 8, 20, None, (), 0x9F68A2E3),
-    ("fpsat_isres", 0, 600, 7, (-4.0, 4.0), 0x4B7DEBF0),
-    ("fpsat_crs2", 0, 60, 7, (-4.0, 4.0), 0xB566AD25),
+    ("bh", 0, 40, 7, (), 0xABE97D8F),
+    ("bh", 8, 20, None, (), 0x9F68A2E3),
+    ("isres", 0, 600, 7, (-4.0, 4.0), 0x4B7DEBF0),
+    ("crs2", 0, 60, 7, (-4.0, 4.0), 0xB566AD25),
 )
 
 

@@ -13,16 +13,18 @@ When the kernels are loaded and `f` is `ObjectiveProgram.evaluate` itself,
 bound to a program of x0's dimension (see `_native_program`), the native
 kernels evaluate in place of the Python code, bit for bit, with the same
 draws and points in the same order, and the program counts what they
-evaluate. Basin hopping, CRS2 and ISRES then run whole in C (`fpsat_bh`,
-`fpsat_crs2`, `fpsat_isres`), without the interpreter lock, if `stop` is
-None or a `StopFlag`, the one-byte flag that a race's threads share: a
-native run polls it before every evaluation, so cancellation comes at
-most one evaluation late, as in Python. Signal handlers,
-KeyboardInterrupt included, run only once it returns, so without a
-`StopFlag` to set it ends only at its budget or its first zero. Any other
-`f`, a wrapper of `evaluate` included, or any other `stop`, runs the
-Python code, which calls `f` once for every point. The Python code is
-the reference and the fallback.
+evaluate. Basin hopping, CRS2 and ISRES then run whole in C, as the one
+job of a race in `_kernels.c` (`_NativeRace`) run in the calling thread,
+without the interpreter lock, if `stop` is None or a `StopFlag`, the
+one-byte flag that a race's instances share: a native run polls it
+before every evaluation, so cancellation comes at most one evaluation
+late, as in Python. Signal handlers, KeyboardInterrupt included, run only
+once it returns, so without a `StopFlag` that another thread sets it ends
+only at its budget or its first zero. The portfolio runs the jobs of a
+whole race on pthreads of their own, with the same `_NativeRace`. Any
+other `f`, a wrapper of `evaluate` included, or any other `stop`, runs
+the Python code, which calls `f` once for every point. The Python code
+is the reference and the fallback.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -173,30 +175,90 @@ def _native_program(f, x0, stop=None):
     return program if x0.ndim == 1 and len(x0) == program.dimension else None
 
 
-def _whole_run(entry, image: bytes, x0: np.ndarray, max_evals: int, rng: Xoshiro256Plus,
-               stop: StopFlag | None, box=(), points: np.ndarray | None = None) -> OptOutcome:
-    """One run of a native entry (`fpsat_bh`, or `fpsat_crs2` or
-    `fpsat_isres` with its box) on a program image, advancing `rng`;
-    `points`, if given, is a C-contiguous float array of at least
+# _kernels.c's numbers of the algorithms
+_ALGORITHM_CODES = {"bh": 0, "crs2": 1, "isres": 2}
+
+
+class _NativeRace:
+    """A race in `_kernels.c` of whole runs on one program image: job i
+    runs algorithm algs[i] ("bh", "crs2" or "isres") from the i-th start
+    point of `x0s` (n doubles each, in bytes or a ctypes array, read when
+    the job starts) and the generator state at words 4i.. of `states`, a
+    ctypes uint64 array that it advances. The jobs share the budget, the
+    box (CRS2's and ISRES's) and `stop`, the byte they poll; a race of
+    several sets it on a zero or a failure, to end the others. Holds the
+    buffers that the C race reads and writes, which must live until `end`
+    has returned."""
+
+    def __init__(self, image, n, algs, x0s, states, max_evals, box, stop, points=None,
+                 lib=None):
+        k = len(algs)
+        codes = bytes(_ALGORITHM_CODES[a] for a in algs)
+        self.lib = kernels.lib if lib is None else lib
+        self.n, self._keep = n, (image, codes, x0s, states, stop, points)
+        self.best = (ctypes.c_double * (k * (n + 1)))()  # best_x, then best_value
+        self.results = (ctypes.c_int64 * (2 * k))()  # code, evals
+        self.times = (ctypes.c_double * (2 * k))()  # start, end: perf_counter seconds
+        self.handle = self.lib.fpsat_race_new(
+            image, k, codes, x0s, states,
+            min(max_evals, _INT64_MAX), *(box or (0.0, 0.0)),
+            None if stop is None else stop.address, self.best, self.results, self.times,
+            None if points is None else points.ctypes.data)
+        if not self.handle:
+            raise MemoryError("no memory for a native race")
+
+    def start(self, count: int, threaded: bool = True) -> None:
+        """Start the next `count` jobs: each on a thread of its own, or
+        in this thread if not `threaded` or once `stop` is set."""
+        self.lib.fpsat_race_start(self.handle, count, threaded)
+
+    def wait(self, timeout: float) -> bool:
+        """Wait up to `timeout` seconds, without the interpreter lock,
+        for the jobs on threads to end; True once they have."""
+        return bool(self.lib.fpsat_race_wait(self.handle, timeout))
+
+    def end(self) -> int | None:
+        """Join the jobs' threads, which end at their next poll once
+        `stop` is set, and free the race; the index of the job whose zero
+        won, or None. Call it once, after `start`s that raised too."""
+        winner = self.lib.fpsat_race_end(self.handle)
+        return None if winner < 0 else winner
+
+    def outcome(self, i: int) -> OptOutcome | None:
+        """Job i's outcome once the race has ended; None if its scratch or
+        its thread could not be had."""
+        code, evals = self.results[2 * i], self.results[2 * i + 1]
+        if code < 0:
+            return None
+        if evals == 0:
+            return OptOutcome(None, math.inf, 0, _NATIVE_REASONS[code])
+        best = self.best[i * (self.n + 1):(i + 1) * (self.n + 1)]
+        return OptOutcome(np.array(best[:-1]), best[-1], evals, _NATIVE_REASONS[code])
+
+
+def _whole_run(alg: str, image: bytes, x0: np.ndarray, max_evals: int, rng: Xoshiro256Plus,
+               stop: StopFlag | None, box=(), points: np.ndarray | None = None,
+               lib=None) -> OptOutcome:
+    """One whole run of `alg` ("bh", or "crs2" or "isres" with its box) on
+    a program image, advancing `rng`: the one job of a race, in this
+    thread. `points`, if given, is a C-contiguous float array of at least
     max_evals rows that receives every evaluated point. Counts nothing."""
-    n = len(x0)
-    best = (ctypes.c_double * (n + 1))()  # best_x, then best_value
-    evals = ctypes.c_int64()
-    # plain bytes and ctypes arrays: numpy's `.ctypes` costs microseconds
-    code = entry(image, np.asarray(x0, dtype=float).tobytes(), rng._s,
-                 min(max_evals, _INT64_MAX), *box, None if stop is None else stop.address,
-                 best, ctypes.byref(evals), None if points is None else points.ctypes.data)
-    if code < 0:
+    race = _NativeRace(image, len(x0), [alg], np.asarray(x0, dtype=float).tobytes(), rng._s,
+                       max_evals, box, stop, points, lib)
+    try:
+        race.start(1, threaded=False)
+    finally:
+        race.end()
+    out = race.outcome(0)
+    if out is None:
         raise MemoryError("no memory for a native run")
-    if evals.value == 0:
-        return OptOutcome(None, math.inf, 0, _NATIVE_REASONS[code])
-    return OptOutcome(np.array(best[:n]), best[n], evals.value, _NATIVE_REASONS[code])
+    return out
 
 
-def _native(entry, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutcome:
+def _native(alg, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutcome:
     """`_whole_run` on a program, with `_Run`'s side effects: the
     evaluations are counted, and a zero goes to `on_zero`."""
-    out = _whole_run(entry, program._image, x0, max_evals, rng, stop, box)
+    out = _whole_run(alg, program._image, x0, max_evals, rng, stop, box)
     program.count_evals(out.evals_used)
     if out.terminated_by is TerminationReason.ZERO_FOUND and on_zero is not None:
         on_zero(out.best_x.copy())
@@ -459,7 +521,7 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     n = len(x0)
     program = _native_program(f, x0, stop)
     if program is not None:
-        return _native(kernels.lib.fpsat_bh, program, x0, _budget(cfg.max_evals), rng,
+        return _native("bh", program, x0, _budget(cfg.max_evals), rng,
                        on_zero, stop)
     run = _Run(f, cfg.max_evals, stop, on_zero)
     max_iters = _POWELL_ITERS_PER_DIM * n
@@ -498,7 +560,7 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     lo, hi = _bounds(cfg.bounds)
     program = _native_program(f, x0, stop)
     if program is not None:
-        return _native(kernels.lib.fpsat_crs2, program, x0, _budget(cfg.max_evals), rng,
+        return _native("crs2", program, x0, _budget(cfg.max_evals), rng,
                        on_zero, stop, (lo, hi))
     pop_size = _CRS2_POP_PER_DIM * (n + 1)
     run = _Run(f, cfg.max_evals, stop, on_zero)
@@ -573,7 +635,7 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     lo, hi = _bounds(cfg.bounds)
     program = _native_program(f, x0, stop)
     if program is not None:
-        return _native(kernels.lib.fpsat_isres, program, x0, _budget(cfg.max_evals), rng,
+        return _native("isres", program, x0, _budget(cfg.max_evals), rng,
                        on_zero, stop, (lo, hi))
     lam = _ISRES_LAMBDA_PER_DIM * (n + 1)
     mu = round(lam / 7)

@@ -1,25 +1,34 @@
 """Race N optimizer instances on one objective; first exact zero wins.
 
-Every instance runs in a thread of the calling process. Instance 0 runs
-alone first: the caller joins it for up to one interpreter switch
-interval before it starts the others, which decides an easy input
-without starting another thread, and an instance that starts after the
-race is decided ends at its first poll, in the starting thread. The
-native whole runs of BH, CRS2 and ISRES release the interpreter lock,
-so a race uses several cores; on the Python fallback it runs on one.
+When every instance would take its native whole run (the kernels are
+loaded, the objective is the program's own `evaluate`, and the minimizer
+table is the stock one), the race runs in C: each instance's generator
+and start point are prepared in the calling thread, and each instance is
+then a job on a pthread of the C race, which runs no Python and never
+takes the interpreter lock. Otherwise every instance runs in a Python
+thread of the calling process, and on the Python fallback the race runs
+on one core. Either way instance 0 runs alone first: the caller waits
+for it for up to one interpreter switch interval before it starts the
+others, which decides an easy input with one thread start, and an
+instance that starts after the race is decided ends at its first poll,
+in the starting thread. The calling thread waits without the lock, in
+slices of at most `_POLL_S` on the C race, so Ctrl-C raises
+KeyboardInterrupt there once every instance has ended.
 Shared state is limited to the immutable program, a stop flag (one
-byte, which the native runs poll too; the caller's, if it passes one),
-and the race's records of stats, the first zero and the first crash. A
-winning zero is claimed at the evaluation that produced it and sets the
-flag; every other instance then performs at most one further evaluation
-before observing it. The first zero claimed wins, and it is verified in
-the calling thread. An instance's fixed-seed trajectory is the one it
-runs alone, up to where the race stops it.
+byte, which the native runs poll too; the caller's, if it passes one, so
+a stop set from another thread reaches every instance at its next
+evaluation), and the race's records of stats, the first zero and the
+first crash. A winning zero is claimed at the evaluation that produced
+it and sets the flag; every other instance then performs at most one
+further evaluation before observing it. The first zero claimed wins, and
+it is verified in the calling thread. An instance's fixed-seed
+trajectory is the one it runs alone, up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import sys
@@ -29,13 +38,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import InstanceCrashError, VerificationFailureError
 from .fp import FPValue, Sort
 from .objective import ObjectiveProgram, semantic_eval
 from .optimizers import (
+    _EVALUATE,
     OptimizerConfig,
     StopFlag,
     _bounds,
+    _NativeRace,
     _budget,
     basin_hopping,
     crs2_minimize,
@@ -61,6 +73,7 @@ _MINIMIZERS = {
     "isres": isres_minimize,
 }
 ALGORITHMS = tuple(_MINIMIZERS)
+_STOCK = dict(_MINIMIZERS)  # only a race of these runs in C
 
 @dataclass
 class PortfolioConfig:
@@ -217,19 +230,24 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
     """Returns the winner (instance index, algorithm, zero point) or None,
     the instances' stats, and why the race ended without a winner.
 
-    Instance 0 starts first, and this thread joins it for up to one
-    interpreter switch interval (`sys.getswitchinterval()`) before it
-    starts the rest: a thread start costs more than many an easy race,
-    and a native run decides one without the lock. The race stops on one
-    byte flag, the caller's `stop` if it gave one.
+    The race is the C race (`_CRace`) when every instance would take its
+    native whole run, else a race of Python threads (`_Race`). Either is
+    driven alike: instance 0 starts first, and this thread waits for it
+    for up to one interpreter switch interval (`sys.getswitchinterval()`)
+    before it starts the rest, since a thread start costs more than many
+    an easy race; then it waits, up to the deadline, for all of them.
+    The race stops on one byte flag, the caller's `stop` if it gave one;
+    an interrupt (Ctrl-C) in this thread sets it and ends every instance
+    before it propagates.
     """
     flag = StopFlag() if stop is None else stop
     deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
     timed_out = False
 
     def wait_s():
-        """How long to block before the deadline; None, to block until
-        the thread ends, once the flag is set or without a deadline."""
+        """How long to wait before looking at the deadline again; None, to
+        wait until every instance ends, once the flag is set or without a
+        deadline."""
         nonlocal timed_out
         if deadline is None or flag.is_set():
             return None
@@ -240,23 +258,25 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
             return None
         return timeout
 
-    indexed = list(enumerate(algs))
-    race = _Race(program, config, opt_cfg, flag)
+    native = (kernels.lib is not None
+              and getattr(program.evaluate, "__func__", None) is _EVALUATE
+              and all(_MINIMIZERS[alg] is _STOCK[alg] for alg in algs))
+    race = (_CRace if native else _Race)(program, algs, config, opt_cfg, flag)
     try:
-        race.start(indexed[:1])
-        race.threads[0].join(sys.getswitchinterval())
+        race.start(1)
+        race.wait(sys.getswitchinterval())
         wait_s()
-        race.start(indexed[1:])
-        for t in race.threads:
-            while t.is_alive():
-                t.join(wait_s())
+        race.start(len(algs) - 1)
+        while not race.wait(wait_s()):
+            pass
     except BaseException:  # interrupted: stop every instance before leaving
         flag.set()
-        race.join()
+        race.collect()
         raise
 
-    if race.crash is not None:
-        idx, alg, summary, tb = race.crash
+    zero, stats, crash = race.collect()
+    if crash is not None:
+        idx, alg, summary, tb = crash
         raise InstanceCrashError(f"instance {idx} ({alg}) crashed: {summary}", tb)
     if timed_out:
         reason = "wall-timeout"
@@ -264,16 +284,80 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
         reason = "cancelled"
     else:
         reason = "budget-exhausted"
-    return race.zero, sorted(race.stats, key=lambda s: s.index), reason
+    return zero, stats, reason
+
+
+# how long the C race's waits may block: signal handlers, Ctrl-C's
+# included, run only between them
+_POLL_S = 0.05
+
+
+class _CRace:
+    """The race in `_kernels.c`: each instance is a job on a pthread of the
+    C race, which runs no Python and claims the first zero. Its generator
+    and start point are prepared in the calling thread: instance 0's
+    first, the others' while instance 0 runs."""
+
+    def __init__(self, program, algs, config, opt_cfg, stop):
+        k, n = len(algs), program.dimension
+        self.program, self.algs, self.config, self.stop = program, algs, config, stop
+        self.states = (ctypes.c_uint64 * (4 * k))()
+        self.x0s = (ctypes.c_double * (k * n))()
+        self.race = _NativeRace(program._image, n, algs, self.x0s, self.states,
+                                opt_cfg.max_evals, opt_cfg.bounds, stop)
+        self.prepared = 0
+        self._prepare()
+
+    def _prepare(self) -> None:
+        idx, n = self.prepared, self.program.dimension
+        rng = Xoshiro256Plus(derive_seed(self.config.seed, idx))
+        self.x0s[idx * n:(idx + 1) * n] = random_start(n, rng, self.config.start_range).tolist()
+        self.states[4 * idx:4 * idx + 4] = rng.state()
+        self.prepared += 1
+
+    def start(self, count: int) -> None:
+        """Start the next `count` instances, then prepare the rest while
+        they run. Once `stop` is set the rest end at their first poll, so
+        they are not prepared."""
+        self.race.start(count)
+        while self.prepared < len(self.algs) and not self.stop.is_set():
+            self._prepare()
+
+    def wait(self, timeout) -> bool:
+        """True once every instance has ended; waits up to `timeout`
+        seconds (None: until then), and never longer than `_POLL_S`."""
+        return self.race.wait(_POLL_S if timeout is None else min(timeout, _POLL_S))
+
+    def collect(self):
+        """Ends the race (see `_NativeRace.end`); the first zero claimed
+        (index, algorithm, point), the stats, and the failed instance of
+        lowest index (index, algorithm, summary, traceback text), or None.
+        The instances' evaluations are counted."""
+        winner = self.race.end()
+        zero = crash = None
+        stats = []
+        for idx, alg in enumerate(self.algs):
+            out = self.race.outcome(idx)
+            if out is None:
+                crash = crash or (idx, alg, "MemoryError: no memory or thread for a native run",
+                                  "")
+                continue
+            if idx == winner:
+                zero = (idx, alg, out.best_x)
+            start, end = self.race.times[2 * idx:2 * idx + 2]
+            stats.append(InstanceStats(alg, idx, out.evals_used, out.best_value, end - start,
+                                       out.terminated_by.value))
+        self.program.count_evals(sum(s.evals for s in stats))
+        return zero, stats, crash
 
 
 class _Race:
-    """A race's instances, polling `stop`, and what they leave: each
-    instance's stats, the first zero claimed (index, algorithm, point)
-    and the first crash (index, algorithm, summary, traceback text)."""
+    """A race of Python threads, one per instance, polling `stop`; for
+    the objectives and minimizers that the C race cannot run."""
 
-    def __init__(self, program, config, opt_cfg, stop):
+    def __init__(self, program, algs, config, opt_cfg, stop):
         self.program = program
+        self.algs = algs
         self.config = config
         self.opt_cfg = opt_cfg
         self.stop = stop
@@ -282,18 +366,35 @@ class _Race:
         self.crash = None
         self._lock = threading.Lock()
         self.threads = []
+        self._started = 0
 
-    def start(self, instances) -> None:
-        """Run each (index, algorithm) in a thread of its own; in this
-        thread once `stop` is set, since the instance then ends at its
-        first poll, sooner than a thread starts."""
-        for idx, alg in instances:
+    def start(self, count: int) -> None:
+        """Start the next `count` instances, each in a thread of its own;
+        in this thread once `stop` is set, since the instance then ends
+        at its first poll, sooner than a thread starts."""
+        first, self._started = self._started, self._started + count
+        for idx in range(first, self._started):
             if self.stop.is_set():
-                self.run(idx, alg)
+                self.run(idx, self.algs[idx])
                 continue
-            t = threading.Thread(target=self.run, args=(idx, alg), daemon=True)
+            t = threading.Thread(target=self.run, args=(idx, self.algs[idx]), daemon=True)
             t.start()
             self.threads.append(t)
+
+    def wait(self, timeout) -> bool:
+        """True once every instance has ended; waits up to `timeout`
+        seconds (None: until then) for the first one still running."""
+        live = [t for t in self.threads if t.is_alive()]
+        if live:
+            live[0].join(timeout)
+        return not any(t.is_alive() for t in live)
+
+    def collect(self):
+        """Waits for every instance to end; the first zero claimed, the
+        stats and the first crash, as `_CRace.collect`'s."""
+        for t in self.threads:
+            t.join()
+        return self.zero, sorted(self.stats, key=lambda s: s.index), self.crash
 
     def _claim(self, idx: int, alg: str, x: np.ndarray) -> None:
         with self._lock:
@@ -324,7 +425,3 @@ class _Race:
                 if self.crash is None:
                     self.crash = (idx, alg, f"{type(exc).__name__}: {exc}",
                                   traceback.format_exc())
-
-    def join(self) -> None:
-        for t in self.threads:
-            t.join()

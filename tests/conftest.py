@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 import threading
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fpsat import kernels, optimizers
+from fpsat import kernels, optimizers, portfolio
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.harness import corpus_dir
 from fpsat.normalizer import push_negations, simplify
@@ -184,16 +185,21 @@ def batch_values(program, X) -> np.ndarray:
 
 @pytest.fixture
 def crashing_isres(monkeypatch):
-    """Makes ISRES raise RuntimeError("boom at <time.monotonic()>"): its
-    native whole run where it is called, and the Python minimizer where
-    it draws its first generation, after its initial population. No other
-    minimizer reaches either point."""
+    """Makes ISRES raise RuntimeError("boom at <time.monotonic()>") where
+    it draws its first generation, after its initial population: the
+    portfolio's table gets an ISRES that runs `isres_minimize`'s Python
+    code, through a wrapper of the objective, with `optimizers._gauss_rows`
+    raising. The patched table sends every race to the Python threads
+    (`portfolio._Race`), where an instance can raise, on either kernel
+    path. No other minimizer reaches that point."""
     def boom(*args):
         raise RuntimeError(f"boom at {time.monotonic()!r}")
 
+    def isres_in_python(f, *args, **kwargs):
+        return optimizers.isres_minimize(lambda x: f(x), *args, **kwargs)
+
     monkeypatch.setattr(optimizers, "_gauss_rows", boom)
-    if kernels.lib is not None:
-        monkeypatch.setattr(kernels.lib, "fpsat_isres", boom)
+    monkeypatch.setitem(portfolio._MINIMIZERS, "isres", isres_in_python)
 
 
 def pytest_addoption(parser):
@@ -218,22 +224,36 @@ def kernel_path(request):
 _THREAD_CHECKED = {"test_portfolio", "test_acceptance"}
 
 
+def os_threads() -> set[str] | None:
+    """The ids of this process's OS threads, the native race's pthreads
+    included, which `threading.enumerate()` does not list; None where
+    /proc/self/task does not exist."""
+    try:
+        return set(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return None
+
+
 @pytest.fixture(autouse=True)
 def no_thread_left(request):
     """Fails a portfolio or acceptance test that leaves a thread it
-    started running for more than a second after it ends."""
+    started, a Python thread or an OS thread, running for more than a
+    second after it ends."""
     if request.module.__name__ not in _THREAD_CHECKED:
         yield
         return
-    before = set(threading.enumerate())
+    before, tasks_before = set(threading.enumerate()), os_threads()
     yield
     deadline = time.monotonic() + 1.0
     while True:
         left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
-        if not left or time.monotonic() > deadline:
+        tasks = os_threads()
+        tasks_left = set() if tasks is None else tasks - tasks_before
+        if not (left or tasks_left) or time.monotonic() > deadline:
             break
         time.sleep(0.01)
     assert not left, f"threads still running 1 s after the test: {left}"
+    assert not tasks_left, f"OS threads still running 1 s after the test: {tasks_left}"
 
 
 @pytest.fixture(scope="session")

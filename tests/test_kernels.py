@@ -145,7 +145,7 @@ def _minimize(alg, program, native, budget, bounds, seed, nan_start):
     """A run of `alg` from a random start, whose first coordinate is NaN
     if `nan_start`; native, or in the Python minimizer through a wrapper.
     Returns every observable of the run and the bytes of every point it
-    evaluated, which natively a second run of the entry writes."""
+    evaluated, which natively a second whole run writes."""
     rng = Xoshiro256Plus(seed)
     x0 = random_start(program.dimension, rng)
     if nan_start:
@@ -155,8 +155,8 @@ def _minimize(alg, program, native, budget, bounds, seed, nan_start):
         assert _native_program(f, x0) is program
         buf, again = np.empty((budget, program.dimension)), Xoshiro256Plus(0)
         again._s[:] = rng.state()
-        n = _whole_run(getattr(kernels.lib, "fpsat_" + alg), program._image, x0, budget, again,
-                       None, () if alg == "bh" else bounds, buf).evals_used
+        n = _whole_run(alg, program._image, x0, budget, again, None,
+                       () if alg == "bh" else bounds, buf).evals_used
         points.append(buf[:n].tobytes())
     else:
         def f(x):
@@ -232,11 +232,11 @@ def test_whole_runs_match_python(source, alg, budget, bounds, seed, nan_start):
                          ids=["bh", "bh-metropolis", "isres", "crs2"])
 def test_self_check_runs_are_the_python_runs(check):
     # the load check's pinned digests are what the Python minimizers give
-    entry, row, budget, seed, box, digest = check
+    alg, row, budget, seed, box, digest = check
     program = _kernel_check_program()
     rng = Xoshiro256Plus(0)
     rng._s[:] = (0, 0, 0, 0) if seed is None else Xoshiro256Plus(seed).state()
-    minimize = _MINIMIZERS[entry.removeprefix("fpsat_")]
+    minimize = _MINIMIZERS[alg]
     out = on_python_path(minimize, program.evaluate, kernels._check_points()[row],
                          OptimizerConfig(budget, box or (-1e9, 1e9)), rng)
     assert kernels._run_digest(out, rng) == digest

@@ -13,7 +13,6 @@ from conftest import retyped
 from fpsat import build_problem, kernels
 from fpsat.harness import corpus_dir
 from fpsat.objective import ObjectiveProgram
-from fpsat import optimizers
 from fpsat.optimizers import (
     OptimizerConfig,
     StopFlag,
@@ -359,14 +358,14 @@ class TestCommonContracts:
             assert out.evals_used == k == len(calls)
             if kernels.lib is None:
                 continue
-            entry = getattr(kernels.lib, _ENTRIES[minimize])
+            alg = _ALGS[minimize]
             points = np.zeros((k, 2))
-            _whole_run(entry, program._image, x0, k, Xoshiro256Plus(5), None, box, points)
+            _whole_run(alg, program._image, x0, k, Xoshiro256Plus(5), None, box, points)
             offset = next(i for i, b in enumerate(points[k - 1].tobytes()) if b)
             points = np.zeros((budget, 2))
             byte = SimpleNamespace(address=points[k - 1].ctypes.data + offset)
             nat_rng = Xoshiro256Plus(5)
-            got = _whole_run(entry, program._image, x0, budget, nat_rng, byte, box, points)
+            got = _whole_run(alg, program._image, x0, budget, nat_rng, byte, box, points)
             assert (got.terminated_by, got.evals_used, got.best_value, got.best_x.tobytes(),
                     nat_rng.state()) == (out.terminated_by, out.evals_used, out.best_value,
                                          out.best_x.tobytes(), rng.state())
@@ -483,22 +482,20 @@ GOLDEN = {
         1321, "0x0.0p+0", "7d0981b58affffbf"),
 }
 MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimize}
-_ENTRIES = {basin_hopping: "fpsat_bh", crs2_minimize: "fpsat_crs2",
-            isres_minimize: "fpsat_isres"}
+_ALGS = {fn: alg for alg, fn in MINIMIZERS.items()}
 
 
 @pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
 def test_golden_trajectory_native(name, alg, native_lib):
-    # the native whole run, its points from the entry's buffer; the
+    # the native whole run, its points from the race's buffer; the
     # minimizer's own dispatch makes the same run and counts it
     program = build_problem((corpus_dir() / name).read_text()).program
-    entry = getattr(native_lib, _ENTRIES[MINIMIZERS[alg]])
     rng, rng2 = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
     x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
     rng2._s[:] = rng.state()
     points = np.empty((3_000, program.dimension))
     box = () if alg == "bh" else (-1e9, 1e9)
-    out = _whole_run(entry, program._image, x0, 3_000, rng, None, box, points)
+    out = _whole_run(alg, program._image, x0, 3_000, rng, None, box, points)
     got = (hashlib.sha256(points[:out.evals_used].tobytes()).hexdigest(), out.evals_used,
            out.best_value.hex(), out.best_x.tobytes().hex())
     assert got == GOLDEN[(name, alg)]
@@ -510,34 +507,21 @@ def test_golden_trajectory_native(name, alg, native_lib):
     assert program.eval_count - before == out.evals_used
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])
-@pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
-def test_golden_trajectory(name, alg, batched, monkeypatch):
-    # batched: the program's own `evaluate` with a stop event, which
-    # keeps every minimizer in Python, on the native tape where it is
-    # loaded; the points are read where the run takes each value, the
-    # rows of a population and a generation (`_Run.many`) included.
-    # per-point: a wrapper that reads them
+# the Python minimizers, through a wrapper of the program's `evaluate`
+# that reads every point
+@pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}-per-point" for n, a in GOLDEN])
+def test_golden_trajectory(name, alg):
     program = build_problem((corpus_dir() / name).read_text()).program
     digest = hashlib.sha256()
 
-    def record(x):
+    def f(x):
         digest.update(np.asarray(x, dtype=float).tobytes())
-
-    if batched:
-        f, stop, take = program.evaluate, threading.Event(), optimizers._Run._take
-        monkeypatch.setattr(optimizers._Run, "_take",
-                            lambda run, x, v: record(x) or take(run, x, v))
-    else:
-        def f(x):
-            record(x)
-            return program.evaluate(x)
-        stop = None
+        return program.evaluate(x)
 
     rng = Xoshiro256Plus(2024)
     x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
     before = program.eval_count
-    out = MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=3_000), rng, stop=stop)
+    out = MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=3_000), rng)
     got = (digest.hexdigest(), out.evals_used, out.best_value.hex(),
            out.best_x.tobytes().hex())
     assert got == GOLDEN[(name, alg)]

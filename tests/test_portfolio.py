@@ -1,16 +1,23 @@
 """Portfolio race: soundness gate, cancellation, stats, determinism."""
 
+import functools
 import math
 import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fpsat import build_problem, kernels
+from fpsat import build_problem, kernels, portfolio
 from fpsat.errors import InstanceCrashError, VerificationFailureError
 from fpsat.fp import FP32, FP64
+from fpsat.harness import corpus_dir
 from fpsat.objective import semantic_eval
 from fpsat.optimizers import StopFlag
 from fpsat.portfolio import (
@@ -563,3 +570,174 @@ class TestCrashedInstance:
                 "while the others run (CHANGES.md, FOUND: Thread.start "
                 "latency in _Race.start)")))
         self._crash_stops_the_race(corpus_path, [("bh", 1), ("crs2", 1), ("isres", 1)])
+
+
+def _cycle(n, sort):
+    """x0 < x1 < ... < x(n-1) < x0, which no assignment satisfies."""
+    decls = "".join(f"(declare-fun x{i} () {sort})" for i in range(n))
+    lts = "".join(f"(fp.lt x{i} x{(i + 1) % n})" for i in range(n))
+    return f"{decls}(assert (and {lts}))"
+
+
+_CORPUS = sorted(p.name for p in corpus_dir().glob("*.smt2"))
+_INFEASIBLE_TEXTS = {
+    **{name: (corpus_dir() / name).read_text() for name in _CORPUS
+       if name.startswith("infeasible_")},
+    "cycle-2-float32": _cycle(2, "Float32"),
+    "cycle-5-float64": _cycle(5, "Float64"),
+    # y * y is +0 or more, or NaN, and -|x| is -0 or less
+    "square-below-negative": (
+        "(declare-fun x () Float32)(declare-fun y () Float32)"
+        "(assert (fp.lt (fp.mul RNE y y) (fp.neg (fp.abs x))))"),
+    "mixed-widths": (
+        "(declare-fun a () Float64)(declare-fun b () Float64)"
+        "(declare-fun u () Float32)(declare-fun w () Float32)"
+        "(assert (and (fp.lt a b) (fp.lt (fp.add RNE u w) u) (fp.lt b a)))"),
+}
+
+
+def _instances(out):
+    return [(s.algorithm, s.index, s.evals, s.best_value, s.terminated_by) for s in out.stats]
+
+
+def _on_python_threads(monkeypatch):
+    """Sends every race to `_Race`: the same minimizers, behind new
+    callables in the table."""
+    monkeypatch.setattr(portfolio, "_MINIMIZERS",
+                        {alg: functools.partial(fn) for alg, fn in portfolio._MINIMIZERS.items()})
+
+
+class TestNativeRace:
+    """The C race (`portfolio._CRace`) against the race of Python threads,
+    which runs the same native whole runs where the kernels are loaded."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("source", sorted(_INFEASIBLE_TEXTS))
+    def test_equals_the_python_race(self, source, seed, monkeypatch):
+        problem = build_problem(_INFEASIBLE_TEXTS[source])
+        cfg = small_config(max_evals=5_000, seed=seed)
+        native = solve(problem.formula, problem.program, cfg)
+        _on_python_threads(monkeypatch)
+        threaded = solve(problem.formula, problem.program, cfg)
+        assert native.verdict == threaded.verdict == "unknown"
+        assert native.unknown_reason == threaded.unknown_reason == "budget-exhausted"
+        assert _instances(native) == _instances(threaded)
+
+    @pytest.mark.parametrize("alg", ["bh", "crs2", "isres"])
+    @pytest.mark.parametrize("name", [n for n in _CORPUS if not n.startswith("infeasible_")])
+    def test_one_instance_gives_the_python_race_model(self, name, alg, monkeypatch):
+        problem = build_problem((corpus_dir() / name).read_text())
+        cfg = small_config(instances=[(alg, 1)], max_evals=5_000, seed=3)
+        native = solve(problem.formula, problem.program, cfg)
+        _on_python_threads(monkeypatch)
+        threaded = solve(problem.formula, problem.program, cfg)
+        assert (native.verdict, native.winner, _instances(native)) == (
+            threaded.verdict, threaded.winner, _instances(threaded))
+        if native.model is not None:
+            assert native.model.smt2_block() == threaded.model.smt2_block()
+
+    def test_twelve_jobs_without_a_head_start(self):
+        # with a switch interval of a microsecond the jobs start one right
+        # after another, on more threads than cores, and several of them
+        # search at once: x + y = 1000 and x - y = 100 takes CRS2 thousands
+        # of evaluations
+        if kernels.lib is None:
+            pytest.skip("the native kernels are not in use")
+        problem = build_problem(
+            "(declare-fun x () Float64)(declare-fun y () Float64)"
+            "(assert (and (fp.eq (fp.add RNE x y) ((_ to_fp 11 53) #x408f400000000000))"
+            " (fp.eq (fp.sub RNE x y) ((_ to_fp 11 53) #x4059000000000000))))")
+        program = problem.program
+        cfg = small_config(instances=[("bh", 4), ("crs2", 4), ("isres", 4)], max_evals=100_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                before = program.eval_count
+                out = solve(problem.formula, program, replace(cfg, seed=seed))
+                assert out.verdict == "sat"
+                assert [s.index for s in out.stats] == list(range(12))
+                alg, idx = out.winner
+                assert (out.stats[idx].algorithm, out.stats[idx].terminated_by) == (
+                    alg, "zero-found")
+                assert program.eval_count - before == out.total_evals
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_starts_no_python_thread(self, corpus_path, monkeypatch):
+        if kernels.lib is None:
+            pytest.skip("the native kernels are not in use")
+
+        def refuse(thread):
+            raise AssertionError(f"the native race started {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
+        out = solve(problem.formula, problem.program, small_config(max_evals=20_000))
+        assert [s.evals for s in out.stats] == [20_000] * 3
+
+    def test_ctrl_c_ends_a_long_race(self, corpus_path):
+        # the calling thread waits in slices, so the handler of a SIGINT
+        # runs within one; every instance has ended when it propagates
+        problem = build_problem((corpus_path / "infeasible_cycle.smt2").read_text())
+        program = problem.program
+        sent = []
+
+        def interrupt():
+            sent.append(time.monotonic())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        timer = threading.Timer(0.3, interrupt)
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                solve(problem.formula, program, small_config(max_evals=10**8))
+            raised = time.monotonic()
+        finally:
+            timer.cancel()
+            timer.join()
+        assert raised - sent[0] < 0.5
+        counted = program.eval_count
+        time.sleep(0.1)
+        assert program.eval_count == counted
+
+    def test_allocation_failure_is_a_crash(self):
+        # in a child whose address space is capped 1 GiB above what it
+        # uses: BH's 18 MB of scratch at n = 1,500 fit, ISRES's 1.4 GB do not
+        if kernels.lib is None:
+            pytest.skip("the native kernels are not in use")
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("no /proc/self/statm to size the cap by")
+        proc = subprocess.run([sys.executable, "-c", _ALLOCATION_FAILURE,
+                               str(Path(portfolio.__file__).parent.parent)],
+                              capture_output=True, text=True, timeout=120)
+        if "capped below" in proc.stderr:
+            pytest.skip(proc.stderr.strip())
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "instance 1 (isres) crashed: MemoryError" in proc.stdout
+
+
+_ALLOCATION_FAILURE = """
+import os, resource, sys
+sys.path.insert(0, sys.argv[1])
+from fpsat import PortfolioConfig, build_problem, kernels, solve
+from fpsat.errors import InstanceCrashError
+
+assert kernels.lib is not None, kernels.reason
+n = 1_500
+decls = "".join(f"(declare-fun x{i} () Float64)" for i in range(n))
+lts = "".join(f"(fp.lt x{i} x{(i + 1) % n})" for i in range(n))
+problem = build_problem(f"{decls}(assert (and {lts}))")
+with open("/proc/self/statm") as fh:
+    used = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = used + 2**30
+if 0 <= hard < cap:
+    sys.exit("address space capped below the test's cap")
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+cfg = PortfolioConfig(instances=[("bh", 1), ("isres", 1)], max_evals=10**9)
+try:
+    solve(problem.formula, problem.program, cfg)
+except InstanceCrashError as exc:
+    print(exc)
+"""
