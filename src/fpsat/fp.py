@@ -13,7 +13,10 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Sort",
@@ -172,6 +175,8 @@ def round_rational_to_bits(value: Fraction, width: int) -> int:
     Handles subnormals, overflow to infinity, and ties-to-even exactly;
     used for decimal literals so no double rounding can occur.
     """
+    from fractions import Fraction  # imported where a literal needs it
+
     eb, sb = (8, 24) if width == 32 else (11, 53)
     bias = (1 << (eb - 1)) - 1
     emax = bias
@@ -237,6 +242,8 @@ def parse_real(text: str) -> Fraction:
     its 800th significant digit the rest is one sticky digit. ValueError
     if the text is malformed, divides by zero, or has a ratio with
     numerals past Python's int digit limit."""
+    from fractions import Fraction
+
     if not text.isascii():  # int() reads every Unicode decimal digit
         import unicodedata
         text = "".join(str(unicodedata.decimal(c, "")) or c for c in text)

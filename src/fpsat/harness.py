@@ -7,12 +7,7 @@ comes from the external solver in combined mode.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import shlex
-import signal
-import subprocess
 import sys
 import threading
 import time
@@ -62,6 +57,8 @@ class SolveReport:
     message: str | None = None
 
     def stats_json(self) -> str:
+        import json  # only `--stats-json` writes JSON
+
         if self.outcome is None:
             return json.dumps({"verdict": self.verdict, "message": self.message,
                                "kernels": kernels.status()})
@@ -195,6 +192,8 @@ class BenchReport:
         return header + "\n" + row
 
     def write_csv(self, path) -> None:
+        import csv
+
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
@@ -251,9 +250,17 @@ def run_bench(directory, config: PortfolioConfig | None = None, *,
 
 
 def _bench_one(path: Path, config: PortfolioConfig) -> BenchRecord:
+    """One file under `config.wall_timeout`, which counts from before the
+    frontend: `solve` gets what the frontend left of it, and a file whose
+    frontend used it all is a TIMEOUT without a race."""
     t0 = time.perf_counter()
     try:
         problem = load_problem(path)
+        if config.wall_timeout is not None:
+            left = t0 + config.wall_timeout - time.perf_counter()
+            if left <= 0:
+                return BenchRecord(path.name, "TIMEOUT", time.perf_counter() - t0, None, 0)
+            config = replace(config, wall_timeout=left)
         outcome = solve(problem.formula, problem.program, config)
     except (FpsatError, OSError) as exc:
         return BenchRecord(path.name, "ERROR", time.perf_counter() - t0,
@@ -304,6 +311,10 @@ def run_combined(path, external_cmd: str,
     solver up to the timeout; an external crash degrades to the
     portfolio-only result. A crashed instance raises `InstanceCrashError`.
     """
+    import shlex
+    import signal
+    import subprocess
+
     t0 = time.perf_counter()
     problem = load_problem(path)
     if config is None:

@@ -34,6 +34,7 @@ import ctypes
 import os
 import struct
 import zlib
+from array import array
 from pathlib import Path
 
 __all__ = ["KERNEL_CFLAGS", "SOURCE", "lib", "reason", "load", "status", "cache_file"]
@@ -174,15 +175,14 @@ def _self_check(candidate) -> None:
     hopping, CRS2 and ISRES on that program, which draw uniform and
     Gaussian deviates; each runs as the one job of a race, in this
     thread."""
-    import numpy as np
-
     from .objective import _kernel_check_program
     from .optimizers import _whole_run
     from .rng import Xoshiro256Plus
 
     program, X = _kernel_check_program(), _check_points()
-    want = np.array([program.evaluate(x) for x in X])
-    got = np.array([candidate.fpsat_eval(program._image, x.tobytes()) for x in X])
+    want = array("d", [program.evaluate(x) for x in X])
+    got = array("d", [candidate.fpsat_eval(program._image, array("d", x).tobytes())
+                      for x in X])
     if got.tobytes() != want.tobytes():
         raise _Unavailable("self-check failed: objective values")
 
@@ -220,7 +220,7 @@ _RUN_CHECKS = (
 
 def _run_digest(outcome, rng) -> int:
     """CRC-32 of a run's outcome and of its generator's final state."""
-    best = b"" if outcome.best_x is None else outcome.best_x.tobytes()
+    best = b"" if outcome.best_x is None else array("d", outcome.best_x).tobytes()
     return zlib.crc32(struct.pack("<qd4Q", outcome.evals_used, outcome.best_value,
                                   *rng.state())
                       + outcome.terminated_by.value.encode() + best)
@@ -230,10 +230,8 @@ def _check_points():
     """Special and ordinary values of both widths for the check program's
     (x, y, u, w). At the last point, each binary32 result rounds to the
     constant that the check program compares it with."""
-    import numpy as np
-
     inf, nan = float("inf"), float("nan")
-    return np.array([
+    return [
         (1.0, 3.0, 1.0, 3.0),
         (0.0, -0.0, -0.0, 0.0),
         (nan, 1.0, inf, -inf),
@@ -243,4 +241,4 @@ def _check_points():
         (0.0, 0.0, 0.0, 0.0),
         (inf, -inf, nan, 2.0),
         (1.0000001192092896, 5.0, nan, 5.0),
-    ])
+    ]

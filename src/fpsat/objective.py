@@ -23,13 +23,14 @@ instruction.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import math
 import struct
+import sys
 import threading
 from itertools import chain
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import kernels
 from .errors import (
@@ -272,7 +273,9 @@ class ObjectiveProgram:
         lib = kernels.lib
         packed = None
         if lib is not None:
-            if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+            np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
+            if (np is not None and type(x) is np.ndarray and x.ndim == 1
+                    and x.dtype == np.float64):
                 packed = x.tobytes()
             else:
                 try:
@@ -339,9 +342,6 @@ class ObjectiveProgram:
 def _packer(n: int):
     """Packs n coordinates as binary64 bytes, the native kernels' input."""
     return struct.Struct(f"{n}d").pack
-
-
-_F64 = np.dtype(np.float64)
 
 
 def compile_objective(nnf: Term, varmap: list[tuple[str, Sort]]) -> ObjectiveProgram:
@@ -429,37 +429,60 @@ def semantic_eval(term: Term, binding) -> bool:
     """Ground-truth IEEE evaluation of a Boolean term.
 
     `binding` maps variable names to floats or FPValues; binary32 variables
-    are narrowed on substitution. This walks the original term with numpy
-    scalar arithmetic, memoized per node within the call, and shares
-    nothing with the compiled tape.
+    are narrowed on substitution. This walks the original term with Python
+    float arithmetic, rounding each binary32 result with `_round32`,
+    memoized per node within the call, and shares nothing with the
+    compiled tape.
     """
     env = {}
     for name, v in dict(binding).items():
         env[name] = v.to_float() if isinstance(v, FPValue) else float(v)
-    with np.errstate(all="ignore"):
-        result = _sem_bool(term, env, {})
-    return bool(result)
+    return bool(_sem_bool(term, env, {}))
 
 
-def _sem_fp(term: Term, env, memo):
+def _round32(v: float) -> float:
+    """The binary32 value nearest v (ties to even; ±inf past the largest
+    finite value), by C's conversion of a double to a float.
+
+    A binary32 operation is computed in binary64 on binary32 operands and
+    then rounded by this: two roundings. For +, -, * and / that is the
+    correctly rounded binary32 result, because binary64's 53 significand
+    bits are at least 2 * 24 + 2 (Figueroa, "When is double rounding
+    innocuous?", SIGNUM 1995)."""
+    return ctypes.c_float(v).value
+
+
+def _sem_div(a: float, b: float) -> float:
+    """IEEE division. Python's `/` raises at a zero divisor, where IEEE
+    gives NaN for 0/0 and NaN/0, and else an infinity whose sign is the
+    exclusive or of the operands' signs."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    negative = (math.copysign(1.0, a) < 0.0) != (math.copysign(1.0, b) < 0.0)
+    return -math.inf if negative else math.inf
+
+
+def _sem_fp(term: Term, env, memo) -> float:
     value = memo.get(term)
     if value is not None:
         return value
     if isinstance(term, FPConst):
-        v = term.value.to_float()
-        value = np.float32(v) if term.value.width == 32 else np.float64(v)
+        value = term.value.to_float()  # exact at its width
     elif isinstance(term, FPVar):
         try:
-            v = env[term.name]
+            value = env[term.name]
         except KeyError:
             raise UnboundVariableError(f"no value bound for {term.name}") from None
-        value = np.float32(v) if term.var_sort.width == 32 else np.float64(v)
+        if term.var_sort.width == 32:
+            value = _round32(value)
     elif isinstance(term, FPArith):
         a = _sem_fp(term.args[0], env, memo)
         if term.op == ArithOp.NEG:
             value = -a
         elif term.op == ArithOp.ABS:
-            value = np.abs(a)
+            value = abs(a)
         else:
             b = _sem_fp(term.args[1], env, memo)
             if term.op == ArithOp.ADD:
@@ -469,7 +492,9 @@ def _sem_fp(term: Term, env, memo):
             elif term.op == ArithOp.MUL:
                 value = a * b
             else:
-                value = a / b
+                value = _sem_div(a, b)
+            if term.sort.width == 32:
+                value = _round32(value)
     elif isinstance(term, Ite):
         if _sem_bool(term.cond, env, memo):
             value = _sem_fp(term.then, env, memo)

@@ -24,7 +24,9 @@ only at its budget or its first zero. The portfolio runs the jobs of a
 whole race on pthreads of their own, with the same `_NativeRace`. Any
 other `f`, a wrapper of `evaluate` included, or any other `stop`, runs
 the Python code, which calls `f` once for every point. The Python code
-is the reference and the fallback.
+is the reference and the fallback. numpy is imported by the Python code
+and by the public minimizers, whose points are ndarrays on either path,
+and not by a native race (`_NativeRace`), whose points are floats.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -35,14 +37,17 @@ from __future__ import annotations
 import ctypes
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .objective import ObjectiveProgram
 from .rng import Xoshiro256Plus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "StopFlag",
@@ -99,6 +104,14 @@ class StopFlag:
         self._byte[0] = 1
 
 
+def _vector(x) -> np.ndarray:
+    """A new 1-D float64 ndarray of x: the type of the points that the
+    public minimizers return and hand to `on_zero`."""
+    import numpy as np
+
+    return np.array(x, dtype=float, copy=True)
+
+
 class _Stop(Exception):
     """Ends a run from inside an evaluation; carries the reason."""
 
@@ -136,10 +149,10 @@ class _Run:
         self.evals += 1
         if v < self.best_value or self.best_x is None:
             self.best_value = v
-            self.best_x = np.array(x, dtype=float, copy=True)
+            self.best_x = _vector(x)
         if v == 0.0:
             if self.on_zero is not None:
-                self.on_zero(np.array(x, dtype=float, copy=True))
+                self.on_zero(_vector(x))
             raise _Stop(TerminationReason.ZERO_FOUND)
         return v
 
@@ -225,25 +238,26 @@ class _NativeRace:
         return None if winner < 0 else winner
 
     def outcome(self, i: int) -> OptOutcome | None:
-        """Job i's outcome once the race has ended; None if its scratch or
-        its thread could not be had."""
+        """Job i's outcome once the race has ended, its best point an
+        `array('d')`; None if its scratch or its thread could not be had."""
         code, evals = self.results[2 * i], self.results[2 * i + 1]
         if code < 0:
             return None
         if evals == 0:
             return OptOutcome(None, math.inf, 0, _NATIVE_REASONS[code])
         best = self.best[i * (self.n + 1):(i + 1) * (self.n + 1)]
-        return OptOutcome(np.array(best[:-1]), best[-1], evals, _NATIVE_REASONS[code])
+        return OptOutcome(array("d", best[:-1]), best[-1], evals, _NATIVE_REASONS[code])
 
 
-def _whole_run(alg: str, image: bytes, x0: np.ndarray, max_evals: int, rng: Xoshiro256Plus,
+def _whole_run(alg: str, image: bytes, x0, max_evals: int, rng: Xoshiro256Plus,
                stop: StopFlag | None, box=(), points: np.ndarray | None = None,
                lib=None) -> OptOutcome:
     """One whole run of `alg` ("bh", or "crs2" or "isres" with its box) on
-    a program image, advancing `rng`: the one job of a race, in this
-    thread. `points`, if given, is a C-contiguous float array of at least
-    max_evals rows that receives every evaluated point. Counts nothing."""
-    race = _NativeRace(image, len(x0), [alg], np.asarray(x0, dtype=float).tobytes(), rng._s,
+    a program image from the floats x0, advancing `rng`: the one job of a
+    race, in this thread. `points`, if given, is a C-contiguous float
+    array of at least max_evals rows that receives every evaluated point.
+    Counts nothing."""
+    race = _NativeRace(image, len(x0), [alg], array("d", x0).tobytes(), rng._s,
                        max_evals, box, stop, points, lib)
     try:
         race.start(1, threaded=False)
@@ -260,6 +274,8 @@ def _native(alg, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutco
     evaluations are counted, and a zero goes to `on_zero`."""
     out = _whole_run(alg, program._image, x0, max_evals, rng, stop, box)
     program.count_evals(out.evals_used)
+    if out.best_x is not None:
+        out.best_x = _vector(out.best_x)
     if out.terminated_by is TerminationReason.ZERO_FOUND and on_zero is not None:
         on_zero(out.best_x.copy())
     return out
@@ -273,19 +289,22 @@ def _budget(max_evals) -> int:
 
 
 def _bounds(bounds) -> tuple[float, float]:
-    arr = np.asarray(bounds, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError("bounds must be (lo, hi)")
-    if not np.isfinite(arr).all():
+    try:
+        lo, hi = map(float, bounds)
+    except (TypeError, ValueError):
+        raise ValueError("bounds must be (lo, hi)") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bounds must be finite")
-    if not arr[0] < arr[1]:
+    if not lo < hi:
         raise ValueError("bounds must satisfy lo < hi")
-    return float(arr[0]), float(arr[1])
+    return lo, hi
 
 
 def _clip(x, lo: float, hi: float):
     """Clip into [lo, hi]: a bound wins a tie (-0.0 clipped at 0.0 is 0.0)
     and NaN passes, as `np.clip` does on a point against bound arrays."""
+    import numpy as np
+
     return np.where(x <= lo, lo, np.where(x >= hi, hi, x))
 
 
@@ -294,6 +313,8 @@ def _population(run: _Run, rng: Xoshiro256Plus, x0: np.ndarray, size: int,
     """The start point clipped into the box, then size - 1 uniform points,
     with their values. The start point is evaluated first and alone (it is
     often the zero)."""
+    import numpy as np
+
     n = len(x0)
     pop = np.empty((size, n))
     pop[0] = _clip(x0, lo, hi)
@@ -313,6 +334,8 @@ def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
     transcendental functions are the `math` module's, whose bits numpy's
     vectorized versions do not always reproduce; the native kernels call
     the same libm functions."""
+    import numpy as np
+
     d = rng.doubles(rows * width)
     r = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in d[0::2]]))
     angle = [_TWO_PI * u for u in d[1::2]]
@@ -336,6 +359,8 @@ def _exp(v: np.ndarray) -> np.ndarray:
     `exp` differs from libm's in the last bit on some inputs and CPUs.
     ISRES's arguments are bounded as its deviates are, so it cannot
     overflow."""
+    import numpy as np
+
     return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
 
 
@@ -354,6 +379,8 @@ def _line_min(run: _Run, x: np.ndarray, direction: np.ndarray, f0: float):
     rejected (seen as +inf) and expansion steps toward them are halved.
     Returns (new_x, new_f).
     """
+    import numpy as np
+
     best = [0.0, f0]
 
     def g(alpha: float) -> float:
@@ -461,6 +488,8 @@ def _brent(g, xa: float, xb: float, xc: float, fb: float,
 
 def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
     """Direction-set descent; returns (x, fx, converged)."""
+    import numpy as np
+
     n = len(x0)
     x = np.array(x0, dtype=float)
     fx = run(x)
@@ -496,6 +525,8 @@ def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
 
 def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
     """Standalone Powell local minimization under the budget interface."""
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
@@ -515,6 +546,8 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
 def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                   stop=None, on_zero=None) -> OptOutcome:
     """Random perturbation + Powell descent + Metropolis acceptance."""
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError("x0 must be a non-empty vector")
@@ -553,6 +586,8 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
 
     Each trial depends on the last replacement, so the steady state runs
     point by point, on lists of floats."""
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:
@@ -628,6 +663,8 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     of a Box-Muller pair), n for its step sizes and n for its step (n
     rounded up to even).
     """
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     if n < 1:

@@ -24,6 +24,10 @@ further evaluation before observing it. The first zero claimed wins, and
 it is verified in the calling thread. An instance's fixed-seed
 trajectory is the one it runs alone, up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
+The C race passes its start points and best points as floats: numpy is
+imported only by the helpers that return arrays (`random_start`,
+`Model.vector`) and by the Python minimizers, so a solve on the native
+kernels never loads it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .errors import InstanceCrashError, VerificationFailureError
@@ -55,6 +58,9 @@ from .optimizers import (
 )
 from .rng import Xoshiro256Plus, derive_seed
 from .terms import Term
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PortfolioConfig",
@@ -112,6 +118,8 @@ class Model:
         return {name: value.to_float() for name, _, value in self.entries}
 
     def vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([value.to_float() for _, _, value in self.entries])
 
     def smt2_block(self) -> str:
@@ -151,8 +159,15 @@ class SolveOutcome:
 
 def random_start(dim: int, rng: Xoshiro256Plus, rng_range=(-0.5, 0.5)) -> np.ndarray:
     """I.i.d. uniform start vector inside the start range."""
+    import numpy as np
+
+    return np.array(_start(dim, rng, rng_range), dtype=float)
+
+
+def _start(dim: int, rng: Xoshiro256Plus, rng_range) -> list[float]:
+    """`random_start`'s draws, as floats."""
     lo, hi = rng_range
-    return np.array([rng.uniform(lo, hi) for _ in range(dim)])
+    return [rng.uniform(lo, hi) for _ in range(dim)]
 
 
 def extract_model(x, varmap: list[tuple[str, Sort]]) -> Model:
@@ -197,7 +212,7 @@ def solve(formula: Term, program: ObjectiveProgram,
     if timeout is not None and not (isinstance(timeout, numbers.Real)
                                     and 0 <= timeout < math.inf):
         raise ValueError(f"wall_timeout must be None or finite and >= 0, got {timeout!r}")
-    if not np.isfinite(np.asarray(config.start_range, dtype=float)).all():
+    if not all(math.isfinite(float(v)) for v in config.start_range):
         raise ValueError("start_range must be finite")
     if stop is not None and not isinstance(stop, StopFlag):
         raise ValueError(f"stop must be None or a StopFlag, got {type(stop).__name__}")
@@ -311,7 +326,7 @@ class _CRace:
     def _prepare(self) -> None:
         idx, n = self.prepared, self.program.dimension
         rng = Xoshiro256Plus(derive_seed(self.config.seed, idx))
-        self.x0s[idx * n:(idx + 1) * n] = random_start(n, rng, self.config.start_range).tolist()
+        self.x0s[idx * n:(idx + 1) * n] = _start(n, rng, self.config.start_range)
         self.states[4 * idx:4 * idx + 4] = rng.state()
         self.prepared += 1
 

@@ -203,6 +203,28 @@ class TestBench:
         # wall time stays within the timeout plus a small grace period
         assert report.records[0].wall_time <= 0.2 + 2.0
 
+    @pytest.mark.parametrize("frontend_s", [0.5, 1.0])
+    def test_timeout_counts_the_frontend(self, tmp_path, monkeypatch, frontend_s):
+        # a frontend that takes 0.5 s leaves the race the rest of the 0.7 s
+        # timeout; one that takes 1 s leaves none, and the file is a
+        # TIMEOUT without a race
+        (tmp_path / "slow.smt2").write_text(
+            "(set-logic QF_FP)(declare-fun x () Float64)"
+            "(assert (fp.lt x x))(check-sat)")
+        load = harness.load_problem
+
+        def slow_load(path):
+            time.sleep(frontend_s)
+            return load(path)
+
+        monkeypatch.setattr(harness, "load_problem", slow_load)
+        report = run_bench(tmp_path, fast_config(max_evals=10**9), timeout=0.7,
+                           stream=io.StringIO())
+        rec = report.records[0]
+        assert rec.verdict == "TIMEOUT"
+        assert rec.wall_time < max(frontend_s, 0.7) + 0.4
+        assert (rec.evals == 0) == (frontend_s > 0.7)
+
     def test_average_sat_time_formula(self):
         records = [
             BenchRecord("a", "SAT", 1.0, "bh", 10),

@@ -254,6 +254,33 @@ def test_kernel_path_is_the_one_asked_for(kernel_path, request):
         assert kernel_path == "python"
 
 
+_WITHOUT_NUMPY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import fpsat
+if fpsat.kernels.lib is None:
+    sys.exit("kernels not loaded: " + fpsat.kernels.reason)
+p = fpsat.load_problem(sys.argv[2])
+print(fpsat.solve(p.formula, p.program).verdict)
+import fpsat.cli
+code = fpsat.cli.main(["solve", sys.argv[2]])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+sys.exit(code)
+"""
+
+
+def test_native_solve_loads_no_numpy():
+    # a fresh interpreter: `import fpsat`, a solve and the command line's
+    # solve, on the native kernels, and numpy is never imported
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(SRC),
+                           str(corpus_dir() / "listing1.smt2")],
+                          capture_output=True, text=True, timeout=120)
+    if proc.stderr.startswith("kernels not loaded"):
+        pytest.skip(proc.stderr.strip())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["sat", "sat", "[]"]
+
+
 # --------------------------------------------------------------------------
 # Fallback: each test loads into a temporary cache, and restores the
 # kernels the suite loaded at import

@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import math
+import operator
 import random
 import shutil
 import struct
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     batch_values,
+    bits_to_double,
     build_program,
     random_assignment,
     random_formula,
@@ -33,6 +35,7 @@ from fpsat.normalizer import push_negations, simplify
 from fpsat.parser import expand_definitions
 from fpsat.objective import (
     _DIST,
+    _sem_fp,
     atom_distance,
     compile_objective,
     render_objective_source,
@@ -629,6 +632,110 @@ class TestSemanticEval:
         x = FPVar("x", FP32)
         t = Compare(CmpOp.EQ, x, FPConst(f32(1.0)))
         assert semantic_eval(t, {"x": f32(1.0)}) is True
+
+
+# numpy's scalar arithmetic, the reference for the oracle's own
+_NUMPY_OPS = {ArithOp.ADD: operator.add, ArithOp.SUB: operator.sub,
+              ArithOp.MUL: operator.mul, ArithOp.DIV: operator.truediv,
+              ArithOp.NEG: operator.neg, ArithOp.ABS: abs}
+_MAX32 = 3.4028234663852886e38
+
+
+def oracle_arith(op, width, *operands):
+    """The oracle's value of `op` on variables bound to the operands."""
+    sort = FP32 if width == 32 else FP64
+    names = "ab"[:len(operands)]
+    term = FPArith(op, tuple(FPVar(n, sort) for n in names))
+    return _sem_fp(term, dict(zip(names, operands)), {})
+
+
+def numpy_arith(op, width, *operands):
+    scalar = np.float32 if width == 32 else np.float64
+    with np.errstate(all="ignore"):
+        return float(_NUMPY_OPS[op](*map(scalar, operands)))
+
+
+def same_value(got, want, width):
+    """Both NaN, or the same encoding (so -0.0 is not 0.0)."""
+    if want != want:
+        return got != got
+    fmt = "<f" if width == 32 else "<d"
+    return struct.pack(fmt, got) == struct.pack(fmt, want)
+
+
+def operands(width):
+    """Values of a width: plain floats and arbitrary encodings."""
+    return st.one_of(st.floats(width=width),
+                     st.integers(0, 2**width - 1).map(lambda b: bits_to_double(b, width)))
+
+
+class TestOracleArithmetic:
+    """`semantic_eval`'s own IEEE arithmetic, Python floats with its own
+    binary32 rounding, against numpy's float32 and float64."""
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_special_operands(self, width):
+        # +-0, +-min subnormal, +-1, +-max finite, +-inf, two NaNs, and the
+        # largest subnormal
+        values = [v.to_float() for v in structured_values(width)]
+        values.append(bits_to_double(0x007FFFFF, 32) if width == 32 else 2.225073858507201e-308)
+        for op in (ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV):
+            for a in values:
+                for b in values:
+                    got, want = oracle_arith(op, width, a, b), numpy_arith(op, width, a, b)
+                    assert same_value(got, want, width), (op, a, b, got, want)
+        for op in (ArithOp.NEG, ArithOp.ABS):
+            for a in values:
+                assert same_value(oracle_arith(op, width, a), numpy_arith(op, width, a),
+                                  width), (op, a)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("op,a,b,want", [
+        (ArithOp.DIV, 1.0, 0.0, math.inf),
+        (ArithOp.DIV, -1.0, 0.0, -math.inf),
+        (ArithOp.DIV, 1.0, -0.0, -math.inf),
+        (ArithOp.DIV, -math.inf, -0.0, math.inf),
+        (ArithOp.DIV, 0.0, 0.0, math.nan),
+        (ArithOp.DIV, -0.0, 0.0, math.nan),
+        (ArithOp.DIV, math.nan, 0.0, math.nan),
+        (ArithOp.SUB, math.inf, math.inf, math.nan),
+        (ArithOp.ADD, -math.inf, math.inf, math.nan),
+        (ArithOp.MUL, 0.0, math.inf, math.nan),
+        (ArithOp.MUL, _MAX32, 2.0, math.inf),
+        (ArithOp.MUL, -_MAX32, _MAX32, -math.inf),
+    ], ids=["x/0", "-x/0", "x/-0", "-inf/-0", "0/0", "-0/0", "nan/0", "inf-inf",
+            "-inf+inf", "0*inf", "overflow", "-overflow"])
+    def test_ieee_cases(self, width, op, a, b, want):
+        if width == 64 and op is ArithOp.MUL and abs(a) == _MAX32:
+            a, b = a * 2.0**896, b * 2.0**896  # the same overflow at binary64's top
+        got = oracle_arith(op, width, a, b)
+        assert same_value(got, want, width), got
+        assert same_value(got, numpy_arith(op, width, a, b), width)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([32, 64]),
+           op=st.sampled_from(list(_NUMPY_OPS)))
+    def test_random_operands(self, data, width, op):
+        args = [data.draw(operands(width)) for _ in range(1 if op in (ArithOp.NEG,
+                                                                       ArithOp.ABS) else 2)]
+        got, want = oracle_arith(op, width, *args), numpy_arith(op, width, *args)
+        assert same_value(got, want, width), (args, got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.one_of(st.floats(), st.sampled_from([
+        2.0**128 - 2.0**103,  # halfway from the largest finite to 2^128: inf
+        math.nextafter(2.0**128 - 2.0**103, 0.0),  # just below it: the largest
+        2.0**-150,  # half the smallest subnormal: a tie, to +0
+        math.nextafter(2.0**-150, 1.0),  # just above it: the smallest subnormal
+        3 * 2.0**-150,  # 1.5 smallest subnormals: a tie, to even (2)
+        1.0 + 2.0**-24,  # a tie at 1: to 1
+        1.0 + 3 * 2.0**-24,  # a tie: to even, 1 + 2^-22
+    ])))
+    def test_binary32_substitution_rounds_to_nearest_even(self, v):
+        got = _sem_fp(FPVar("x", FP32), {"x": v}, {})
+        with np.errstate(all="ignore"):
+            want = float(np.float32(v))
+        assert same_value(got, want, 32), (v, got, want)
 
 
 class TestRenderSource:

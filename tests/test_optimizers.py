@@ -68,6 +68,11 @@ class TestPowell:
             TerminationReason.CONVERGED, TerminationReason.ZERO_FOUND
         )
 
+    def test_best_x_is_a_float64_vector(self):
+        out = powell_minimize(sphere, [1.0, 2.0], OptimizerConfig(max_evals=200))
+        assert type(out.best_x) is np.ndarray and out.best_x.dtype == np.float64
+        assert out.best_x.shape == (2,)
+
     def test_constant_function_converges(self):
         cfg = OptimizerConfig(max_evals=10_000)
         out = powell_minimize(lambda x: 5.0, [1.0, 2.0], cfg)
@@ -435,6 +440,26 @@ class TestCommonContracts:
                 (program.evaluate, None, np.array([0.1, 0.2])),  # wrong dimension
         ]:
             assert _native_program(f, start, stop) is None
+
+    @pytest.mark.parametrize("path", ["native", "python"])
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_points_are_float64_vectors(self, minimize, path, corpus_path):
+        # the best point and the zero handed to on_zero are 1-D float64
+        # ndarrays, from a list start, whichever path evaluates
+        if path == "native" and kernels.lib is None:
+            pytest.skip("the native kernels are not in use")
+        for name, budget in (("listing1.smt2", 20_000), ("infeasible_box.smt2", 500)):
+            program = build_problem((corpus_path / name).read_text()).program
+            f = program.evaluate if path == "native" else (lambda x: program.evaluate(x))
+            x0 = [0.25] * program.dimension
+            assert (_native_program(f, np.asarray(x0)) is program) == (path == "native")
+            zeros = []
+            out = minimize(f, x0, OptimizerConfig(max_evals=budget), Xoshiro256Plus(3),
+                           on_zero=zeros.append)
+            assert len(zeros) == (out.terminated_by is TerminationReason.ZERO_FOUND)
+            for x in (out.best_x, *zeros):
+                assert type(x) is np.ndarray and x.dtype == np.float64
+                assert x.shape == (program.dimension,)
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):

@@ -57,6 +57,11 @@ class TestRandomStart:
         b = random_start(4, Xoshiro256Plus(9), (-0.5, 0.5))
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_is_a_float64_vector(self, dim):
+        x = random_start(dim, Xoshiro256Plus(9))
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (dim,)
+
 
 class TestExtractModel:
     def test_binary32_narrowed(self):
@@ -96,6 +101,12 @@ class TestVerifyModel:
 
 
 class TestSolve:
+    def test_model_vector_is_a_float64_vector(self, listing1_text):
+        problem = build_problem(listing1_text)
+        vector = solve(problem.formula, problem.program, small_config()).model.vector()
+        assert type(vector) is np.ndarray and vector.dtype == np.float64
+        assert vector.shape == (1,)
+
     def test_listing1_sat_with_verified_model(self, listing1_text):
         problem = build_problem(listing1_text)
         out = solve(problem.formula, problem.program, small_config())
