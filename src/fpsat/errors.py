@@ -26,8 +26,10 @@ class SourcePosition(NamedTuple):
 
 class InputError(FpsatError):
     """An error attributable to a position in the input text. The parser
-    raises it with `pos` an offset into the text, and `parse_script` turns
-    that into a `SourcePosition` before the error leaves it."""
+    reads its s-expressions as plain tuples without offsets, so it raises
+    this with `pos` None; `parse_script` then reads the text again with
+    offsets, where the error is raised with `pos` an offset, and turns that
+    into a `SourcePosition` before the error leaves it."""
 
     def __init__(self, message: str, pos: SourcePosition | int | None = None):
         super().__init__(message)

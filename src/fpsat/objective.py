@@ -225,6 +225,20 @@ class _Compiler:
         return acc
 
 
+# numpy's ndarray type and float64 dtype, kept the first time `evaluate`
+# finds numpy loaded (`import fpsat` does not load it), so that the dtype
+# check is an identity test
+_NUMPY: tuple = ()
+
+
+def _numpy_types() -> tuple:
+    global _NUMPY
+    np = sys.modules.get("numpy")
+    if np is not None:
+        _NUMPY = (np.ndarray, np.dtype(np.float64))
+    return _NUMPY
+
+
 class ObjectiveProgram:
     """Compiled objective: a register template, a tape, and its output register.
 
@@ -273,9 +287,9 @@ class ObjectiveProgram:
         lib = kernels.lib
         packed = None
         if lib is not None:
-            np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
-            if (np is not None and type(x) is np.ndarray and x.ndim == 1
-                    and x.dtype == np.float64):
+            numpy_types = _NUMPY or _numpy_types()
+            if (numpy_types and type(x) is numpy_types[0] and x.ndim == 1
+                    and x.dtype is numpy_types[1]):
                 packed = x.tobytes()
             else:
                 try:

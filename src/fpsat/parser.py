@@ -11,71 +11,30 @@ from __future__ import annotations
 import re
 import warnings
 from itertools import combinations
-from typing import NamedTuple
 
-from .errors import (
-    InputError,
-    RecursiveDefinitionError,
-    SmtSyntaxError,
-    SortError,
-    SourcePosition,
-    UnknownSymbolError,
-    UnsupportedLogicError,
-    UnsupportedOperationError,
-    UnsupportedRoundingModeError,
-    UnsupportedSortError,
-    WidthMismatchError,
-)
+from .errors import (InputError, RecursiveDefinitionError, SmtSyntaxError, SortError,
+                     SourcePosition, UnknownSymbolError, UnsupportedLogicError,
+                     UnsupportedOperationError, UnsupportedRoundingModeError,
+                     UnsupportedSortError, WidthMismatchError)
 from .fp import (BOOL, FP32, FP64, FPValue, ROUNDING_MODE, Sort, fp_sort, parse_real,
                  round_rational_to_bits)
-from .terms import (
-    ArithOp,
-    BoolAnd,
-    BoolConst,
-    BoolNot,
-    BoolOr,
-    CmpOp,
-    Compare,
-    Definition,
-    FPArith,
-    FPConst,
-    FPVar,
-    Ite,
-    Script,
-    Term,
-)
+from .terms import (ArithOp, BoolAnd, BoolConst, BoolNot, BoolOr, CmpOp, Compare,
+                    Definition, FPArith, FPConst, FPVar, Ite, Script, Term)
 
 __all__ = ["parse_script", "decode_fp_literal", "expand_definitions"]
 
 SUPPORTED_LOGICS = {"QF_FP", "QF_FPLRA"}
 
 IGNORED_COMMANDS = {
-    "set-info",
-    "set-option",
-    "push",
-    "pop",
-    "get-model",
-    "get-value",
-    "get-info",
-    "get-option",
-    "get-assertions",
-    "get-unsat-core",
-    "echo",
-    "reset",
-    "reset-assertions",
-    "exit",
+    "set-info", "set-option", "push", "pop", "get-model", "get-value", "get-info",
+    "get-option", "get-assertions", "get-unsat-core", "echo", "reset",
+    "reset-assertions", "exit",
 }
 
 RNE_NAMES = {"RNE", "roundNearestTiesToEven"}
 OTHER_RM_NAMES = {
-    "RNA",
-    "RTP",
-    "RTN",
-    "RTZ",
-    "roundNearestTiesToAway",
-    "roundTowardPositive",
-    "roundTowardNegative",
-    "roundTowardZero",
+    "RNA", "RTP", "RTN", "RTZ", "roundNearestTiesToAway", "roundTowardPositive",
+    "roundTowardNegative", "roundTowardZero",
 }
 
 
@@ -84,28 +43,64 @@ OTHER_RM_NAMES = {
 # --------------------------------------------------------------------------
 
 
-class SAtom(NamedTuple):
-    text: str
-    pos: int  # offset into the text
-
-
-class SList(NamedTuple):
-    items: tuple
-    pos: int  # offset of the opening parenthesis
-
-
 # Whitespace and `;` comments (a comment ends at a `\n` or a `\r`), then one
 # token: a parenthesis, a plain atom, a |quoted symbol|, a string ("" escapes
 # a quote), a lone `|` or `"` that opens an unterminated one, or the end of
 # the input. Every character that can follow the skipped prefix starts one of
-# these, so matches are contiguous.
-_TOKEN = re.compile(r'(?:[ \t\r\n]+|;[^\r\n]*)*'
+# these, so matches are contiguous. The prefix has no alternation under its
+# star, which makes `findall` about an eighth faster.
+_TOKEN = re.compile(r'[ \t\r\n]*(?:;[^\r\n]*[ \t\r\n]*)*'
                     r'([()]|[^ \t\r\n();"|]+|\|[^|]*\||"(?:[^"]|"")*"(?!")|["|]|\Z)')
 _UNTERMINATED = {"|": "unterminated |symbol|", '"': "unterminated string literal"}
 
 
 def _read_all(text: str) -> list:
-    """Read every top-level s-expression in the input."""
+    """Read every top-level s-expression in the input: an atom is a `str`
+    and a list a `tuple`, without offsets. An error here has no position:
+    `parse_script` places it by reading again with `_read_placed`."""
+    forms: list = []
+    items, stack = forms, []
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append(items)
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise SmtSyntaxError("unbalanced ')'")
+            form = tuple(items)
+            items = stack.pop()
+            items.append(form)
+        elif tok in _UNTERMINATED:
+            raise SmtSyntaxError(_UNTERMINATED[tok])
+        elif tok:
+            items.append(tok)
+    if stack:
+        raise SmtSyntaxError("unbalanced '(' at end of input")
+    return forms
+
+
+class SAtom(str):
+    """An atom read by `_read_placed`; `pos` is its offset in the text."""
+
+
+class SList(tuple):
+    """A list read by `_read_placed`; `pos` is the offset of its "("."""
+
+
+def _placed(cls, value, pos: int):
+    form = cls(value)
+    form.pos = pos
+    return form
+
+
+def _pos(form) -> int | None:
+    """The offset of a form read by `_read_placed`; None for a plain one."""
+    return getattr(form, "pos", None)
+
+
+def _read_placed(text: str) -> list:
+    """`_read_all` with offsets, to place an error: every form is an
+    `SAtom` or `SList`, and an error raised here has its offset."""
     forms: list = []
     items, stack = forms, []
     for match in _TOKEN.finditer(text):
@@ -118,20 +113,20 @@ def _read_all(text: str) -> list:
             if not stack:
                 raise SmtSyntaxError("unbalanced ')'", pos)
             outer, open_pos = stack.pop()
-            outer.append(SList(tuple(items), open_pos))
+            outer.append(_placed(SList, items, open_pos))
             items = outer
         elif tok in _UNTERMINATED:
             raise SmtSyntaxError(_UNTERMINATED[tok], pos)
         elif tok:
-            items.append(SAtom(tok, pos))
+            items.append(_placed(SAtom, tok, pos))
     if stack:
         raise SmtSyntaxError("unbalanced '(' at end of input", stack[-1][1])
     return forms
 
 
 def _head(form) -> str:
-    if isinstance(form, SList) and form.items and isinstance(form.items[0], SAtom):
-        return form.items[0].text
+    if isinstance(form, tuple) and form and isinstance(form[0], str):
+        return form[0]
     return ""
 
 
@@ -145,16 +140,14 @@ _NAMED_SORTS = {"Bool": BOOL, "RoundingMode": ROUNDING_MODE, "Float32": FP32,
 
 
 def _parse_sort(form) -> Sort:
-    if isinstance(form, SAtom) and form.text in _NAMED_SORTS:
-        return _NAMED_SORTS[form.text]
-    if _head(form) == "_" and len(form.items) == 4:
-        kind = form.items[1]
-        if isinstance(kind, SAtom) and kind.text == "FloatingPoint":
-            return _fp_sort(_int_atom(form.items[2]), _int_atom(form.items[3]), form.pos)
-    raise UnsupportedSortError(f"unsupported sort {_render(form)}", form.pos)
+    if isinstance(form, str) and form in _NAMED_SORTS:
+        return _NAMED_SORTS[form]
+    if _head(form) == "_" and len(form) == 4 and form[1] == "FloatingPoint":
+        return _fp_sort(_int_atom(form[2]), _int_atom(form[3]), _pos(form))
+    raise UnsupportedSortError(f"unsupported sort {_render(form)}", _pos(form))
 
 
-def _fp_sort(eb: int, sb: int, pos: int) -> Sort:
+def _fp_sort(eb: int, sb: int, pos: int | None) -> Sort:
     """The sort of an exponent and significand width; binary32 and binary64 only."""
     sort = fp_sort(eb, sb)
     if sort is None:
@@ -166,12 +159,12 @@ def _fp_sort(eb: int, sb: int, pos: int) -> Sort:
 
 
 def _int_atom(form) -> int:
-    if isinstance(form, SAtom):
+    if isinstance(form, str):
         try:
-            return int(form.text)
+            return int(form)
         except ValueError:
             pass
-    raise SmtSyntaxError(f"expected a numeral, got {_render(form)}", form.pos)
+    raise SmtSyntaxError(f"expected a numeral, got {_render(form)}", _pos(form))
 
 
 _ECHO = 64  # the most characters of a form that an error message echoes
@@ -181,10 +174,7 @@ def _render(form) -> str:
     """The form as text for an error message, cut to `_ECHO` characters.
     An item starts after its list's "(", so cutting it first leaves the
     list's first `_ECHO - 3` characters as they are."""
-    if isinstance(form, SAtom):
-        text = form.text
-    else:
-        text = "(" + " ".join(_render(x) for x in form.items) + ")"
+    text = form if isinstance(form, str) else "(" + " ".join(map(_render, form)) + ")"
     return text if len(text) <= _ECHO else text[:_ECHO - 3] + "..."
 
 
@@ -196,27 +186,26 @@ def _bv_literal(form) -> tuple[int, int] | None:
     """Decode a bitvector literal to (value, width), or None if `form` is not
     shaped like one: `#x...`, `#b...` or `(_ bvN w)`. A malformed one is an
     error at its position."""
-    if isinstance(form, SAtom):
-        t = form.text
-        if not t.startswith(("#x", "#b")):
+    if isinstance(form, str):
+        if not form.startswith(("#x", "#b")):
             return None
-        if _BV_ATOM.fullmatch(t):
-            if t[1] == "x":
-                return int(t[2:], 16), 4 * (len(t) - 2)
-            return int(t[2:], 2), len(t) - 2
+        if _BV_ATOM.fullmatch(form):
+            if form[1] == "x":
+                return int(form[2:], 16), 4 * (len(form) - 2)
+            return int(form[2:], 2), len(form) - 2
     else:
-        index = form.items[1] if _head(form) == "_" and len(form.items) == 3 else None
-        if not (isinstance(index, SAtom) and index.text.startswith("bv")):
+        index = form[1] if _head(form) == "_" and len(form) == 3 else None
+        if not (isinstance(index, str) and index.startswith("bv")):
             return None
-        width = _int_atom(form.items[2])
-        if _BV_INDEX.fullmatch(index.text) and width > 0:
+        width = _int_atom(form[2])
+        if _BV_INDEX.fullmatch(index) and width > 0:
             try:
-                value = int(index.text[2:])
+                value = int(index[2:])
             except ValueError:  # past int()'s 4,300 digits, wider than any sort
                 value = None
             if value is not None and value.bit_length() <= width:
                 return value, width
-    raise SmtSyntaxError(f"malformed bitvector literal {_render(form)}", form.pos)
+    raise SmtSyntaxError(f"malformed bitvector literal {_render(form)}", _pos(form))
 
 
 _SPECIAL_FP = {"+oo", "-oo", "+zero", "-zero", "NaN"}
@@ -243,15 +232,16 @@ def decode_fp_literal(form, target: Sort | None = None) -> FPValue:
     Accepts ``(fp sign exp mant)`` triples, ``((_ to_fp eb sb) #x...)``
     bit reinterpretations, ``((_ to_fp eb sb) RNE <decimal>)`` with exact
     RNE rounding, and the ``(_ +oo/-oo/+zero/-zero/NaN eb sb)`` constants.
-    With a `target` sort, a literal of another width is rejected. The
-    `pos` of an error raised here is the offset of its form in the text;
-    `parse_script` turns it into a line and column.
+    `form` is a plain tuple whose atoms are strings. With a `target` sort,
+    a literal of another width is rejected. An error raised here has no
+    position; `parse_script` finds its line and column by reading the
+    text again.
     """
     value = _decode_literal(form)
     if target is not None and value.sort != target:
         raise WidthMismatchError(
             f"literal width {value.width} does not match target {target.width}",
-            form.pos,
+            _pos(form),
         )
     return value
 
@@ -260,65 +250,65 @@ def _decode_literal(form) -> FPValue:
     op = _head(form)
     if op == "fp":
         # the width is intrinsic to the literal triple
-        if len(form.items) != 4:
-            raise SmtSyntaxError("malformed fp literal", form.pos)
-        eb_bv = _bv_literal(form.items[2])
-        mant_bv = _bv_literal(form.items[3])
+        if len(form) != 4:
+            raise SmtSyntaxError("malformed fp literal", _pos(form))
+        eb_bv = _bv_literal(form[2])
+        mant_bv = _bv_literal(form[3])
         if eb_bv is None or mant_bv is None:
-            raise SmtSyntaxError("fp literal parts must be bitvectors", form.pos)
-        sort = _fp_sort(eb_bv[1], mant_bv[1] + 1, form.pos)
-        sign = _require_bv(form.items[1], 1)
+            raise SmtSyntaxError("fp literal parts must be bitvectors", _pos(form))
+        sort = _fp_sort(eb_bv[1], mant_bv[1] + 1, _pos(form))
+        sign = _require_bv(form[1], 1)
         bits = (sign << (sort.width - 1)) | (eb_bv[0] << (sort.sb - 1)) | mant_bv[0]
         return FPValue(sort.width, bits)
 
     if op == "_":
-        tag = form.items[1] if len(form.items) == 4 else None
-        if not (isinstance(tag, SAtom) and tag.text in _SPECIAL_FP):
+        tag = form[1] if len(form) == 4 else None
+        if not (isinstance(tag, str) and tag in _SPECIAL_FP):
             raise UnsupportedOperationError(
-                f"unsupported indexed form {_render(form)}", form.pos
+                f"unsupported indexed form {_render(form)}", _pos(form)
             )
-        sort = _fp_sort(_int_atom(form.items[2]), _int_atom(form.items[3]), form.pos)
-        return FPValue(sort.width, _special_fp_bits(tag.text, sort.eb, sort.sb))
+        sort = _fp_sort(_int_atom(form[2]), _int_atom(form[3]), _pos(form))
+        return FPValue(sort.width, _special_fp_bits(tag, sort.eb, sort.sb))
 
-    indices = form.items[0] if isinstance(form, SList) and form.items else None
+    indices = form[0] if isinstance(form, tuple) and form else None
     if _head(indices) == "_":
-        tag = indices.items[1] if len(indices.items) == 4 else None
-        if not (isinstance(tag, SAtom) and tag.text == "to_fp"):
+        if not (len(indices) == 4 and indices[1] == "to_fp"):
             raise UnsupportedOperationError(
-                f"unsupported indexed operator {_render(indices)}", form.pos
+                f"unsupported indexed operator {_render(indices)}", _pos(form)
             )
-        return _decode_to_fp(indices, form.items[1:], form.pos)
+        return _decode_to_fp(indices, form[1:], _pos(form))
 
-    raise SmtSyntaxError(f"unrecognized FP literal {_render(form)}", form.pos)
+    raise SmtSyntaxError(f"unrecognized FP literal {_render(form)}", _pos(form))
 
 
 def _require_bv(form, width: int) -> int:
     bv = _bv_literal(form)
     if bv is None:
-        raise SmtSyntaxError(f"expected a bitvector literal, got {_render(form)}", form.pos)
+        raise SmtSyntaxError(f"expected a bitvector literal, got {_render(form)}",
+                             _pos(form))
     if bv[1] != width:
-        raise WidthMismatchError(f"expected a {width}-bit literal", form.pos)
+        raise WidthMismatchError(f"expected a {width}-bit literal", _pos(form))
     return bv[0]
 
 
 def _check_rm(form, defined=frozenset()) -> None:
     """Accept a round-nearest-ties-to-even mode, named directly or by one of
     the RoundingMode definitions in `defined` (which admit only RNE)."""
-    if isinstance(form, SAtom):
-        if form.text in RNE_NAMES or form.text in defined:
+    if isinstance(form, str):
+        if form in RNE_NAMES or form in defined:
             return
-        if form.text in OTHER_RM_NAMES:
+        if form in OTHER_RM_NAMES:
             raise UnsupportedRoundingModeError(
-                f"rounding mode {form.text} is not supported (RNE only)", form.pos
+                f"rounding mode {form} is not supported (RNE only)", _pos(form)
             )
     raise UnsupportedRoundingModeError(
-        f"expected an RNE rounding mode, got {_render(form)}", form.pos
+        f"expected an RNE rounding mode, got {_render(form)}", _pos(form)
     )
 
 
-def _decode_to_fp(indices: SList, args: tuple, pos: int) -> FPValue:
+def _decode_to_fp(indices: tuple, args: tuple, pos: int | None) -> FPValue:
     """Decode ((_ to_fp eb sb) ...) in bitvector or RNE-real form."""
-    sort = _fp_sort(_int_atom(indices.items[2]), _int_atom(indices.items[3]), pos)
+    sort = _fp_sort(_int_atom(indices[2]), _int_atom(indices[3]), pos)
 
     if len(args) == 1:
         bv = _bv_literal(args[0])
@@ -335,11 +325,11 @@ def _decode_to_fp(indices: SList, args: tuple, pos: int) -> FPValue:
     if len(args) == 2:
         _check_rm(args[0])
         value, negate = args[1], False
-        if _head(value) == "-" and len(value.items) == 2:
-            value, negate = value.items[1], True
-        if isinstance(value, SAtom):
+        if _head(value) == "-" and len(value) == 2:
+            value, negate = value[1], True
+        if isinstance(value, str):
             try:
-                frac = parse_real(value.text)
+                frac = parse_real(value)
             except ValueError:
                 pass
             else:
@@ -356,41 +346,17 @@ def _decode_to_fp(indices: SList, args: tuple, pos: int) -> FPValue:
 # Term building
 # --------------------------------------------------------------------------
 
-_CHAINABLE = {
-    "fp.lt": CmpOp.LT,
-    "fp.leq": CmpOp.LEQ,
-    "fp.gt": CmpOp.GT,
-    "fp.geq": CmpOp.GEQ,
-    "fp.eq": CmpOp.EQ,
-}
+_CHAINABLE = {"fp.lt": CmpOp.LT, "fp.leq": CmpOp.LEQ, "fp.gt": CmpOp.GT,
+              "fp.geq": CmpOp.GEQ, "fp.eq": CmpOp.EQ}
 
-_ARITH_2 = {
-    "fp.add": ArithOp.ADD,
-    "fp.sub": ArithOp.SUB,
-    "fp.mul": ArithOp.MUL,
-    "fp.div": ArithOp.DIV,
-}
+_ARITH_2 = {"fp.add": ArithOp.ADD, "fp.sub": ArithOp.SUB, "fp.mul": ArithOp.MUL,
+            "fp.div": ArithOp.DIV}
 
 _KNOWN_UNSUPPORTED = {
-    "fp.sqrt",
-    "fp.fma",
-    "fp.rem",
-    "fp.roundToIntegral",
-    "fp.min",
-    "fp.max",
-    "fp.isNormal",
-    "fp.isSubnormal",
-    "fp.isZero",
-    "fp.isInfinite",
-    "fp.isNaN",
-    "fp.isNegative",
-    "fp.isPositive",
-    "fp.to_real",
-    "fp.to_sbv",
-    "fp.to_ubv",
-    "to_fp_unsigned",
-    "forall",
-    "exists",
+    "fp.sqrt", "fp.fma", "fp.rem", "fp.roundToIntegral", "fp.min", "fp.max",
+    "fp.isNormal", "fp.isSubnormal", "fp.isZero", "fp.isInfinite", "fp.isNaN",
+    "fp.isNegative", "fp.isPositive", "fp.to_real", "fp.to_sbv", "fp.to_ubv",
+    "to_fp_unsigned", "forall", "exists",
 }
 
 
@@ -419,26 +385,26 @@ class _Env:
         return env
 
 
-def _require_fp(term: Term, pos: int, what: str) -> Term:
+def _require_fp(term: Term, pos: int | None, what: str) -> Term:
     if not term.sort.is_fp:
         raise SortError(f"{what} must be a floating-point term", pos)
     return term
 
 
-def _require_bool(term: Term, pos: int, what: str) -> Term:
+def _require_bool(term: Term, pos: int | None, what: str) -> Term:
     if term.sort != BOOL:
         raise SortError(f"{what} must be Boolean", pos)
     return term
 
 
-def _same_fp_sort(a: Term, b: Term, pos: int, what: str) -> None:
+def _same_fp_sort(a: Term, b: Term, pos: int | None, what: str) -> None:
     if a.sort != b.sort:
         raise SortError(
             f"{what} operands have mismatched sorts {a.sort} and {b.sort}", pos
         )
 
 
-def _pairwise(relation, pairs, pos: int, what: str) -> Term:
+def _pairwise(relation, pairs, pos: int | None, what: str) -> Term:
     """The conjunction of `relation(a, b)` over `pairs` of FP terms, each
     of one sort."""
     parts = []
@@ -460,7 +426,7 @@ def _fp_identical(a: Term, b: Term) -> Term:
     return BoolOr((both_nan, same))
 
 
-def _operands(op: str, rest: tuple, env: _Env, pos: int,
+def _operands(op: str, rest: tuple, env: _Env, pos: int | None,
               require=None) -> list[Term]:
     """Build the two or more operands of `op`, each checked by `require`."""
     if len(rest) < 2:
@@ -471,26 +437,26 @@ def _operands(op: str, rest: tuple, env: _Env, pos: int,
 
 
 def _build_term(form, env: _Env) -> Term:
-    if isinstance(form, SAtom):
+    if isinstance(form, str):
         return _build_atom(form, env)
 
-    items, pos = form
-    if not items:
+    pos = _pos(form)
+    if not form:
         raise SmtSyntaxError("empty application", pos)
-    head = items[0]
+    head = form[0]
 
     # FP literals: (fp ...), (_ +oo ...), ((_ to_fp ...) ...)
-    if isinstance(head, SList):
+    if not isinstance(head, str):
         if _head(head) != "_":
             raise SmtSyntaxError(f"expected an operator, got {_render(head)}", pos)
         return FPConst(decode_fp_literal(form))
-    op = head.text
+    op = head
     if op == "fp" or op == "_":
         return FPConst(decode_fp_literal(form))
-    rest = items[1:]
+    rest = form[1:]
 
     if op in _KNOWN_UNSUPPORTED:
-        raise UnsupportedOperationError(f"operation {op} is not supported", head.pos)
+        raise UnsupportedOperationError(f"operation {op} is not supported", _pos(head))
 
     if op == "not":
         if len(rest) != 1:
@@ -579,15 +545,15 @@ def _build_term(form, env: _Env) -> Term:
         return Ite(cond, then, orelse)
 
     if op == "let":
-        if len(rest) != 2 or not isinstance(rest[0], SList):
+        if len(rest) != 2 or isinstance(rest[0], str):
             raise SmtSyntaxError("malformed let", pos)
         child = env.child()
-        for binding in rest[0].items:
-            if not (isinstance(binding, SList) and len(binding.items) == 2
-                    and isinstance(binding.items[0], SAtom)):
-                raise SmtSyntaxError("malformed let binding", rest[0].pos)
+        for binding in rest[0]:
+            if not (isinstance(binding, tuple) and len(binding) == 2
+                    and isinstance(binding[0], str)):
+                raise SmtSyntaxError("malformed let binding", _pos(rest[0]))
             # parallel let: bind in the outer environment
-            child.locals[binding.items[0].text] = _build_term(binding.items[1], env)
+            child.locals[binding[0]] = _build_term(binding[1], env)
         return _build_term(rest[1], child)
 
     # application of a user-defined function: inline its body, rebuilt in
@@ -619,13 +585,12 @@ def _build_term(form, env: _Env) -> Term:
         return body
 
     if op == env.current_def:
-        raise RecursiveDefinitionError(f"definition of {op} refers to itself", head.pos)
+        raise RecursiveDefinitionError(f"definition of {op} refers to itself", _pos(head))
 
-    raise UnsupportedOperationError(f"unknown operator {op}", head.pos)
+    raise UnsupportedOperationError(f"unknown operator {op}", _pos(head))
 
 
-def _build_atom(form: SAtom, env: _Env) -> Term:
-    name = form.text
+def _build_atom(name: str, env: _Env) -> Term:
     if name == "true":
         return BoolConst(True)
     if name == "false":
@@ -639,14 +604,14 @@ def _build_atom(form: SAtom, env: _Env) -> Term:
     if defn is not None:
         if defn.params:
             raise SmtSyntaxError(
-                f"{name} is a function of arity {len(defn.params)}", form.pos
+                f"{name} is a function of arity {len(defn.params)}", _pos(name)
             )
         return defn.body
     if name in env.rm_values or name in RNE_NAMES or name in OTHER_RM_NAMES:
-        raise SortError(f"rounding mode {name} used as a term", form.pos)
+        raise SortError(f"rounding mode {name} used as a term", _pos(name))
     if name == env.current_def:
-        raise RecursiveDefinitionError(f"definition of {name} refers to itself", form.pos)
-    raise UnknownSymbolError(f"unknown symbol {name}", form.pos)
+        raise RecursiveDefinitionError(f"definition of {name} refers to itself", _pos(name))
+    raise UnknownSymbolError(f"unknown symbol {name}", _pos(name))
 
 
 # --------------------------------------------------------------------------
@@ -659,35 +624,41 @@ def parse_script(text: str) -> Script:
 
     Supported commands: set-logic, declare-fun/declare-const (zero-arity FP),
     define-fun, assert, check-sat. Benign bookkeeping commands are ignored;
-    anything unknown draws a warning and is skipped. An `InputError` leaves
-    with its offset turned into a line and column.
+    anything unknown draws a warning and is skipped. The text is read
+    without offsets; an `InputError` is placed by reading and interpreting
+    the text again with them, and leaves with the line and column of the
+    occurrence that failed.
     """
     try:
-        return _interpret(_read_all(text))
+        return _interpret(_read_all(text), warn=True)
+    except InputError as exc:
+        error = exc
+    try:
+        _interpret(_read_placed(text), warn=False)
     except InputError as exc:
         if exc.pos is not None:
             exc.pos = SourcePosition.at(text, exc.pos)
         raise
+    raise error  # not reached: both reads reject the same text
 
 
-def _interpret(forms: list) -> Script:
+def _interpret(forms: list, warn: bool) -> Script:
     script = Script()
     env = _Env(script)
     for form in forms:
-        if not isinstance(form, SList) or not form.items:
-            raise SmtSyntaxError(f"expected a command, got {_render(form)}", form.pos)
-        cmd = form.items[0]
-        if not isinstance(cmd, SAtom):
-            raise SmtSyntaxError("expected a command name", form.pos)
-        name = cmd.text
+        if isinstance(form, str) or not form:
+            raise SmtSyntaxError(f"expected a command, got {_render(form)}", _pos(form))
+        name = form[0]
+        if not isinstance(name, str):
+            raise SmtSyntaxError("expected a command name", _pos(form))
 
         if name == "set-logic":
-            if len(form.items) != 2 or not isinstance(form.items[1], SAtom):
-                raise SmtSyntaxError("malformed set-logic", form.pos)
-            logic = form.items[1].text
+            if len(form) != 2 or not isinstance(form[1], str):
+                raise SmtSyntaxError("malformed set-logic", _pos(form))
+            logic = form[1]
             if logic not in SUPPORTED_LOGICS:
                 raise UnsupportedLogicError(
-                    f"logic {logic} is not supported (QF_FP only)", form.items[1].pos
+                    f"logic {logic} is not supported (QF_FP only)", _pos(logic)
                 )
             script.logic = logic
 
@@ -698,21 +669,21 @@ def _interpret(forms: list) -> Script:
             _define(form, script, env)
 
         elif name == "assert":
-            if len(form.items) != 2:
-                raise SmtSyntaxError("assert takes one argument", form.pos)
-            term = _build_term(form.items[1], env)
+            if len(form) != 2:
+                raise SmtSyntaxError("assert takes one argument", _pos(form))
+            term = _build_term(form[1], env)
             if term.sort != BOOL:
-                raise SortError("asserted term must be Boolean", form.pos)
+                raise SortError("asserted term must be Boolean", _pos(form))
             script.assertions.append(term)
 
         elif name == "check-sat":
             script.has_check_sat = True
 
         elif name in IGNORED_COMMANDS:
-            if name not in ("set-info", "set-option", "exit"):
+            if warn and name not in ("set-info", "set-option", "exit"):
                 warnings.warn(f"ignoring unsupported command ({name} ...)")
 
-        else:
+        elif warn:
             warnings.warn(f"ignoring unknown command ({name} ...)")
 
     if not script.assertions:
@@ -726,77 +697,77 @@ def _is_bound(name: str, script: Script, env: _Env) -> bool:
             or name in env.rm_values)
 
 
-def _declare(form: SList, script: Script, env: _Env) -> None:
-    if form.items[0].text == "declare-fun":
-        if len(form.items) != 4:
-            raise SmtSyntaxError("malformed declare-fun", form.pos)
-        params = form.items[2]
-        if not isinstance(params, SList) or params.items:
+def _declare(form: tuple, script: Script, env: _Env) -> None:
+    if form[0] == "declare-fun":
+        if len(form) != 4:
+            raise SmtSyntaxError("malformed declare-fun", _pos(form))
+        params = form[2]
+        if isinstance(params, str) or params:
             raise UnsupportedOperationError(
-                "uninterpreted functions with arguments are not supported", form.pos
+                "uninterpreted functions with arguments are not supported", _pos(form)
             )
-        sort_form = form.items[3]
+        sort_form = form[3]
     else:
-        if len(form.items) != 3:
-            raise SmtSyntaxError("malformed declare-const", form.pos)
-        sort_form = form.items[2]
-    sym = form.items[1]
-    if not isinstance(sym, SAtom):
-        raise SmtSyntaxError("expected a symbol", form.pos)
+        if len(form) != 3:
+            raise SmtSyntaxError("malformed declare-const", _pos(form))
+        sort_form = form[2]
+    sym = form[1]
+    if not isinstance(sym, str):
+        raise SmtSyntaxError("expected a symbol", _pos(form))
     sort = _parse_sort(sort_form)
     if sort == ROUNDING_MODE:
         raise UnsupportedRoundingModeError(
-            "free RoundingMode variables are not supported (RNE only)", form.pos
+            "free RoundingMode variables are not supported (RNE only)", _pos(form)
         )
     if not sort.is_fp:
         raise UnsupportedSortError(
-            f"declared variables must be floating point, got {sort}", form.pos
+            f"declared variables must be floating point, got {sort}", _pos(form)
         )
-    if _is_bound(sym.text, script, env):
-        raise SmtSyntaxError(f"symbol {sym.text} redeclared", sym.pos)
-    script.declared_vars[sym.text] = sort
+    if _is_bound(sym, script, env):
+        raise SmtSyntaxError(f"symbol {sym} redeclared", _pos(sym))
+    script.declared_vars[sym] = sort
 
 
-def _define(form: SList, script: Script, env: _Env) -> None:
-    if len(form.items) != 5:
-        raise SmtSyntaxError("malformed define-fun", form.pos)
-    sym, params_form, sort_form, body_form = form.items[1:]
-    if not isinstance(sym, SAtom):
-        raise SmtSyntaxError("expected a symbol", form.pos)
-    if _is_bound(sym.text, script, env):
-        raise SmtSyntaxError(f"symbol {sym.text} redefined", sym.pos)
+def _define(form: tuple, script: Script, env: _Env) -> None:
+    if len(form) != 5:
+        raise SmtSyntaxError("malformed define-fun", _pos(form))
+    sym, params_form, sort_form, body_form = form[1:]
+    if not isinstance(sym, str):
+        raise SmtSyntaxError("expected a symbol", _pos(form))
+    if _is_bound(sym, script, env):
+        raise SmtSyntaxError(f"symbol {sym} redefined", _pos(sym))
     result_sort = _parse_sort(sort_form)
 
     if result_sort == ROUNDING_MODE:
-        if not (isinstance(body_form, SAtom) and body_form.text in RNE_NAMES):
+        if not (isinstance(body_form, str) and body_form in RNE_NAMES):
             raise UnsupportedRoundingModeError(
-                f"RoundingMode definition {sym.text} must be RNE", form.pos
+                f"RoundingMode definition {sym} must be RNE", _pos(form)
             )
-        env.rm_values.add(sym.text)
+        env.rm_values.add(sym)
         return
 
     params: list[tuple[str, Sort]] = []
-    if not isinstance(params_form, SList):
-        raise SmtSyntaxError("malformed parameter list", form.pos)
-    for p in params_form.items:
-        if not (isinstance(p, SList) and len(p.items) == 2 and isinstance(p.items[0], SAtom)):
-            raise SmtSyntaxError("malformed parameter", params_form.pos)
-        psort = _parse_sort(p.items[1])
+    if isinstance(params_form, str):
+        raise SmtSyntaxError("malformed parameter list", _pos(form))
+    for p in params_form:
+        if not (isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)):
+            raise SmtSyntaxError("malformed parameter", _pos(params_form))
+        psort = _parse_sort(p[1])
         if not psort.is_fp:
             raise UnsupportedSortError(
-                "definition parameters must be floating point", p.pos
+                "definition parameters must be floating point", _pos(p)
             )
-        params.append((p.items[0].text, psort))
+        params.append((p[0], psort))
 
-    body_env = env.body_scope(sym.text)
+    body_env = env.body_scope(sym)
     for pname, psort in params:
         body_env.locals[pname] = FPVar(pname, psort)
     body = _build_term(body_form, body_env)
     if body.sort != result_sort:
         raise SortError(
-            f"body of {sym.text} has sort {body.sort}, declared {result_sort}", form.pos
+            f"body of {sym} has sort {body.sort}, declared {result_sort}", _pos(form)
         )
-    script.definitions[sym.text] = Definition(sym.text, tuple(params), body, body_form)
+    script.definitions[sym] = Definition(sym, tuple(params), body, body_form)
 
 
 # --------------------------------------------------------------------------

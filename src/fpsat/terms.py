@@ -247,8 +247,9 @@ class Definition:
 
     A nullary definition's `body` is the term each reference reuses. A
     definition with parameters is rebuilt from `body_form`, its source
-    s-expression, at each application; its `body` has the parameters as
-    free variables.
+    s-expression as a plain tuple whose atoms are strings, once per
+    distinct argument list; its `body` has the parameters as free
+    variables.
     """
 
     name: str

@@ -284,6 +284,21 @@ class TestCompileAndEvaluate:
             t.join()
         assert program.eval_count == 8 * per_thread
 
+    def test_every_array_layout_evaluates_alike(self):
+        # only a 1-D native float64 ndarray is passed as its bytes; a
+        # byte-swapped, float32 or strided array is packed like a list
+        program = build_problem(
+            "(declare-fun x () Float64)(declare-fun y () Float32)"
+            "(assert (fp.lt (fp.add RNE x x) ((_ to_fp 11 53) RNE 0.75)))"
+            "(assert (fp.gt y ((_ to_fp 8 24) RNE 0.5)))"
+        ).program
+        for point in ([0.25, 1.0], [1.5, 0.125]):
+            want = program.evaluate(point)
+            assert (want == 0.0) == (point == [0.25, 1.0])
+            for x in (np.array(point), np.array(point, dtype=">f8"),
+                      np.array(point, dtype=np.float32), np.repeat(point, 2)[::2]):
+                assert program.evaluate(x) == want
+
     def test_dimension_mismatch(self, listing1_text):
         program = build_problem(listing1_text).program
         with pytest.raises(DimensionMismatchError):

@@ -2,13 +2,15 @@
 
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import random_formula
 
-from fpsat import build_problem
+from fpsat import build_problem, parser
 from fpsat.errors import (
     InputError,
     RecursiveDefinitionError,
@@ -24,6 +26,7 @@ from fpsat.errors import (
 )
 from fpsat.fp import FP32, FP64, FPValue
 from fpsat.normalizer import push_negations, simplify
+from fpsat.harness import corpus_dir
 from fpsat.objective import semantic_eval
 from fpsat.parser import decode_fp_literal, expand_definitions, parse_script
 from fpsat.parser import _read_all  # noqa: internal, used for literal forms
@@ -249,6 +252,17 @@ class TestErrorTable:
         # real literals that divide by zero
         (_in_assert("((_ to_fp 8 24) RNE 1/0)"), UnsupportedOperationError, "2:16"),
         (_in_assert("((_ to_fp 8 24) RNE (- 0/0))"), UnsupportedOperationError, "2:16"),
+        # a repeated form, a reused name or a reused definition is placed at
+        # the occurrence that failed
+        (_DECL + "(assert (and (fp.lt (fp.add RTZ x x) x) (fp.lt (fp.add RTZ x x) x)))",
+         UnsupportedRoundingModeError, "2:29"),
+        (_DECL + "(assert (let ((y x)) (fp.lt y x)))\n(assert (fp.lt y x))",
+         UnknownSymbolError, "3:16"),
+        (_DECL + "(define-fun f ((a Float32)) Bool (fp.lt a (fp.add RTZ a a)))\n"
+         "(assert (and (f x) (f x)))", UnsupportedRoundingModeError, "2:51"),
+        (_DECL + "(declare-fun z () Float64)(define-fun f ((a Float32)) Bool (fp.lt a a))\n"
+         "(assert (and (f x) (f x) (f z)))", SortError, "3:26"),
+        (_DECL + "(assert (fp.lt x x))\n(assert (fp.lt x x)))", SmtSyntaxError, "3:21"),
     ], ids=[
         "unterminated-symbol", "unterminated-string", "unterminated-string-quotes",
         "unbalanced-close", "unbalanced-open",
@@ -260,6 +274,8 @@ class TestErrorTable:
         "bv-hex-empty", "bv-bin-digit", "bv-hex-digit", "bv-index-name",
         "bv-index-negative", "bv-index-too-wide", "bv-index-5000-digits",
         "after-non-ascii", "to_fp-one-by-zero", "to_fp-zero-by-zero",
+        "repeated-subterm", "let-name-reused", "parametric-body-applied-twice",
+        "parametric-argument-third-site", "unbalanced-close-after-repeat",
     ])
     def test_error_and_position(self, text, error, pos):
         with pytest.raises(InputError) as err:
@@ -283,6 +299,62 @@ class TestErrorTable:
         with pytest.raises(InputError, match="nests too deeply") as err:
             build_problem(text)
         assert type(err.value) is InputError
+
+
+def _seed1_texts(workload: str) -> list[str]:
+    """The texts of the benchmark's seed-1 queries of `workload`."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    return [q.text for q in workloads.generate(workload, 1)]
+
+
+class TestPlacedReread:
+    """`parse_script` reads without offsets and, on an error, reads the text
+    again with them (`_read_placed`) to place it."""
+
+    @pytest.mark.parametrize("source", ["corpus", "race-sat", "budget-burn", "shared-dag"])
+    def test_both_reads_give_one_script(self, source):
+        if source == "corpus":
+            texts = [p.read_text() for p in sorted(corpus_dir().glob("*.smt2"))]
+        else:
+            texts = _seed1_texts(source)
+        for text in texts:
+            fast = parse_script(text)
+            placed = parser._interpret(parser._read_placed(text), warn=False)
+            assert len(placed.assertions) == len(fast.assertions)
+            assert all(a is b for a, b in zip(placed.assertions, fast.assertions))
+            assert list(placed.declared_vars.items()) == list(fast.declared_vars.items())
+            assert placed.definitions.keys() == fast.definitions.keys()
+            for name, defn in fast.definitions.items():
+                again = placed.definitions[name]
+                assert again.params == defn.params and again.body is defn.body
+                assert again.body_form == defn.body_form
+
+    def test_forms_are_plain_and_placed_forms_carry_offsets(self):
+        text = "(assert (fp.lt x |a b|))"
+        assert _read_all(text) == [("assert", ("fp.lt", "x", "|a b|"))]
+        assert type(_read_all(text)[0][1]) is tuple
+        (form,) = parser._read_placed(text)
+        assert form == ("assert", ("fp.lt", "x", "|a b|"))
+        assert [form.pos, form[1].pos, form[1][2].pos] == [0, 8, 17]
+
+    def test_an_error_after_an_ignored_command_warns_once(self):
+        with pytest.warns(UserWarning) as record:
+            with pytest.raises(UnknownSymbolError) as err:
+                parse_script(_DECL + "(push 1)(assert (fp.lt x y))")
+        assert [str(w.message) for w in record] == ["ignoring unsupported command (push ...)"]
+        assert err.value.pos == SourcePosition(2, 26)
+
+    def test_100k_deep_input_fails_fast(self):
+        depth = 100_000
+        text = f"{_DECL}(assert {'(not ' * depth}(fp.lt x x){')' * (depth + 1)}"
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="nests too deeply"):
+            build_problem(text)
+        assert time.perf_counter() - t0 < 2.0
 
 
 class TestDecodeLiteral:

@@ -137,7 +137,7 @@ class TestSharing:
         build_term = parser._build_term
 
         def counting(form, env):
-            if env.current_def == "f0" and isinstance(form, parser.SList):
+            if env.current_def == "f0" and isinstance(form, tuple):
                 builds[0] += 1  # f0's body is its only list
             return build_term(form, env)
 
