@@ -6,8 +6,8 @@ strategy that ranks its offspring by objective value. Each instance owns
 all of its mutable state and its own PRNG stream. A minimizer takes one
 objective `f` and counts each call as one evaluation; the shared stop
 token is polled before every evaluation, and budgets are never exceeded.
-Objectives receive each point as a sequence of floats (an ndarray, or a
-list in CRS2's steady state and in a population's rows).
+A point is a list of floats: the start point, once read, each point that
+an objective receives, the best point and the zero handed to `on_zero`.
 
 When the kernels are loaded and `f` is `ObjectiveProgram.evaluate` itself,
 bound to a program of x0's dimension (see `_native_program`), the native
@@ -24,9 +24,10 @@ only at its budget or its first zero. The portfolio runs the jobs of a
 whole race on pthreads of their own, with the same `_NativeRace`. Any
 other `f`, a wrapper of `evaluate` included, or any other `stop`, runs
 the Python code, which calls `f` once for every point. The Python code
-is the reference and the fallback. numpy is imported by the Python code
-and by the public minimizers, whose points are ndarrays on either path,
-and not by a native race (`_NativeRace`), whose points are floats.
+is the reference and the fallback. It computes on lists of floats,
+statement for statement with `_kernels.c`: the same operations in the
+same order, and libm's transcendental functions, which Python calls
+through the `math` module.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -40,14 +41,10 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from . import kernels
 from .objective import ObjectiveProgram
 from .rng import Xoshiro256Plus
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "StopFlag",
@@ -83,7 +80,7 @@ class OptimizerConfig:
 
 @dataclass
 class OptOutcome:
-    best_x: np.ndarray | None
+    best_x: list[float] | None
     best_value: float
     evals_used: int
     terminated_by: TerminationReason
@@ -102,14 +99,6 @@ class StopFlag:
 
     def set(self) -> None:
         self._byte[0] = 1
-
-
-def _vector(x) -> np.ndarray:
-    """A new 1-D float64 ndarray of x: the type of the points that the
-    public minimizers return and hand to `on_zero`."""
-    import numpy as np
-
-    return np.array(x, dtype=float, copy=True)
 
 
 class _Stop(Exception):
@@ -139,28 +128,17 @@ class _Run:
             raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
         return self._take(x, self.fn(x))
 
-    def many(self, X: np.ndarray) -> list[float]:
-        """Evaluate the rows of X in order, each as a list, through
-        `__call__`."""
-        return [self(x) for x in X.tolist()]
-
     def _take(self, x, v: float) -> float:
         """Count one evaluation of x; track the best and stop on a zero."""
         self.evals += 1
         if v < self.best_value or self.best_x is None:
             self.best_value = v
-            self.best_x = _vector(x)
+            self.best_x = list(x)
         if v == 0.0:
             if self.on_zero is not None:
-                self.on_zero(_vector(x))
+                self.on_zero(list(x))
             raise _Stop(TerminationReason.ZERO_FOUND)
         return v
-
-    def poll(self) -> None:
-        """Stop the run if the race was cancelled; for work between
-        evaluations, such as drawing a population."""
-        if self.stop is not None and self.stop.is_set():
-            raise _Stop(TerminationReason.CANCELLED)
 
     def outcome(self, reason: TerminationReason) -> OptOutcome:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
@@ -185,7 +163,7 @@ def _native_program(f, x0, stop=None):
     if stop is not None and not isinstance(stop, StopFlag):
         return None
     program = f.__self__
-    return program if x0.ndim == 1 and len(x0) == program.dimension else None
+    return program if len(x0) == program.dimension else None
 
 
 # _kernels.c's numbers of the algorithms
@@ -216,7 +194,7 @@ class _NativeRace:
             image, k, codes, x0s, states,
             min(max_evals, _INT64_MAX), *(box or (0.0, 0.0)),
             None if stop is None else stop.address, self.best, self.results, self.times,
-            None if points is None else points.ctypes.data)
+            points)
         if not self.handle:
             raise MemoryError("no memory for a native race")
 
@@ -238,25 +216,24 @@ class _NativeRace:
         return None if winner < 0 else winner
 
     def outcome(self, i: int) -> OptOutcome | None:
-        """Job i's outcome once the race has ended, its best point an
-        `array('d')`; None if its scratch or its thread could not be had."""
+        """Job i's outcome once the race has ended, its best point a list
+        of floats; None if its scratch or its thread could not be had."""
         code, evals = self.results[2 * i], self.results[2 * i + 1]
         if code < 0:
             return None
         if evals == 0:
             return OptOutcome(None, math.inf, 0, _NATIVE_REASONS[code])
         best = self.best[i * (self.n + 1):(i + 1) * (self.n + 1)]
-        return OptOutcome(array("d", best[:-1]), best[-1], evals, _NATIVE_REASONS[code])
+        return OptOutcome(best[:-1], best[-1], evals, _NATIVE_REASONS[code])
 
 
 def _whole_run(alg: str, image: bytes, x0, max_evals: int, rng: Xoshiro256Plus,
-               stop: StopFlag | None, box=(), points: np.ndarray | None = None,
-               lib=None) -> OptOutcome:
+               stop: StopFlag | None, box=(), points=None, lib=None) -> OptOutcome:
     """One whole run of `alg` ("bh", or "crs2" or "isres" with its box) on
     a program image from the floats x0, advancing `rng`: the one job of a
-    race, in this thread. `points`, if given, is a C-contiguous float
-    array of at least max_evals rows that receives every evaluated point.
-    Counts nothing."""
+    race, in this thread. `points`, if given, is a ctypes array of, or the
+    address of, at least max_evals rows of n doubles, which receives every
+    evaluated point. Counts nothing."""
     race = _NativeRace(image, len(x0), [alg], array("d", x0).tobytes(), rng._s,
                        max_evals, box, stop, points, lib)
     try:
@@ -274,10 +251,8 @@ def _native(alg, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutco
     evaluations are counted, and a zero goes to `on_zero`."""
     out = _whole_run(alg, program._image, x0, max_evals, rng, stop, box)
     program.count_evals(out.evals_used)
-    if out.best_x is not None:
-        out.best_x = _vector(out.best_x)
     if out.terminated_by is TerminationReason.ZERO_FOUND and on_zero is not None:
-        on_zero(out.best_x.copy())
+        on_zero(list(out.best_x))
     return out
 
 
@@ -300,49 +275,53 @@ def _bounds(bounds) -> tuple[float, float]:
     return lo, hi
 
 
-def _clip(x, lo: float, hi: float):
-    """Clip into [lo, hi]: a bound wins a tie (-0.0 clipped at 0.0 is 0.0)
-    and NaN passes, as `np.clip` does on a point against bound arrays."""
-    import numpy as np
+def _point(x0) -> list[float]:
+    """A start point as a new list of floats; x0 must be a non-empty flat
+    sequence of reals."""
+    try:
+        x = list(x0)
+    except TypeError:
+        x = []
+    if not x or not all(isinstance(v, numbers.Real) for v in x):
+        raise ValueError("x0 must be a non-empty vector")
+    return [float(v) for v in x]
 
-    return np.where(x <= lo, lo, np.where(x >= hi, hi, x))
+
+def _clip(x: list[float], lo: float, hi: float) -> list[float]:
+    """x clipped into [lo, hi]: a bound wins a tie (-0.0 clipped at 0.0 is
+    0.0), and NaN passes."""
+    return [lo if v <= lo else hi if v >= hi else v for v in x]
 
 
-def _population(run: _Run, rng: Xoshiro256Plus, x0: np.ndarray, size: int,
-                lo: float, hi: float) -> tuple[np.ndarray, list[float]]:
+def _population(run: _Run, rng: Xoshiro256Plus, x0: list[float], size: int,
+                lo: float, hi: float) -> tuple[list[list[float]], list[float]]:
     """The start point clipped into the box, then size - 1 uniform points,
     with their values. The start point is evaluated first and alone (it is
     often the zero)."""
-    import numpy as np
-
     n = len(x0)
-    pop = np.empty((size, n))
-    pop[0] = _clip(x0, lo, hi)
-    f0 = run(pop[0])
-    draws = np.array(rng.doubles((size - 1) * n)).reshape(size - 1, n)
-    pop[1:] = lo + draws * (hi - lo)
-    return pop, [f0] + run.many(pop[1:])
+    pop = [_clip(x0, lo, hi)]
+    fvals = [run(pop[0])]
+    d = rng.doubles((size - 1) * n)
+    span = hi - lo
+    pop += [[lo + u * span for u in d[k:k + n]] for k in range(0, len(d), n)]
+    fvals += [run(x) for x in pop[1:]]
+    return pop, fvals
 
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> np.ndarray:
-    """Standard normal deviates, `rows` x `width` (width even), in draw
-    order. Box-Muller: each pair of doubles gives a cosine then a sine
-    deviate; 1 - u lies in (0, 1], so the log is finite. The
-    transcendental functions are the `math` module's, whose bits numpy's
-    vectorized versions do not always reproduce; the native kernels call
-    the same libm functions."""
-    import numpy as np
-
+def _gauss_rows(rng: Xoshiro256Plus, rows: int, width: int) -> list[list[float]]:
+    """Standard normal deviates, `rows` rows of `width` (even), in draw
+    order. Box-Muller: each pair of doubles (u, v) gives a cosine then a
+    sine deviate; 1 - u lies in (0, 1], so the log is finite."""
     d = rng.doubles(rows * width)
-    r = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in d[0::2]]))
-    angle = [_TWO_PI * u for u in d[1::2]]
-    z = np.empty((len(angle), 2))
-    z[:, 0] = r * np.array([math.cos(a) for a in angle])
-    z[:, 1] = r * np.array([math.sin(a) for a in angle])
-    return z.reshape(rows, width)
+    z = []
+    for u, v in zip(d[0::2], d[1::2]):
+        r = math.sqrt(-2.0 * math.log(1.0 - u))
+        angle = _TWO_PI * v
+        z += (r * math.cos(angle), r * math.sin(angle))
+    return [z[k:k + width] for k in range(0, len(z), width)]
 
 
 def _square(v: float) -> float:
@@ -354,16 +333,6 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def _exp(v: np.ndarray) -> np.ndarray:
-    """`math.exp` of each value of v, in a new array: numpy's vectorized
-    `exp` differs from libm's in the last bit on some inputs and CPUs.
-    ISRES's arguments are bounded as its deviates are, so it cannot
-    overflow."""
-    import numpy as np
-
-    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
-
-
 # --------------------------------------------------------------------------
 # Powell direction-set minimization
 # --------------------------------------------------------------------------
@@ -372,22 +341,20 @@ _GOLD = 1.618033988749895
 _CGOLD = 0.3819660112501051
 
 
-def _line_min(run: _Run, x: np.ndarray, direction: np.ndarray, f0: float):
+def _line_min(run: _Run, x: list[float], direction: list[float], f0: float):
     """Derivative-free minimization of f along x + alpha*direction.
 
     Trial points with non-finite coordinates or a non-finite objective are
     rejected (seen as +inf) and expansion steps toward them are halved.
     Returns (new_x, new_f).
     """
-    import numpy as np
-
     best = [0.0, f0]
 
     def g(alpha: float) -> float:
         if alpha == 0.0:
             return f0
-        pt = x + alpha * direction
-        if not np.isfinite(pt).all():
+        pt = [a + alpha * d for a, d in zip(x, direction)]
+        if not all(map(math.isfinite, pt)):
             return math.inf
         v = run(pt)
         if v != v:
@@ -399,7 +366,7 @@ def _line_min(run: _Run, x: np.ndarray, direction: np.ndarray, f0: float):
     xa, xb, xc, fa, fb, fc = _bracket(g, f0)
     _brent(g, xa, xb, xc, fb)
     if best[1] < f0:
-        return x + best[0] * direction, best[1]
+        return [a + best[0] * d for a, d in zip(x, direction)], best[1]
     return x, f0
 
 
@@ -486,17 +453,15 @@ def _brent(g, xa: float, xb: float, xc: float, fb: float,
                 v, fv = u, fu
 
 
-def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
-    """Direction-set descent; returns (x, fx, converged)."""
-    import numpy as np
-
-    n = len(x0)
-    x = np.array(x0, dtype=float)
+def _powell_core(run: _Run, x: list[float], tol: float, max_iters: int):
+    """Direction-set descent from x, which it leaves as it is; returns
+    (x, fx, converged)."""
+    n = len(x)
     fx = run(x)
-    directions = [np.eye(n)[i] for i in range(n)]
+    directions = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for _ in range(max_iters):
         f_start = fx
-        x_start = x.copy()
+        x_start = x
         biggest_dec = 0.0
         biggest_idx = 0
         for i, direction in enumerate(directions):
@@ -508,9 +473,9 @@ def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
         if 2.0 * (f_start - fx) <= tol * (abs(f_start) + abs(fx)) + 1e-300:
             return x, fx, True
         # Powell's direction replacement with the extrapolated-point test
-        d_new = x - x_start
-        x_ext = x + d_new
-        if np.isfinite(x_ext).all():
+        d_new = [a - b for a, b in zip(x, x_start)]
+        x_ext = [a + b for a, b in zip(x, d_new)]
+        if all(map(math.isfinite, x_ext)):
             f_ext = run(x_ext)
             if f_ext < f_start and math.isfinite(f_ext):
                 t = 2.0 * (f_start - 2.0 * fx + f_ext)
@@ -525,11 +490,7 @@ def _powell_core(run: _Run, x0: np.ndarray, tol: float, max_iters: int):
 
 def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
     """Standalone Powell local minimization under the budget interface."""
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or len(x0) < 1:
-        raise ValueError("x0 must be a non-empty vector")
+    x0 = _point(x0)
     run = _Run(f, cfg.max_evals, stop)
     try:
         _powell_core(run, x0, _POWELL_TOL, _POWELL_ITERS_PER_DIM * len(x0))
@@ -546,11 +507,7 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, stop=None) -> OptOutcome:
 def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                   stop=None, on_zero=None) -> OptOutcome:
     """Random perturbation + Powell descent + Metropolis acceptance."""
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or len(x0) < 1:
-        raise ValueError("x0 must be a non-empty vector")
+    x0 = _point(x0)
     n = len(x0)
     program = _native_program(f, x0, stop)
     if program is not None:
@@ -561,8 +518,7 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     try:
         x, fx, _ = _powell_core(run, x0, _POWELL_TOL, max_iters)
         while True:
-            step = np.array([rng.uniform(-_BH_STEP, _BH_STEP) for _ in range(n)])
-            trial = x + step
+            trial = [v + rng.uniform(-_BH_STEP, _BH_STEP) for v in x]
             xt, ft, _ = _powell_core(run, trial, _POWELL_TOL, max_iters)
             if ft <= fx:
                 x, fx = xt, ft
@@ -585,13 +541,9 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     """CRS2: simplex reflection over a random population, with local mutation.
 
     Each trial depends on the last replacement, so the steady state runs
-    point by point, on lists of floats."""
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
+    point by point."""
+    x0 = _point(x0)
     n = len(x0)
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
     lo, hi = _bounds(cfg.bounds)
     program = _native_program(f, x0, stop)
     if program is not None:
@@ -601,7 +553,6 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
         pop, fvals = _population(run, rng, x0, pop_size, lo, hi)
-        pop = pop.tolist()
         while True:
             worst = fvals.index(max(fvals))
             best = fvals.index(min(fvals))
@@ -613,7 +564,7 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
             for u in rng.doubles(n):
                 chosen.append(pool.pop(int(u * len(pool))))
             # the centroid of all but the last, summed in row order from
-            # +0.0 and then divided, as `mean(axis=0)` does
+            # +0.0 and then divided
             total = [0.0] * n
             for i in chosen[:-1]:
                 total = [a + b for a, b in zip(total, pop[i])]
@@ -627,9 +578,8 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
                     continue
             # local mutation: reflect the failed trial about the best
             # point with per-coordinate random weights
-            mutated = [(1.0 + w) * b - w * t
-                       for w, b, t in zip(rng.doubles(n), pop[best], trial)]
-            mutated = [lo if v <= lo else hi if v >= hi else v for v in mutated]
+            mutated = _clip([(1.0 + w) * b - w * t
+                             for w, b, t in zip(rng.doubles(n), pop[best], trial)], lo, hi)
             ft = run(mutated)
             if ft < fvals[worst]:
                 pop[worst] = mutated
@@ -663,12 +613,8 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     of a Box-Muller pair), n for its step sizes and n for its step (n
     rounded up to even).
     """
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _point(x0)
     n = len(x0)
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
     lo, hi = _bounds(cfg.bounds)
     program = _native_program(f, x0, stop)
     if program is not None:
@@ -685,28 +631,33 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
         pop, fvals = _population(run, rng, x0, lam, lo, hi)
-        sigmas = np.full((lam, n), (hi - lo) / math.sqrt(n))
+        span = hi - lo
+        sigmas = [[span / math.sqrt(n)] * n] * lam
 
         while True:
-            elite = np.argsort(fvals, kind="stable")[:mu]
-            parents = pop[elite]
-            psig = sigmas[elite]
-            pop = np.empty((lam, n))
-            sigmas = np.empty((lam, n))
+            # the stable order of the values, NaN last
+            elite = sorted(range(lam), key=lambda i: (fvals[i] != fvals[i], fvals[i]))[:mu]
+            parents = [pop[i] for i in elite]
+            psig = [sigmas[i] for i in elite]
             # directed differential variation among the elite
-            pop[:mu - 1] = parents[:-1] + _ISRES_GAMMA * (parents[0] - parents[1:])
-            sigmas[:mu - 1] = psig[:-1]
-            # log-normal step-size mutation
-            z = _gauss_rows(rng, drawn, 2 + 2 * even_n)
-            g_all = z[:, :1]
-            z_sigma = z[:, 2:2 + n]
-            z_step = z[:, 2 + even_n:2 + even_n + n]
-            which = np.arange(mu - 1, lam) % mu
-            s = psig[which] * _exp(taup * g_all + tau * z_sigma)
-            s = np.minimum(s, hi - lo)
-            sigmas[mu - 1:] = s
-            pop[mu - 1:] = parents[which] + s * z_step
-            pop = _clip(pop, lo, hi)
-            fvals = run.many(pop)
+            pop = [_clip([p + _ISRES_GAMMA * (b - q)
+                          for p, b, q in zip(parents[k], parents[0], parents[k + 1])], lo, hi)
+                   for k in range(mu - 1)]
+            sigmas = psig[:-1]
+            # log-normal step-size mutation; a step size past the box's
+            # width is capped, and NaN passes
+            for k, z in enumerate(_gauss_rows(rng, drawn, 2 + 2 * even_n), mu - 1):
+                g = taup * z[0]
+                s, x = [], []
+                for p, sk, zs, zx in zip(parents[k % mu], psig[k % mu], z[2:], z[2 + even_n:]):
+                    v = sk * math.exp(g + tau * zs)
+                    if v > span:
+                        v = span
+                    s.append(v)
+                    v = p + v * zx
+                    x.append(lo if v <= lo else hi if v >= hi else v)
+                sigmas.append(s)
+                pop.append(x)
+            fvals = [run(x) for x in pop]
     except _Stop as end:
         return run.outcome(end.reason)

@@ -24,10 +24,8 @@ further evaluation before observing it. The first zero claimed wins, and
 it is verified in the calling thread. An instance's fixed-seed
 trajectory is the one it runs alone, up to where the race stops it.
 Verdicts are only ever SAT (with a verified model) or UNKNOWN.
-The C race passes its start points and best points as floats: numpy is
-imported only by the helpers that return arrays (`random_start`,
-`Model.vector`) and by the Python minimizers, so a solve on the native
-kernels never loads it.
+Points are lists of floats on either path: the start points that
+`random_start` draws, the zero that wins and `Model.vector`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from . import kernels
 from .errors import InstanceCrashError, VerificationFailureError
@@ -58,9 +55,6 @@ from .optimizers import (
 )
 from .rng import Xoshiro256Plus, derive_seed
 from .terms import Term
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PortfolioConfig",
@@ -117,10 +111,8 @@ class Model:
     def bindings(self) -> dict[str, float]:
         return {name: value.to_float() for name, _, value in self.entries}
 
-    def vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([value.to_float() for _, _, value in self.entries])
+    def vector(self) -> list[float]:
+        return [value.to_float() for _, _, value in self.entries]
 
     def smt2_block(self) -> str:
         lines = ["("]
@@ -157,15 +149,8 @@ class SolveOutcome:
         return sum(s.evals for s in self.stats)
 
 
-def random_start(dim: int, rng: Xoshiro256Plus, rng_range=(-0.5, 0.5)) -> np.ndarray:
+def random_start(dim: int, rng: Xoshiro256Plus, rng_range=(-0.5, 0.5)) -> list[float]:
     """I.i.d. uniform start vector inside the start range."""
-    import numpy as np
-
-    return np.array(_start(dim, rng, rng_range), dtype=float)
-
-
-def _start(dim: int, rng: Xoshiro256Plus, rng_range) -> list[float]:
-    """`random_start`'s draws, as floats."""
     lo, hi = rng_range
     return [rng.uniform(lo, hi) for _ in range(dim)]
 
@@ -195,13 +180,14 @@ def solve(formula: Term, program: ObjectiveProgram,
     at their next evaluation, and sets it itself when it ends early.
     Raises ValueError on an invalid configuration (an unknown algorithm
     or a count that is not an integer >= 0, a seed that is not an
-    integer, a non-finite start range, a budget that is not an integer
-    >= 1, bounds that are not finite with lo < hi, a wall timeout that is
-    neither None nor finite and >= 0, a `stop` that is not a `StopFlag`)
-    before anything is evaluated; VerificationFailureError if a
-    zero-valued point fails the semantic check (that would be an encoding
-    bug, never hidden), and InstanceCrashError, naming the instance and
-    carrying its traceback text, if an instance raised.
+    integer, a start range that is not a pair of finite reals, a budget
+    that is not an integer >= 1, bounds that are not finite with lo < hi,
+    a wall timeout that is neither None nor finite and >= 0, a `stop`
+    that is not a `StopFlag`) before anything is evaluated;
+    VerificationFailureError if a zero-valued point fails the semantic
+    check (that would be an encoding bug, never hidden), and
+    InstanceCrashError, naming the instance and carrying its traceback
+    text, if an instance raised.
     """
     if config is None:
         config = PortfolioConfig()
@@ -212,7 +198,13 @@ def solve(formula: Term, program: ObjectiveProgram,
     if timeout is not None and not (isinstance(timeout, numbers.Real)
                                     and 0 <= timeout < math.inf):
         raise ValueError(f"wall_timeout must be None or finite and >= 0, got {timeout!r}")
-    if not all(math.isfinite(float(v)) for v in config.start_range):
+    try:
+        lo, hi = config.start_range
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+        raise ValueError("start_range must be (lo, hi)")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("start_range must be finite")
     if stop is not None and not isinstance(stop, StopFlag):
         raise ValueError(f"stop must be None or a StopFlag, got {type(stop).__name__}")
@@ -326,7 +318,7 @@ class _CRace:
     def _prepare(self) -> None:
         idx, n = self.prepared, self.program.dimension
         rng = Xoshiro256Plus(derive_seed(self.config.seed, idx))
-        self.x0s[idx * n:(idx + 1) * n] = _start(n, rng, self.config.start_range)
+        self.x0s[idx * n:(idx + 1) * n] = random_start(n, rng, self.config.start_range)
         self.states[4 * idx:4 * idx + 4] = rng.state()
         self.prepared += 1
 
@@ -411,7 +403,7 @@ class _Race:
             t.join()
         return self.zero, sorted(self.stats, key=lambda s: s.index), self.crash
 
-    def _claim(self, idx: int, alg: str, x: np.ndarray) -> None:
+    def _claim(self, idx: int, alg: str, x: list[float]) -> None:
         with self._lock:
             if self.zero is None:
                 self.zero = (idx, alg, x)

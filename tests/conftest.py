@@ -164,9 +164,9 @@ def retyped(cls, program: ObjectiveProgram) -> ObjectiveProgram:
 
 
 def batch_values(program, X) -> np.ndarray:
-    """The values that a population's rows take through
-    `optimizers._Run.many` and the program's own `evaluate`, in order, up
-    to and including the first zero, which ends the run."""
+    """The values that a population's rows take, each as a list, through
+    `optimizers._Run` and the program's own `evaluate`, in order, up to and
+    including the first zero, which ends the run."""
     run = _Run(program.evaluate, len(X), None)
     taken = []
     take = run._take
@@ -177,7 +177,8 @@ def batch_values(program, X) -> np.ndarray:
 
     run._take = record
     try:
-        run.many(np.asarray(X, dtype=float))
+        for x in np.asarray(X, dtype=float).tolist():
+            run(x)
     except _Stop as end:
         assert end.reason is TerminationReason.ZERO_FOUND
     return np.array(taken, dtype=float)

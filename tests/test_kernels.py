@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,7 @@ def _minimize(alg, program, native, budget, bounds, seed, nan_start):
         buf, again = np.empty((budget, program.dimension)), Xoshiro256Plus(0)
         again._s[:] = rng.state()
         n = _whole_run(alg, program._image, x0, budget, again, None,
-                       () if alg == "bh" else bounds, buf).evals_used
+                       () if alg == "bh" else bounds, buf.ctypes.data).evals_used
         points.append(buf[:n].tobytes())
     else:
         def f(x):
@@ -165,9 +166,9 @@ def _minimize(alg, program, native, budget, bounds, seed, nan_start):
     zeros = []
     before = program.eval_count
     out = _MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
-                           on_zero=lambda x: zeros.append(x.tobytes()))
+                           on_zero=lambda x: zeros.append(array("d", x).tobytes()))
     return (out.evals_used, out.terminated_by,
-            None if out.best_x is None else out.best_x.tobytes(),
+            None if out.best_x is None else array("d", out.best_x).tobytes(),
             _bits([out.best_value]), rng.state(), program.eval_count - before, zeros,
             b"".join(points))
 
@@ -256,29 +257,49 @@ def test_kernel_path_is_the_one_asked_for(kernel_path, request):
 
 _WITHOUT_NUMPY = """
 import sys
+sys.modules["numpy"] = None  # from here on, any import of numpy raises
 sys.path.insert(0, sys.argv[1])
+import contextlib
+import io
 import fpsat
-if fpsat.kernels.lib is None:
-    sys.exit("kernels not loaded: " + fpsat.kernels.reason)
-p = fpsat.load_problem(sys.argv[2])
-print(fpsat.solve(p.formula, p.program).verdict)
-import fpsat.cli
-code = fpsat.cli.main(["solve", sys.argv[2]])
-print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
-sys.exit(code)
+from fpsat import cli, kernels
+from fpsat.optimizers import powell_minimize
+corpus, listing1 = sys.argv[2], sys.argv[3]
+p = fpsat.load_problem(listing1)
+cfg = fpsat.OptimizerConfig(max_evals=2_000, bounds=(-10.0, 10.0))
+loaded = kernels.lib
+for lib in (loaded, None):
+    kernels.lib = lib
+    out = fpsat.solve(p.formula, p.program)
+    vector = out.model.vector()
+    print(out.verdict, type(vector).__name__, p.program.evaluate(vector))
+    for minimize in (fpsat.basin_hopping, fpsat.crs2_minimize, fpsat.isres_minimize):
+        run = minimize(p.program.evaluate, [0.25], cfg, fpsat.Xoshiro256Plus(3))
+        print(run.terminated_by.value, type(run.best_x).__name__)
+    run = powell_minimize(p.program.evaluate, [0.25], cfg)
+    print(type(run.best_x).__name__, type(fpsat.random_start(3, fpsat.Xoshiro256Plus(1))).__name__)
+kernels.lib = loaded
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (cli.main(["solve", listing1, "--model", "--stats-json", "--dump-cnf"]),
+             cli.main(["bench", corpus, "--max-evals", "2000"]))
+print(codes)
 """
 
 
-def test_native_solve_loads_no_numpy():
-    # a fresh interpreter: `import fpsat`, a solve and the command line's
-    # solve, on the native kernels, and numpy is never imported
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(SRC),
-                           str(corpus_dir() / "listing1.smt2")],
-                          capture_output=True, text=True, timeout=120)
-    if proc.stderr.startswith("kernels not loaded"):
-        pytest.skip(proc.stderr.strip())
+def test_numpy_is_never_imported(corpus_path):
+    # a fresh interpreter in which importing numpy fails: solves, the
+    # public minimizers, `random_start` and `Model.vector`, on the native
+    # kernels and on the Python path, and the command line's solve and
+    # bench
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(SRC), str(corpus_path),
+                           str(corpus_path / "listing1.smt2")],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["sat", "sat", "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[:5] == ["sat list 0.0", "zero-found list", "zero-found list",
+                         "zero-found list", "list list"]
+    assert lines[5:10] == lines[:5]
+    assert lines[10:] == ["(0, 0)"]
 
 
 # --------------------------------------------------------------------------

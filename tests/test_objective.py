@@ -285,8 +285,8 @@ class TestCompileAndEvaluate:
         assert program.eval_count == 8 * per_thread
 
     def test_every_array_layout_evaluates_alike(self):
-        # only a 1-D native float64 ndarray is passed as its bytes; a
-        # byte-swapped, float32 or strided array is packed like a list
+        # a float64, byte-swapped, float32 or strided array is packed
+        # like a list
         program = build_problem(
             "(declare-fun x () Float64)(declare-fun y () Float32)"
             "(assert (fp.lt (fp.add RNE x x) ((_ to_fp 11 53) RNE 0.75)))"
@@ -397,7 +397,7 @@ def _assert_batch_matches(program, X):
 
 class TestEvaluateMany:
     """Rows of evaluations, as the Python population methods make them
-    through `_Run.many`, on either path."""
+    through `_Run`, on either path."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,17 +51,17 @@ class TestRandomStart:
         rng = Xoshiro256Plus(2)
         for _ in range(100):
             x = random_start(3, rng, (-0.5, 0.5))
-            assert np.all(x >= -0.5) and np.all(x < 0.5)
+            assert all(-0.5 <= v < 0.5 for v in x)
 
     def test_reproducible(self):
         a = random_start(4, Xoshiro256Plus(9), (-0.5, 0.5))
         b = random_start(4, Xoshiro256Plus(9), (-0.5, 0.5))
-        assert a.tobytes() == b.tobytes()
+        assert array("d", a).tobytes() == array("d", b).tobytes()
 
     @pytest.mark.parametrize("dim", [0, 1, 3])
     def test_is_a_float64_vector(self, dim):
         x = random_start(dim, Xoshiro256Plus(9))
-        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (dim,)
+        assert type(x) is list and all(type(v) is float for v in x) and len(x) == dim
 
 
 class TestExtractModel:
@@ -104,8 +105,8 @@ class TestSolve:
     def test_model_vector_is_a_float64_vector(self, listing1_text):
         problem = build_problem(listing1_text)
         vector = solve(problem.formula, problem.program, small_config()).model.vector()
-        assert type(vector) is np.ndarray and vector.dtype == np.float64
-        assert vector.shape == (1,)
+        assert type(vector) is list and all(type(v) is float for v in vector)
+        assert len(vector) == 1
 
     def test_listing1_sat_with_verified_model(self, listing1_text):
         problem = build_problem(listing1_text)
@@ -469,6 +470,23 @@ class TestStartRange:
         problem = build_problem(listing1_text)
         before = problem.program.eval_count
         with pytest.raises(ValueError, match="start_range"):
+            solve(problem.formula, problem.program,
+                  small_config(max_evals=2_000, start_range=start_range))
+        assert problem.program.eval_count == before
+
+    @pytest.mark.parametrize("path", ["native", "python"])
+    @pytest.mark.parametrize("start_range", [(-0.5, 0.5, 1.0), (0.5,)])
+    def test_start_range_that_is_not_a_pair_rejected(self, listing1_text, start_range, path,
+                                                     monkeypatch):
+        # on either kernel path: a ValueError before anything is evaluated,
+        # not a failed unpacking in the race or a crashed instance
+        if path == "native" and kernels.lib is None:
+            pytest.skip("the native kernels are not in use")
+        if path == "python":
+            monkeypatch.setattr(kernels, "lib", None)
+        problem = build_problem(listing1_text)
+        before = problem.program.eval_count
+        with pytest.raises(ValueError, match=re.escape("start_range must be (lo, hi)")):
             solve(problem.formula, problem.program,
                   small_config(max_evals=2_000, start_range=start_range))
         assert problem.program.eval_count == before
