@@ -507,8 +507,8 @@ static void crs2(run_t *c, const double *x0, double lo, double hi, double *work,
     }
 }
 
-/* np.argsort(kind="stable") order of the values: NaN last, ties kept in
- * index order */
+/* the order of isres_minimize's stable `sorted` of the values: NaN last,
+ * ties kept in index order */
 typedef struct { double v; int i; } ranked_t;
 
 static int by_value(const void *pa, const void *pb) {
@@ -559,7 +559,7 @@ static void isres(run_t *c, const double *x0, double lo, double hi, double *work
             const double *pk = par + (k % nm) * nn, *sk = psig + (k % nm) * nn;
             for (int j = 0; j < n; j++) {
                 double s = sk[j] * exp(taup * zk[0] + tau * zk[2 + j]);
-                if (s > hi - lo) s = hi - lo;  /* np.minimum: NaN passes */
+                if (s > hi - lo) s = hi - lo;  /* `if v > span`: NaN passes */
                 sig[k * nn + j] = s;
                 pop[k * nn + j] = pk[j] + s * zk[2 + even_n + j];
             }

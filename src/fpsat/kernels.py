@@ -13,8 +13,8 @@ why. Nothing here raises.
 `ObjectiveProgram.evaluate` calls `fpsat_eval`. The whole runs of basin
 hopping, CRS2 and ISRES are the jobs of a race (`fpsat_race_new`,
 `fpsat_race_start`, `fpsat_race_wait`, `fpsat_race_end`): the portfolio
-runs each job of a race on a pthread of its own, and a minimizer's
-native dispatch runs its one job in the calling thread. The race's
+runs each job of a race on a pthread of its own, and the load check
+below runs its short jobs one at a time in the calling thread. The race's
 entries are bound through a `ctypes.CDLL` handle, so each releases the
 interpreter lock while it runs, and the race's threads never take it.
 The jobs' threads block every signal, so Ctrl-C lands in the calling

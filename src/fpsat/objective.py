@@ -13,8 +13,8 @@ correctness oracle for these claims and never touches the tape.
 `compile_objective` also packs the tape into one immutable `bytes` image,
 which the native kernels (`kernels.py`, `_kernels.c`) interpret bit for
 bit as `evaluate` does. `evaluate` is a program's one evaluation method;
-the optimizers hand the image to the kernels themselves for their
-whole runs, and add those evaluations with `count_evals`.
+the portfolio's C race hands the image to the kernels itself for its
+whole runs, and adds those evaluations with `count_evals`.
 The Python interpreter of the tape (`_evaluate_tape`) is the reference
 and the fallback: without the kernels, `evaluate` runs it.
 `render_objective_source` writes the same tape as C, one definition per

@@ -9,25 +9,13 @@ token is polled before every evaluation, and budgets are never exceeded.
 A point is a list of floats: the start point, once read, each point that
 an objective receives, the best point and the zero handed to `on_zero`.
 
-When the kernels are loaded and `f` is `ObjectiveProgram.evaluate` itself,
-bound to a program of x0's dimension (see `_native_program`), the native
-kernels evaluate in place of the Python code, bit for bit, with the same
-draws and points in the same order, and the program counts what they
-evaluate. Basin hopping, CRS2 and ISRES then run whole in C, as the one
-job of a race in `_kernels.c` (`_NativeRace`) run in the calling thread,
-without the interpreter lock, if `stop` is None or a `StopFlag`, the
-one-byte flag that a race's instances share: a native run polls it
-before every evaluation, so cancellation comes at most one evaluation
-late, as in Python. Signal handlers, KeyboardInterrupt included, run only
-once it returns, so without a `StopFlag` that another thread sets it ends
-only at its budget or its first zero. The portfolio runs the jobs of a
-whole race on pthreads of their own, with the same `_NativeRace`. Any
-other `f`, a wrapper of `evaluate` included, or any other `stop`, runs
-the Python code, which calls `f` once for every point. The Python code
-is the reference and the fallback. It computes on lists of floats,
-statement for statement with `_kernels.c`: the same operations in the
-same order, and libm's transcendental functions, which Python calls
-through the `math` module.
+A minimizer runs its Python code whatever `f` is, and calls `f` once for
+every point. That code is the reference of the native whole runs
+(`_NativeRace`, `_whole_run`), which the portfolio's C race and the
+kernels' load check run. It computes on lists of floats, statement for
+statement with `_kernels.c`: the same operations in the same order, and
+libm's transcendental functions, which Python calls through the `math`
+module.
 
 Every method runs with fixed parameters (the module constants below), as
 parSAT runs each optimizer with its defaults.
@@ -43,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
-from .objective import ObjectiveProgram
 from .rng import Xoshiro256Plus
 
 __all__ = [
@@ -144,26 +131,10 @@ class _Run:
         return OptOutcome(self.best_x, self.best_value, self.evals, reason)
 
 
-# the stock method, captured here: a subclass's override, or a rebinding
-# of the class attribute (a tracer's wrapper), keeps the Python path
-_EVALUATE = ObjectiveProgram.evaluate
 # the native entries' results, by code
 _NATIVE_REASONS = (TerminationReason.ZERO_FOUND, TerminationReason.BUDGET_EXHAUSTED,
                    TerminationReason.CANCELLED)
 _INT64_MAX = 2**63 - 1
-
-
-def _native_program(f, x0, stop=None):
-    """The program whose evaluations from x0 on the native kernels can
-    make in place of `f`, or None: the kernels are loaded, `f` is
-    `ObjectiveProgram.evaluate` itself bound to a program of x0's
-    dimension, and `stop` is None or a `StopFlag`."""
-    if kernels.lib is None or getattr(f, "__func__", None) is not _EVALUATE:
-        return None
-    if stop is not None and not isinstance(stop, StopFlag):
-        return None
-    program = f.__self__
-    return program if len(x0) == program.dimension else None
 
 
 # _kernels.c's numbers of the algorithms
@@ -243,16 +214,6 @@ def _whole_run(alg: str, image: bytes, x0, max_evals: int, rng: Xoshiro256Plus,
     out = race.outcome(0)
     if out is None:
         raise MemoryError("no memory for a native run")
-    return out
-
-
-def _native(alg, program, x0, max_evals, rng, on_zero, stop, box=()) -> OptOutcome:
-    """`_whole_run` on a program, with `_Run`'s side effects: the
-    evaluations are counted, and a zero goes to `on_zero`."""
-    out = _whole_run(alg, program._image, x0, max_evals, rng, stop, box)
-    program.count_evals(out.evals_used)
-    if out.terminated_by is TerminationReason.ZERO_FOUND and on_zero is not None:
-        on_zero(list(out.best_x))
     return out
 
 
@@ -509,10 +470,6 @@ def basin_hopping(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     """Random perturbation + Powell descent + Metropolis acceptance."""
     x0 = _point(x0)
     n = len(x0)
-    program = _native_program(f, x0, stop)
-    if program is not None:
-        return _native("bh", program, x0, _budget(cfg.max_evals), rng,
-                       on_zero, stop)
     run = _Run(f, cfg.max_evals, stop, on_zero)
     max_iters = _POWELL_ITERS_PER_DIM * n
     try:
@@ -545,10 +502,6 @@ def crs2_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     x0 = _point(x0)
     n = len(x0)
     lo, hi = _bounds(cfg.bounds)
-    program = _native_program(f, x0, stop)
-    if program is not None:
-        return _native("crs2", program, x0, _budget(cfg.max_evals), rng,
-                       on_zero, stop, (lo, hi))
     pop_size = _CRS2_POP_PER_DIM * (n + 1)
     run = _Run(f, cfg.max_evals, stop, on_zero)
     try:
@@ -616,10 +569,6 @@ def isres_minimize(f, x0, cfg: OptimizerConfig, rng: Xoshiro256Plus,
     x0 = _point(x0)
     n = len(x0)
     lo, hi = _bounds(cfg.bounds)
-    program = _native_program(f, x0, stop)
-    if program is not None:
-        return _native("isres", program, x0, _budget(cfg.max_evals), rng,
-                       on_zero, stop, (lo, hi))
     lam = _ISRES_LAMBDA_PER_DIM * (n + 1)
     mu = round(lam / 7)
     drawn = lam - (mu - 1)  # offspring with a random mutation

@@ -1,19 +1,20 @@
 """Race N optimizer instances on one objective; first exact zero wins.
 
-When every instance would take its native whole run (the kernels are
-loaded, the objective is the program's own `evaluate`, and the minimizer
-table is the stock one), the race runs in C: each instance's generator
-and start point are prepared in the calling thread, and each instance is
-then a job on a pthread of the C race, which runs no Python and never
-takes the interpreter lock. Otherwise every instance runs in a Python
-thread of the calling process, and on the Python fallback the race runs
-on one core. Either way instance 0 runs alone first: the caller waits
-for it for up to one interpreter switch interval before it starts the
-others, which decides an easy input with one thread start, and an
-instance that starts after the race is decided ends at its first poll,
-in the starting thread. The calling thread waits without the lock, in
-slices of at most `_POLL_S` on the C race, so Ctrl-C raises
-KeyboardInterrupt there once every instance has ended.
+When the kernels are loaded, the objective is the program's own
+`evaluate` and the minimizer table is the stock one, the race runs in C,
+the only route from the public API to the native minimizers: each
+instance's generator and start point are prepared in the calling thread,
+and each instance is then a job on a pthread of the C race, which runs
+no Python and never takes the interpreter lock. Otherwise every instance
+runs its Python minimizer in a Python thread of the calling process, and
+on the Python fallback the race runs on one core. Either way instance 0
+runs alone first: the caller waits for it for up to one interpreter
+switch interval before it starts the others, which decides an easy
+input with one thread start, and an instance that starts after the race
+is decided ends at its first poll, in the starting thread. The calling
+thread waits without the lock, in slices of at most `_POLL_S` on the C
+race, so Ctrl-C raises KeyboardInterrupt there once every instance has
+ended.
 Shared state is limited to the immutable program, a stop flag (one
 byte, which the native runs poll too; the caller's, if it passes one, so
 a stop set from another thread reaches every instance at its next
@@ -43,7 +44,6 @@ from .errors import InstanceCrashError, VerificationFailureError
 from .fp import FPValue, Sort
 from .objective import ObjectiveProgram, semantic_eval
 from .optimizers import (
-    _EVALUATE,
     OptimizerConfig,
     StopFlag,
     _bounds,
@@ -74,6 +74,9 @@ _MINIMIZERS = {
 }
 ALGORITHMS = tuple(_MINIMIZERS)
 _STOCK = dict(_MINIMIZERS)  # only a race of these runs in C
+# the stock method, captured here: a subclass's override, or a rebinding
+# of the class attribute (a tracer's wrapper), races in Python threads
+_EVALUATE = ObjectiveProgram.evaluate
 
 @dataclass
 class PortfolioConfig:
@@ -176,8 +179,8 @@ def solve(formula: Term, program: ObjectiveProgram,
     A zero-dimensional program is decided by one evaluation instead of a
     race, and its zero takes the same path to a verified model. A `stop`
     flag, set from another thread, cancels the whole race (combined mode
-    uses this); the race takes it as its own flag, so native runs see it
-    at their next evaluation, and sets it itself when it ends early.
+    uses this); the race takes it as its own flag, so every instance sees
+    it at its next evaluation, and sets it itself when it ends early.
     Raises ValueError on an invalid configuration (an unknown algorithm
     or a count that is not an integer >= 0, a seed that is not an
     integer, a start range that is not a pair of finite reals, a budget
@@ -237,15 +240,16 @@ def _race(program, algs, config, opt_cfg, stop, t_start):
     """Returns the winner (instance index, algorithm, zero point) or None,
     the instances' stats, and why the race ended without a winner.
 
-    The race is the C race (`_CRace`) when every instance would take its
-    native whole run, else a race of Python threads (`_Race`). Either is
-    driven alike: instance 0 starts first, and this thread waits for it
-    for up to one interpreter switch interval (`sys.getswitchinterval()`)
-    before it starts the rest, since a thread start costs more than many
-    an easy race; then it waits, up to the deadline, for all of them.
-    The race stops on one byte flag, the caller's `stop` if it gave one;
-    an interrupt (Ctrl-C) in this thread sets it and ends every instance
-    before it propagates.
+    The race is the C race (`_CRace`) when the kernels are loaded and
+    the program's `evaluate` and every minimizer are the stock ones, else
+    a race of Python threads (`_Race`); this is the only place that
+    chooses the C race. Either is driven alike: instance 0 starts first,
+    and this thread waits for it for up to one interpreter switch
+    interval (`sys.getswitchinterval()`) before it starts the rest, since
+    a thread start costs more than many an easy race; then it waits, up
+    to the deadline, for all of them. The race stops on one byte flag,
+    the caller's `stop` if it gave one; an interrupt (Ctrl-C) in this
+    thread sets it and ends every instance before it propagates.
     """
     flag = StopFlag() if stop is None else stop
     deadline = None if config.wall_timeout is None else t_start + config.wall_timeout
@@ -359,8 +363,9 @@ class _CRace:
 
 
 class _Race:
-    """A race of Python threads, one per instance, polling `stop`; for
-    the objectives and minimizers that the C race cannot run."""
+    """A race of Python threads, one per instance, each running its
+    Python minimizer and polling `stop`; for the objectives and
+    minimizers that the C race cannot run."""
 
     def __init__(self, program, algs, config, opt_cfg, stop):
         self.program = program
@@ -423,8 +428,8 @@ class _Race:
                 time.perf_counter() - t0, outcome.terminated_by.value,
             ))
         except Exception as exc:  # raised by the race once every instance ended
-            # a crashed instance ends the race: at once, since native runs
-            # make thousands of evaluations in the time the traceback takes
+            # a crashed instance ends the race: at once, since the others
+            # go on evaluating while the traceback is formatted
             self.stop.set()
             import traceback  # slow to import; needed only on a crash
 

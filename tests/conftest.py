@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import struct
@@ -187,20 +188,18 @@ def batch_values(program, X) -> np.ndarray:
 @pytest.fixture
 def crashing_isres(monkeypatch):
     """Makes ISRES raise RuntimeError("boom at <time.monotonic()>") where
-    it draws its first generation, after its initial population: the
-    portfolio's table gets an ISRES that runs `isres_minimize`'s Python
-    code, through a wrapper of the objective, with `optimizers._gauss_rows`
-    raising. The patched table sends every race to the Python threads
-    (`portfolio._Race`), where an instance can raise, on either kernel
-    path. No other minimizer reaches that point."""
+    it draws its first generation, after its initial population: with
+    `optimizers._gauss_rows` raising, the portfolio's table gets an ISRES
+    that is not the stock one, so every race is a race of Python threads
+    (`portfolio._Race`), which runs the Python minimizers, and an
+    instance can raise, on either kernel path. No other minimizer reaches
+    that point."""
     def boom(*args):
         raise RuntimeError(f"boom at {time.monotonic()!r}")
 
-    def isres_in_python(f, *args, **kwargs):
-        return optimizers.isres_minimize(lambda x: f(x), *args, **kwargs)
-
     monkeypatch.setattr(optimizers, "_gauss_rows", boom)
-    monkeypatch.setitem(portfolio._MINIMIZERS, "isres", isres_in_python)
+    monkeypatch.setitem(portfolio._MINIMIZERS, "isres",
+                        functools.partial(optimizers.isres_minimize))
 
 
 def pytest_addoption(parser):
@@ -221,8 +220,9 @@ def kernel_path(request):
     kernels.lib, kernels.reason = loaded, reason
 
 
-# modules whose tests race: each must end every thread it starts
-_THREAD_CHECKED = {"test_portfolio", "test_acceptance"}
+# modules whose tests race or stop runs from other threads: each must end
+# every thread it starts
+_THREAD_CHECKED = {"test_portfolio", "test_acceptance", "test_optimizers"}
 
 
 def os_threads() -> set[str] | None:
@@ -237,7 +237,7 @@ def os_threads() -> set[str] | None:
 
 @pytest.fixture(autouse=True)
 def no_thread_left(request):
-    """Fails a portfolio or acceptance test that leaves a thread it
+    """Fails a test of `_THREAD_CHECKED` that leaves a thread it
     started, a Python thread or an OS thread, running for more than a
     second after it ends."""
     if request.module.__name__ not in _THREAD_CHECKED:

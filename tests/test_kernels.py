@@ -22,7 +22,7 @@ from fpsat.harness import corpus_dir
 from fpsat.objective import _kernel_check_program, compile_objective
 from fpsat.optimizers import (
     OptimizerConfig,
-    _native_program,
+    TerminationReason,
     _whole_run,
     basin_hopping,
     crs2_minimize,
@@ -144,33 +144,38 @@ _MINIMIZERS = {"bh": basin_hopping, "crs2": crs2_minimize, "isres": isres_minimi
 
 def _minimize(alg, program, native, budget, bounds, seed, nan_start):
     """A run of `alg` from a random start, whose first coordinate is NaN
-    if `nan_start`; native, or in the Python minimizer through a wrapper.
-    Returns every observable of the run and the bytes of every point it
-    evaluated, which natively a second whole run writes."""
+    if `nan_start`: a native whole run, which writes every point it
+    evaluates to a buffer, or the Python minimizer through a wrapper that
+    records them. Returns the evaluations, the reason, the best point and
+    value, the generator's state and the bytes of every evaluated point.
+    The Python run must count its evaluations and hand its zero, if it
+    ends on one, to `on_zero`."""
     rng = Xoshiro256Plus(seed)
     x0 = random_start(program.dimension, rng)
     if nan_start:
         x0[0] = math.nan
-    f, points = program.evaluate, []
     if native:
-        assert _native_program(f, x0) is program
-        buf, again = np.empty((budget, program.dimension)), Xoshiro256Plus(0)
-        again._s[:] = rng.state()
-        n = _whole_run(alg, program._image, x0, budget, again, None,
-                       () if alg == "bh" else bounds, buf.ctypes.data).evals_used
-        points.append(buf[:n].tobytes())
+        buf = np.empty((budget, program.dimension))
+        out = _whole_run(alg, program._image, x0, budget, rng, None,
+                         () if alg == "bh" else bounds, buf.ctypes.data)
+        points = buf[:out.evals_used].tobytes()
     else:
+        recorded, zeros = [], []
+
         def f(x):
-            points.append(np.asarray(x, dtype=float).tobytes())
+            recorded.append(np.asarray(x, dtype=float).tobytes())
             return program.evaluate(x)
-    zeros = []
-    before = program.eval_count
-    out = _MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
-                           on_zero=lambda x: zeros.append(array("d", x).tobytes()))
+
+        before = program.eval_count
+        out = _MINIMIZERS[alg](f, x0, OptimizerConfig(max_evals=budget, bounds=bounds), rng,
+                               on_zero=lambda x: zeros.append(array("d", x).tobytes()))
+        assert program.eval_count - before == out.evals_used
+        zero = out.terminated_by is TerminationReason.ZERO_FOUND
+        assert zeros == ([array("d", out.best_x).tobytes()] if zero else [])
+        points = b"".join(recorded)
     return (out.evals_used, out.terminated_by,
             None if out.best_x is None else array("d", out.best_x).tobytes(),
-            _bits([out.best_value]), rng.state(), program.eval_count - before, zeros,
-            b"".join(points))
+            _bits([out.best_value]), rng.state(), points)
 
 
 def _isres_example(source, budget, nan_start=False):

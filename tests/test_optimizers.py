@@ -1,5 +1,6 @@
 """Optimizer contracts: budgets, zero-exit, cancellation, determinism."""
 
+import _thread
 import hashlib
 import math
 from array import array
@@ -9,16 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import retyped
 
 from fpsat import build_problem, kernels
 from fpsat.harness import corpus_dir
-from fpsat.objective import ObjectiveProgram
 from fpsat.optimizers import (
     OptimizerConfig,
     StopFlag,
     TerminationReason,
-    _native_program,
     _whole_run,
     basin_hopping,
     crs2_minimize,
@@ -312,8 +310,9 @@ class TestCommonContracts:
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_set_stop_flag_ends_a_run_before_any_work(self, minimize, corpus_path):
-        # an instance started after its race was decided, natively where
-        # the kernels are loaded, makes no evaluation and no draw
+        # a run whose flag is already set, as an instance that a race of
+        # Python threads starts after the race was decided, makes no
+        # evaluation and no draw
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
         stop = StopFlag()
         stop.set()
@@ -328,9 +327,9 @@ class TestCommonContracts:
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_budget_is_spent_exactly(self, minimize, corpus_path):
-        # on an infeasible program a run, natively where the kernels are
-        # loaded, ends with exactly its budget spent and counted: at and
-        # around ISRES's generations of 40 too
+        # on an infeasible program a run on the program's own `evaluate`
+        # ends with exactly its budget spent and counted: at and around
+        # ISRES's generations of 40 too
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
         for budget in (1, 7, 39, 40, 41, 100, 953):
             before = program.eval_count
@@ -398,8 +397,8 @@ class TestCommonContracts:
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_stop_flag_ends_a_long_run(self, minimize, corpus_path):
-        # natively, without the interpreter lock, the run polls the byte
-        # before every evaluation: it ends within 50 ms of the flag
+        # on another thread the run polls the byte before every
+        # evaluation: it ends within 50 ms of the flag
         program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
         stop = StopFlag()
         result = {}
@@ -424,46 +423,39 @@ class TestCommonContracts:
         assert out.evals_used > 0
         assert program.eval_count - before == out.evals_used
 
-    def test_native_path_only_for_the_stock_program(self, corpus_path, native_lib):
-        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
-        other = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
-
-        class Override(ObjectiveProgram):
-            def evaluate(self, x):
-                return super().evaluate(x)
-
-        subclassed = retyped(Override, program)
-        x0 = np.array([0.1])
-        assert _native_program(program.evaluate, x0) is program
-        assert _native_program(program.evaluate, x0, StopFlag()) is program
-        assert _native_program(other.evaluate, x0) is other
-        for f, stop, start in [
-                (lambda x: program.evaluate(x), None, x0),  # a wrapper
-                (subclassed.evaluate, None, x0),  # an override
-                (program.evaluate, threading.Event(), x0),  # not a byte flag
-                (program.evaluate, None, np.array([0.1, 0.2])),  # wrong dimension
-        ]:
-            assert _native_program(f, start, stop) is None
-
-    @pytest.mark.parametrize("path", ["native", "python"])
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
-    def test_points_are_float64_vectors(self, minimize, path, corpus_path):
+    def test_points_are_float64_vectors(self, minimize, corpus_path):
         # the best point and the zero handed to on_zero are lists of
-        # floats, from a list start, whichever path evaluates
-        if path == "native" and kernels.lib is None:
-            pytest.skip("the native kernels are not in use")
+        # floats, from a list start
         for name, budget in (("listing1.smt2", 20_000), ("infeasible_box.smt2", 500)):
             program = build_problem((corpus_path / name).read_text()).program
-            f = program.evaluate if path == "native" else (lambda x: program.evaluate(x))
             x0 = [0.25] * program.dimension
-            assert (_native_program(f, np.asarray(x0)) is program) == (path == "native")
             zeros = []
-            out = minimize(f, x0, OptimizerConfig(max_evals=budget), Xoshiro256Plus(3),
-                           on_zero=zeros.append)
+            out = minimize(program.evaluate, x0, OptimizerConfig(max_evals=budget),
+                           Xoshiro256Plus(3), on_zero=zeros.append)
             assert len(zeros) == (out.terminated_by is TerminationReason.ZERO_FOUND)
             for x in (out.best_x, *zeros):
                 assert type(x) is list and all(type(v) is float for v in x)
                 assert len(x) == program.dimension
+
+    @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
+    def test_ctrl_c_interrupts_a_direct_call(self, minimize, corpus_path, native_lib):
+        # a direct call on the program's own `evaluate`, with the kernels
+        # loaded and no stop flag, runs Python code between evaluations,
+        # so an interrupt lands there long before the budget is spent
+        program = build_problem((corpus_path / "infeasible_box.smt2").read_text()).program
+        timer = threading.Timer(0.1, _thread.interrupt_main)
+        t0 = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                minimize(program.evaluate, [0.1], OptimizerConfig(max_evals=3 * 10**7),
+                         Xoshiro256Plus(5))
+            raised = time.monotonic()
+        finally:
+            timer.cancel()
+            timer.join()
+        assert raised - t0 < 0.5
 
     @pytest.mark.parametrize("minimize", [basin_hopping, crs2_minimize, isres_minimize])
     def test_zero_exit_reports_zero(self, minimize, listing1_text):
@@ -516,25 +508,17 @@ _ALGS = {fn: alg for alg, fn in MINIMIZERS.items()}
 
 @pytest.mark.parametrize("name,alg", list(GOLDEN), ids=[f"{n}-{a}" for n, a in GOLDEN])
 def test_golden_trajectory_native(name, alg, native_lib):
-    # the native whole run, its points from the race's buffer; the
-    # minimizer's own dispatch makes the same run and counts it
+    # the native whole run, its points from the race's buffer
     program = build_problem((corpus_dir() / name).read_text()).program
-    rng, rng2 = Xoshiro256Plus(2024), Xoshiro256Plus(2024)
-    x0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(program.dimension)])
-    rng2._s[:] = rng.state()
+    rng = Xoshiro256Plus(2024)
+    x0 = [rng.uniform(-0.5, 0.5) for _ in range(program.dimension)]
     points = np.empty((3_000, program.dimension))
     box = () if alg == "bh" else (-1e9, 1e9)
     out = _whole_run(alg, program._image, x0, 3_000, rng, None, box, points.ctypes.data)
     got = (hashlib.sha256(points[:out.evals_used].tobytes()).hexdigest(), out.evals_used,
            out.best_value.hex(), array("d", out.best_x).tobytes().hex())
     assert got == GOLDEN[(name, alg)]
-    before = program.eval_count
-    assert _native_program(program.evaluate, x0) is program
-    again = MINIMIZERS[alg](program.evaluate, x0, OptimizerConfig(max_evals=3_000), rng2)
-    assert (again.evals_used, again.best_value, array("d", again.best_x).tobytes(),
-            rng2.state()) == (out.evals_used, out.best_value,
-                              array("d", out.best_x).tobytes(), rng.state())
-    assert program.eval_count - before == out.evals_used
+    assert type(out.best_x) is list and all(type(v) is float for v in out.best_x)
 
 
 # the Python minimizers, through a wrapper of the program's `evaluate`
